@@ -221,16 +221,6 @@ class GammaGraph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
 
-    @cached_property
-    def bitsets(self) -> tuple[int, ...]:
-        rows = []
-        for i in range(self.n_vertices):
-            mask = 0
-            for j in np.flatnonzero(self.adjacency[i]):
-                mask |= 1 << int(j)
-            rows.append(mask)
-        return tuple(rows)
-
 
 def gamma_graph(a: FactoredMatrix, gamma: float) -> GammaGraph:
     mat = np.abs(a.dense())

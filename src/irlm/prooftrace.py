@@ -23,7 +23,13 @@ from .errors import (
     RankDeficiencyError,
     TraceAborted,
 )
-from .matrices import FactoredMatrix, approx_error, distribution_function, submatrix
+from .matrices import (
+    DensityProfile,
+    FactoredMatrix,
+    approx_error,
+    distribution_function,
+    submatrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +41,19 @@ def halve_by_density(a: FactoredMatrix, gamma: float) -> tuple[np.ndarray, float
     exceeds twice the global density; at least half the indices survive.
     Returns the kept indices and the maximal column density of the kept
     submatrix at the same threshold."""
-    profile = distribution_function(a, gamma)
-    threshold = 2.0 * profile.global_density
-    kept = np.flatnonzero(profile.column_densities <= threshold)
-    sub = submatrix(a, kept)
-    sub_profile = distribution_function(sub, gamma)
-    kappa = float(sub_profile.column_densities.max()) if kept.size else 0.0
+    kept, kappa, _ = _halve(a, gamma, distribution_function(a, gamma))
     return kept, kappa
+
+
+def _halve(
+    a: FactoredMatrix, gamma: float, profile: DensityProfile
+) -> tuple[np.ndarray, float, FactoredMatrix]:
+    """halve_by_density on a precomputed density profile of `a`; also
+    returns the kept submatrix."""
+    kept = np.flatnonzero(profile.column_densities <= 2.0 * profile.global_density)
+    sub = submatrix(a, kept)
+    kappa = float(distribution_function(sub, gamma).column_densities.max())
+    return kept, kappa, sub
 
 
 def epsilon_choice(n_dim: int, rank: float, c_net: float) -> float:
@@ -313,7 +325,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
 
     # density halving
     profile = distribution_function(a, gamma)
-    kept, kappa = halve_by_density(a, gamma)
+    kept, kappa, sub = _halve(a, gamma, profile)
     steps.append(
         TraceStep(
             name="density_halving",
@@ -322,7 +334,6 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
             check=TraceCheck(float(kept.size), a.n_dim / 2.0, kept.size >= a.n_dim / 2.0),
         )
     )
-    sub = submatrix(a, kept)
     n_kept = sub.n_dim
 
     # rank factorization of the kept submatrix
@@ -490,7 +501,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     )
 
     # pairwise sup-norm separation of the rows of B
-    min_sep = _min_pairwise_linf(b_sub)
+    min_sep, _ = _min_pairwise_linf(b_sub)
     steps.append(
         TraceStep(
             name="separation",
@@ -657,16 +668,31 @@ def _lemma_b_frame(points, dim, cfg, steps):
     return ell, basis.indices, frame
 
 
-def _min_pairwise_linf(mat: np.ndarray) -> float:
+def _min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
+    """Smallest sup-norm distance between two rows of the square matrix
+    `mat` (inf below two rows), and the number of row pairs evaluated.
+
+    Columns i and j give every pair the lower bound
+    L[i, j] = max(|m_ii - m_ji|, |m_jj - m_ij|) <= ||m_i - m_j||_inf, with
+    the same IEEE values the full distance takes its maximum over.  Pairs
+    are evaluated in batches in increasing L, and only while L is below the
+    best distance found, so the result is the exact minimum.
+    """
     n = mat.shape[0]
     if n < 2:
-        return math.inf
+        return math.inf, 0
+    p = np.abs(mat - np.diagonal(mat)[None, :])  # p[i, j] = |m_ij - m_jj|
+    rows, cols = np.triu_indices(n, 1)
+    bounds = np.maximum(p[rows, cols], p[cols, rows])
+    order = np.argsort(bounds)
+    bounds, rows, cols = bounds[order], rows[order], cols[order]
     best = math.inf
-    chunk = max(1, (1 << 24) // max(mat.size, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = np.abs(mat[start:stop, None, :] - mat[None, :, :]).max(axis=2)
-        for i in range(stop - start):
-            block[i, start + i] = math.inf
-        best = min(best, float(block.min()))
-    return best
+    done = 0
+    limit = bounds.size
+    while done < limit:
+        stop = min(done + 256, limit)
+        i, j = rows[done:stop], cols[done:stop]
+        best = min(best, float(np.abs(mat[i] - mat[j]).max(axis=1).min()))
+        done = stop
+        limit = int(np.searchsorted(bounds, best, side="left"))
+    return best, done

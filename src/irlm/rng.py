@@ -47,7 +47,12 @@ class SplitMix64:
         return -1 if self.next_u64() >> 63 else 1
 
     def next_signs(self, count: int) -> np.ndarray:
-        return np.array([self.next_sign() for _ in range(count)], dtype=np.float64)
+        """The next `count` signs of next_sign, computed in one vector pass."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            words = _mix64_np(np.uint64(self._state) + steps * np.uint64(GOLDEN))
+        self._state = (self._state + steps.size * GOLDEN) & MASK64
+        return 1.0 - 2.0 * (words >> np.uint64(63)).astype(np.float64)
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each oracle is written with a different algorithm than the code under test:
 exact integer binomial sums, dense grid searches, multiplicative-update
-design optimization, and brute-force subset enumeration.
+design optimization, brute-force subset enumeration, and exhaustive pair
+scans.
 """
 
 from __future__ import annotations
@@ -144,3 +145,20 @@ def edge_count_scan(mat: np.ndarray, gamma: float) -> int:
             if max(abs(mat[i, j]), abs(mat[j, i])) <= gamma:
                 count += 1
     return count
+
+
+def blocked_min_pairwise_linf(mat: np.ndarray) -> float:
+    """Smallest sup-norm distance between two rows by comparing every pair
+    over every column, in blocks of at most 2^24 broadcast entries."""
+    n = mat.shape[0]
+    if n < 2:
+        return math.inf
+    best = math.inf
+    chunk = max(1, (1 << 24) // max(mat.size, 1))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = np.abs(mat[start:stop, None, :] - mat[None, :, :]).max(axis=2)
+        for i in range(stop - start):
+            block[i, start + i] = math.inf
+        best = min(best, float(block.min()))
+    return best

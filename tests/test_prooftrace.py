@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irlm import from_factors, make_identity, make_random_sign
+from irlm import from_factors, make_identity, make_random_sign, prooftrace
 from irlm.bounds import gamma_threshold
 from irlm.errors import ParameterError
 from irlm.prooftrace import (
     TraceConfig,
+    _min_pairwise_linf,
     dumps_canonical,
     epsilon_choice,
     final_density_inequality,
@@ -18,6 +19,8 @@ from irlm.prooftrace import (
     net_inequality,
     trace,
 )
+
+from oracles import blocked_min_pairwise_linf
 
 
 # -- elementary steps -----------------------------------------------------------
@@ -116,6 +119,79 @@ def test_halve_keeps_at_least_half():
             kept, kappa = halve_by_density(a, gamma)
             assert kept.size >= 32
             assert 0.0 <= kappa <= 1.0
+
+
+# -- pairwise sup-norm separation -------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices that stress the bound-ordered search: uniform floats,
+    a coarse lattice (ties), a lattice with a repeated row (distance 0), the
+    identity plus lattice noise, and +-1 off the diagonal with a zero
+    diagonal, where every bound is 1 and most distances are 2, so nearly
+    every pair must be evaluated.  Sizes reach 48 rows (1128 pairs), so the
+    search runs through several batches of pairs."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=3, max_value=48)))
+    kind = draw(st.sampled_from(["floats", "lattice", "repeated", "near_identity", "far"]))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "floats":
+        return gen.uniform(-2.0, 2.0, (n, n))
+    if kind == "far":
+        mat = np.where(gen.random((n, n)) < 0.5, -1.0, 1.0)
+        np.fill_diagonal(mat, 0.0)
+        return mat
+    mat = gen.integers(-4, 5, (n, n)) / 4.0
+    if kind == "near_identity":
+        return np.eye(n) + mat / 8.0
+    if kind == "repeated" and n >= 2:
+        src, dst = gen.choice(n, size=2, replace=False)
+        mat[dst] = mat[src]
+    return mat
+
+
+@settings(max_examples=300)
+@given(square_matrices())
+def test_min_pairwise_linf_equals_blocked_scan(mat):
+    n = mat.shape[0]
+    dist, evaluated = _min_pairwise_linf(mat)
+    assert dist == blocked_min_pairwise_linf(mat)
+    assert 0 <= evaluated <= n * (n - 1) // 2
+    if n < 2:
+        assert dist == math.inf and evaluated == 0
+    elif np.unique(mat, axis=0).shape[0] < n:
+        assert dist == 0.0
+
+
+def test_min_pairwise_linf_evaluates_every_pair_when_bounds_are_loose():
+    # every bound is 1 and every distance 2: nothing can be pruned, and the
+    # search runs through several batches
+    gen = np.random.default_rng(7)
+    mat = np.where(gen.random((48, 48)) < 0.5, -1.0, 1.0)
+    np.fill_diagonal(mat, 0.0)
+    dist, evaluated = _min_pairwise_linf(mat)
+    assert dist == blocked_min_pairwise_linf(mat) == 2.0
+    assert evaluated == 48 * 47 // 2
+
+
+def test_separation_search_prunes_on_sign_384_64(monkeypatch):
+    # the B matrix of the lemmaB trace of sign 384/64 seed 1: the exact
+    # minimum comes out after at most 1% of the pairs
+    seen = []
+
+    def spy(mat):
+        result = _min_pairwise_linf(mat)
+        seen.append((mat, result))
+        return result
+
+    monkeypatch.setattr(prooftrace, "_min_pairwise_linf", spy)
+    gamma = gamma_threshold(384, 64, 0.25)
+    report = trace(make_random_sign(384, 64, 1), TraceConfig(gamma=gamma, basis_mode="lemmaB"))
+    ((b_sub, (dist, evaluated)),) = seen
+    n = b_sub.shape[0]
+    assert dist == blocked_min_pairwise_linf(b_sub)
+    assert report.step("separation").outputs["min_pairwise_distance"] == dist
+    assert evaluated <= 0.01 * n * (n - 1) / 2
 
 
 # -- canonical serialization -------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -42,3 +43,14 @@ def test_stream_signs_deterministic():
     s1 = rng.SplitMix64(rng.derive_key(3, 4)).next_signs(32)
     s2 = rng.SplitMix64(rng.derive_key(3, 4)).next_signs(32)
     assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("key", [0, 1, rng.derive_key(3, 4), 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 7, 95, 1000])
+def test_next_signs_matches_scalar_stream(key, count):
+    vector = rng.SplitMix64(key)
+    scalar = rng.SplitMix64(key)
+    signs = vector.next_signs(count)
+    assert signs.dtype == np.float64 and signs.shape == (count,)
+    assert signs.tolist() == [float(scalar.next_sign()) for _ in range(count)]
+    assert vector.next_u64() == scalar.next_u64()
