@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import rng
 from .errors import (
@@ -73,9 +72,6 @@ class Ellipsoid:
         if x.ndim == 1:
             return float(np.sqrt(max(x @ self.shape @ x, 0.0)))
         return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", x, self.shape, x), 0.0))
-
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.asarray(a) @ self.shape @ np.asarray(b))
 
 
 @dataclass(frozen=True)
@@ -209,45 +205,6 @@ def _john_residual(points: np.ndarray, weights: np.ndarray, ell: Ellipsoid) -> f
     return float(np.linalg.norm(total - np.eye(ell.dim)))
 
 
-def contact_points(ell: Ellipsoid, points: np.ndarray, tol: float) -> ContactSet:
-    """Points whose D-norm is within tol of 1, antipodal duplicates collapsed,
-    with nonnegative-least-squares certificate weights."""
-    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    norms = ell.norm(p)
-    candidates = np.flatnonzero((norms >= 1.0 - tol) & (norms <= 1.0 + tol))
-    kept: list[int] = []
-    signs: list[int] = []
-    for j in candidates:
-        duplicate = False
-        for i in kept:
-            # collapse exact or antipodal duplicates to one representative
-            if np.allclose(p[j], p[i], atol=1e-12) or np.allclose(p[j], -p[i], atol=1e-12):
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(int(j))
-            signs.append(1)
-    kept_arr = np.array(kept, dtype=np.intp)
-    if kept_arr.size == 0:
-        return ContactSet(
-            indices=kept_arr,
-            signs=np.zeros(0, dtype=np.int64),
-            weights=np.zeros(0),
-            residual=float(np.sqrt(ell.dim)),
-        )
-    root = _sqrt_pd(ell.shape)
-    v = p[kept_arr] @ root
-    design = np.stack([np.outer(row, row).ravel() for row in v], axis=1)
-    target = np.eye(ell.dim).ravel()
-    weights, rnorm = nnls(design, target)
-    return ContactSet(
-        indices=kept_arr,
-        signs=np.array(signs, dtype=np.int64),
-        weights=weights,
-        residual=float(rnorm),
-    )
-
-
 # ---------------------------------------------------------------------------
 # L1 lower constant over a contact set
 
@@ -257,6 +214,11 @@ class L1LowerBound(NamedTuple):
     normalized: float  # value * sqrt(dim)
     certified: bool
     facets_examined: int
+
+
+# A Cholesky or Gram-Schmidt pivot whose square is at most this fraction of
+# its vector's squared D-norm marks the vector as dependent on earlier ones.
+_PIVOT_RTOL = 1e-14
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -303,90 +265,154 @@ def _pg_simplex_qp(q_mat: np.ndarray, r: np.ndarray, tol: float, max_iter: int) 
     return r
 
 
-def _solve_facet_qp(q_mat: np.ndarray, kkt_tol: float = 1e-9) -> tuple[np.ndarray, float, float]:
-    """Minimize r' Q r over the probability simplex.
+def _contact_gram(x: np.ndarray, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray | None]:
+    """D-Gram G of the rows of x, and H = G^(-1) through the Cholesky factor
+    of G, computed as the R of a QR of the whitened rows.  H is None when a
+    pivot fails the relative test, which means the rows are dependent."""
+    gram = x @ ell.shape @ x.T
+    gram = (gram + gram.T) / 2.0
+    if x.shape[0] > ell.dim:
+        return gram, None
+    z = x @ np.linalg.cholesky(ell.shape)  # z z' = G
+    chol = np.linalg.qr(z.T, mode="r")  # G = chol' chol
+    if np.any(np.diagonal(chol) ** 2 <= _PIVOT_RTOL * np.einsum("ij,ij->i", z, z)):
+        return gram, None
+    inv_chol = np.linalg.inv(chol)
+    return gram, inv_chol @ inv_chol.T
 
-    Primary path is an active-set method on the equality KKT system; if it
-    cycles, a projected-gradient pass finishes the job.  Returns the point,
-    the value, and the KKT residual.
+
+def _inverse_on(inv: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """G_II^(-1) = H_II - H_IJ H_JJ^(-1) H_JI for H = G^(-1), I the support
+    and J its complement, with zero rows and columns on J."""
+    off = ~support
+    sub = inv - inv[:, off] @ np.linalg.solve(inv[np.ix_(off, off)], inv[off])
+    sub[off] = 0.0
+    sub[:, off] = 0.0
+    return sub
+
+
+def _solve_facet_qp(
+    gram: np.ndarray, inv: np.ndarray, s: np.ndarray, kkt_tol: float = 1e-9
+) -> tuple[np.ndarray, float, float]:
+    """Minimize r' Q r over the probability simplex, Q = G o ss'.
+
+    Active set on the equality KKT system: on a support I the minimizer is
+    proportional to Q_II^(-1) 1 = s_I o G_II^(-1) s_I.  G_II^(-1) starts as
+    the factored H = G^(-1); dropping coordinate j eliminates it by the
+    rank-one downdate W - W_:j W_j: / W_jj, and adding one back recomputes
+    H_II - H_IJ H_JJ^(-1) H_JI.  If the settled point misses the KKT
+    residual kkt_tol, iterative refinement against G, and then projected
+    gradient, finish the job; projected gradient also takes over if the
+    active set cycles.  Returns the point, the value, and the KKT residual.
     """
-    k = q_mat.shape[0]
+    k = s.size
+    q_mat = gram * np.outer(s, s)
     if k == 1:
         return np.ones(1), float(q_mat[0, 0]), 0.0
     support = np.ones(k, dtype=bool)
-    best: tuple[np.ndarray, float] | None = None
+    sub_inv = inv  # G_II^(-1), zero off the support
+    settled = False
     for _ in range(3 * k + 60):
-        idx = np.flatnonzero(support)
-        ks = idx.size
-        kkt = np.zeros((ks + 1, ks + 1))
-        kkt[:ks, :ks] = 2.0 * q_mat[np.ix_(idx, idx)]
-        kkt[:ks, ks] = 1.0
-        kkt[ks, :ks] = 1.0
-        rhs = np.zeros(ks + 1)
-        rhs[ks] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        r_s = sol[:ks]
-        if np.min(r_s) < -1e-13:
-            drop = idx[int(np.argmin(r_s))]
-            support[drop] = False
-            if not support.any():
-                break
-            continue
-        r = np.zeros(k)
-        r[idx] = np.maximum(r_s, 0.0)
-        total = r.sum()
-        if total <= 0:
+        x = sub_inv @ s
+        z = s * x
+        total = z.sum()
+        if not total > 0:
             break
-        r /= total
+        r = z / total  # zero off the support
+        j = int(np.argmin(r))
+        if r[j] < -1e-13:
+            w = sub_inv[:, j]
+            sub_inv = sub_inv - np.outer(w, w / w[j])
+            sub_inv[j] = 0.0
+            sub_inv[:, j] = 0.0
+            support[j] = False
+            continue
+        r = np.maximum(r, 0.0)
+        r /= r.sum()
         grad = 2.0 * q_mat @ r
-        nu = float(grad @ r)
         off = np.flatnonzero(~support)
         if off.size:
-            viol = nu - grad[off]
+            viol = float(grad @ r) - grad[off]
             j = int(np.argmax(viol))
             if viol[j] > 1e-12:
                 support[off[j]] = True
+                try:
+                    sub_inv = _inverse_on(inv, support)
+                except np.linalg.LinAlgError:
+                    break
                 continue
-        best = (r, float(r @ q_mat @ r))
+        settled = True
         break
-    if best is None:
+    if settled:
+        res = _kkt_residual(q_mat, r)
+        for _ in range(3):
+            if res <= kkt_tol:
+                break
+            x = x + sub_inv @ (s - gram @ x)
+            z = s * x
+            r_new = np.maximum(z / z.sum(), 0.0)
+            r_new /= r_new.sum()
+            res_new = _kkt_residual(q_mat, r_new)
+            if not res_new < res:
+                break
+            r, res = r_new, res_new
+    else:
         r = _pg_simplex_qp(q_mat, np.full(k, 1.0 / k), kkt_tol, 100_000)
-        best = (r, float(r @ q_mat @ r))
-    r, val = best
-    res = _kkt_residual(q_mat, r)
+        res = _kkt_residual(q_mat, r)
     if res > kkt_tol:
         r = _pg_simplex_qp(q_mat, r, kkt_tol, 100_000)
-        val = float(r @ q_mat @ r)
         res = _kkt_residual(q_mat, r)
-    return r, val, res
+    return r, float(r @ q_mat @ r), res
 
 
-def _facet_value(gram: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
-    q_mat = gram * np.outer(s, s)
-    r, val, _ = _solve_facet_qp(q_mat)
-    return val, r
-
-
-def _polish_patterns(gram: np.ndarray, s: np.ndarray, val: float, r: np.ndarray, cap: int = 100):
+def _polish_patterns(gram, inv, s, val, r, cap: int = 100) -> float:
     """Descend across adjacent sign facets through coordinates at zero."""
-    k = s.size
     for _ in range(cap):
-        zero = np.flatnonzero(r <= 1e-12)
-        improved = False
-        for i in zero:
+        for i in np.flatnonzero(r <= 1e-12):
             s2 = s.copy()
             s2[i] = -s2[i]
-            v2, r2 = _facet_value(gram, s2)
+            r2, v2, _ = _solve_facet_qp(gram, inv, s2)
             if v2 < val - 1e-15:
                 s, val, r = s2, v2, r2
-                improved = True
                 break
-        if not improved:
+        else:
             break
-    return val, s, r
+    return val
+
+
+def _sample_patterns(
+    k: int, n_samples: int, seed: int, extra_patterns: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """The all-plus facet, the signs of the extra patterns, then seeded
+    random patterns up to n_samples in all."""
+    patterns = [np.ones(k)]
+    if extra_patterns is not None:
+        for row in np.atleast_2d(np.asarray(extra_patterns, dtype=np.float64)):
+            patterns.append(np.where(row < 0, -1.0, 1.0))
+    stream = rng.SplitMix64(rng.derive_key(seed, k))
+    for _ in range(max(0, n_samples - len(patterns))):
+        patterns.append(stream.next_signs(k))
+    return patterns
+
+
+def _sampled_minimum(gram, inv, patterns) -> tuple[float, int]:
+    """Smallest facet value over the distinct patterns (up to antipodes),
+    after adjacent-facet descent from the best one, and the facet count."""
+    seen: set[bytes] = set()
+    best = math.inf
+    best_s = patterns[0]
+    best_r = np.full(gram.shape[0], 1.0 / gram.shape[0])
+    for s in patterns:
+        if s[0] < 0:
+            s = -s  # antipodal facets are equivalent
+        key = s.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        r, val, _ = _solve_facet_qp(gram, inv, s)
+        if val < best:
+            best, best_s, best_r = val, s, r
+    return _polish_patterns(gram, inv, best_s, best, best_r), len(seen)
 
 
 def l1_lower_constant(
@@ -400,23 +426,31 @@ def l1_lower_constant(
     """Smallest D-norm of a combination of the contact vectors with unit
     L1 coefficient norm: min |sum t_m x_m|_D over ||t||_1 = 1.
 
-    The exact method enumerates all sign-pattern facets of the L1 sphere
-    (up to antipodal symmetry, so 2^(k-1) quadratic programs) and is capped
-    at k <= 20.  The sampled method minimizes over a pattern subset (always
-    including the all-plus facet, caller-provided patterns, and seeded
-    random ones) followed by adjacent-facet descent; its result is an upper
-    estimate of the true minimum and is flagged as not certified.
+    The contact D-Gram G is factored once per call, and every facet
+    quadratic program reads its active-set iterates off H = G^(-1).  If a
+    Cholesky pivot of G fails the relative test, the contacts are dependent
+    and the value is 0 with no facet examined.  The exact method enumerates
+    all sign-pattern facets of the L1 sphere (up to antipodal symmetry, so
+    2^(k-1) quadratic programs) and is capped at k <= 20.  The sampled
+    method minimizes over a pattern subset (always including the all-plus
+    facet, caller-provided patterns, and seeded random ones) followed by
+    adjacent-facet descent; its result is an upper estimate of the true
+    minimum and is flagged as not certified.
     """
     x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
     k = x.shape[0]
     if k < 1:
         raise ParameterError("need at least one contact vector")
-    gram = x @ ell.shape @ x.T
-    gram = (gram + gram.T) / 2.0
-    sqrt_dim = math.sqrt(ell.dim)
     if method == "exact":
         if k > 20:
             raise SizeCapError(f"exact facet enumeration capped at k <= 20, got k={k}")
+    elif method != "sampled":
+        raise ParameterError(f"method must be 'exact' or 'sampled', got {method!r}")
+    certified = method == "exact"
+    gram, inv = _contact_gram(x, ell)
+    if inv is None:
+        return L1LowerBound(0.0, 0.0, certified, 0)
+    if certified:
         best = math.inf
         count = 0
         for code in range(1 << (k - 1)):
@@ -424,107 +458,110 @@ def l1_lower_constant(
             for bit in range(k - 1):
                 if code >> bit & 1:
                     s[bit + 1] = -1.0
-            val, _ = _facet_value(gram, s)
-            best = min(best, val)
+            best = min(best, _solve_facet_qp(gram, inv, s)[1])
             count += 1
-        mu = math.sqrt(max(best, 0.0))
-        return L1LowerBound(mu, mu * sqrt_dim, True, count)
-    if method != "sampled":
-        raise ParameterError(f"method must be 'exact' or 'sampled', got {method!r}")
-    patterns = [np.ones(k)]
-    if extra_patterns is not None:
-        for row in np.atleast_2d(np.asarray(extra_patterns, dtype=np.float64)):
-            s = np.where(row < 0, -1.0, 1.0)
-            patterns.append(s)
-    stream = rng.SplitMix64(rng.derive_key(seed, k))
-    for _ in range(max(0, n_samples - len(patterns))):
-        patterns.append(stream.next_signs(k))
-    seen: set[bytes] = set()
-    best = math.inf
-    best_s = patterns[0]
-    best_r = np.full(k, 1.0 / k)
-    count = 0
-    for s in patterns:
-        if s[0] < 0:
-            s = -s  # antipodal facets are equivalent
-        key = s.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        val, r = _facet_value(gram, s)
-        count += 1
-        if val < best:
-            best, best_s, best_r = val, s, r
-    best, _, _ = _polish_patterns(gram, best_s, best, best_r)
+    else:
+        patterns = _sample_patterns(k, n_samples, seed, extra_patterns)
+        best, count = _sampled_minimum(gram, inv, patterns)
     mu = math.sqrt(max(best, 0.0))
-    return L1LowerBound(mu, mu * sqrt_dim, False, count)
+    return L1LowerBound(mu, mu * math.sqrt(ell.dim), certified, count)
 
 
 # ---------------------------------------------------------------------------
 # contact subset selection and frame completion
 
 
-def _independent_prefix(
-    vectors: np.ndarray, ell: Ellipsoid, det_floor: float
-) -> list[int]:
-    """Greedy maximal subset, in input order, whose D-Gram determinant stays
-    above det_floor."""
+def _independent_prefix(vectors: np.ndarray, ell: Ellipsoid) -> list[int]:
+    """Greedy maximal subset, in input order, of D-independent vectors.
+
+    Classical Gram-Schmidt in whitened coordinates, against all kept vectors
+    at once: a vector is kept when its squared D-residual exceeds
+    _PIVOT_RTOL times its squared D-norm (this also collapses antipodal
+    duplicates).
+    """
+    z = np.atleast_2d(vectors) @ np.linalg.cholesky(ell.shape)
+    basis = np.zeros((ell.dim, ell.dim))  # D-orthonormalized kept vectors
     kept: list[int] = []
-    basis: list[np.ndarray] = []  # D-orthonormalized kept vectors
-    log_det = 0.0
-    for j, v in enumerate(vectors):
-        w = v.copy()
-        for b in basis:
-            w = w - ell.inner(b, v) * b
-        res_sq = max(ell.inner(w, w), 0.0)
-        if res_sq <= 1e-14:
+    for j, v in enumerate(z):
+        if len(kept) == ell.dim:
+            break
+        b = basis[: len(kept)]
+        w = v - (b @ v) @ b
+        res_sq = float(w @ w)
+        if res_sq <= _PIVOT_RTOL * float(v @ v):
             continue
-        if log_det + math.log(res_sq) <= math.log(det_floor):
-            continue
+        basis[len(kept)] = w / math.sqrt(res_sq)
         kept.append(j)
-        log_det += math.log(res_sq)
-        basis.append(w / math.sqrt(res_sq))
     return kept
+
+
+def _drop_one_select(
+    x: np.ndarray,
+    ell: Ellipsoid,
+    current: Sequence[int],
+    target_k: int,
+    selection_samples: int,
+    seed: int,
+) -> np.ndarray:
+    """Drop-one greedy from the independent rows `current` of x down to
+    target_k rows; returns the kept row indices in input order.
+
+    Each round factors the D-Gram G of the current set once.  Every
+    candidate's Gram is a slice of G, and its inverse is the downdate
+    H_-i-i - h h' / H_ii of H = G^(-1); all candidates share the round's
+    sampled patterns.
+    """
+    current = list(current)
+    while len(current) > target_k:
+        gram, inv = _contact_gram(x[current], ell)
+        patterns = _sample_patterns(len(current) - 1, selection_samples, seed)
+        best_mu = -math.inf
+        best_pos = 0
+        for pos in range(len(current)):
+            keep = np.delete(np.arange(len(current)), pos)
+            if inv is None:
+                cand_gram, cand_inv = _contact_gram(x[current][keep], ell)
+            else:
+                cand_gram = gram[np.ix_(keep, keep)]
+                h = inv[keep, pos]
+                cand_inv = inv[np.ix_(keep, keep)] - np.outer(h, h) / inv[pos, pos]
+            if cand_inv is None:
+                mu = 0.0
+            else:
+                mu = math.sqrt(max(_sampled_minimum(cand_gram, cand_inv, patterns)[0], 0.0))
+            if mu > best_mu + 1e-15:
+                best_mu = mu
+                best_pos = pos
+        del current[best_pos]
+    return np.array(current, dtype=np.intp)
 
 
 def select_contact_subset(
     contacts: np.ndarray,
     ell: Ellipsoid,
     target_k: int,
-    det_floor: float = 1e-12,
     selection_samples: int = 4,
     seed: int = 0,
 ) -> np.ndarray:
     """Drop-one greedy subset of the contacts maximizing the L1 lower constant.
 
-    First enforces linear independence (D-Gram determinant above det_floor,
-    which also collapses antipodal duplicates), then repeatedly removes the
-    vector whose removal maximizes the sampled L1 lower constant of the
-    remainder, until target_k vectors are left.
+    First keeps a maximal linearly independent prefix (a relative pivot
+    test, which also collapses antipodal duplicates), then repeatedly
+    removes the vector whose removal maximizes the sampled L1 lower constant
+    of the remainder, until target_k vectors are left.  The D-Gram is
+    factored once per round and downdated per candidate.
     """
     x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
     if target_k < 1:
         raise ParameterError(f"target_k must be >= 1, got {target_k}")
     if target_k > x.shape[0]:
         raise ParameterError(f"target_k={target_k} exceeds {x.shape[0]} contacts")
-    current = _independent_prefix(x, ell, det_floor)
+    current = _independent_prefix(x, ell)
     if len(current) < target_k:
         raise RankDeficiencyError(
             f"only {len(current)} independent contacts, need {target_k}"
         )
-    while len(current) > target_k:
-        best_mu = -math.inf
-        best_pos = 0
-        for pos in range(len(current)):
-            cand = current[:pos] + current[pos + 1 :]
-            mu = l1_lower_constant(
-                x[cand], ell, method="sampled", n_samples=selection_samples, seed=seed
-            ).value
-            if mu > best_mu + 1e-15:
-                best_mu = mu
-                best_pos = pos
-        current = current[:best_pos] + current[best_pos + 1 :]
-    return np.array(current, dtype=np.intp)
+    return _drop_one_select(x, ell, current, target_k, selection_samples, seed)
 
 
 @dataclass(frozen=True)
@@ -597,7 +634,8 @@ class AuerbachBasis(NamedTuple):
 
 def _complete_pivot_init(points: np.ndarray) -> list[int]:
     """Gaussian-elimination complete pivoting over the point matrix; the
-    pivot columns index an independent, large-volume starting basis."""
+    pivot columns index an independent, large-volume starting basis.  Each
+    pivot updates all free columns in one rank-one step."""
     work = points.T.copy()  # n x m, variables x points
     n, m = work.shape
     scale = float(np.abs(work).max()) or 1.0
@@ -613,14 +651,11 @@ def _complete_pivot_init(points: np.ndarray) -> list[int]:
         ri, ci = np.unravel_index(int(np.argmax(sub)), sub.shape)
         r, c = int(rows[ri]), int(cols[ci])
         selected.append(c)
-        pivot = work[r, c]
-        for j in np.flatnonzero(col_free):
-            if j == c:
-                continue
-            factor = work[r, j] / pivot
-            work[:, j] -= factor * work[:, c]
         row_free[r] = False
         col_free[c] = False
+        js = np.flatnonzero(col_free)
+        factor = work[r, js] / work[r, c]
+        work[:, js] -= work[:, c][:, None] * factor
     return selected
 
 

@@ -594,21 +594,15 @@ def _lemma_a_frame(points, dim, eps, cfg, steps):
     )
     target_k = min(math.ceil(dim * (1.0 - eps)), dim)
     contact_vectors = points[contacts.indices]
-    try:
-        independent = geometry._independent_prefix(contact_vectors, ell, 1e-12)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise TraceAborted("contact_selection", exc)
-    achieved_target = min(target_k, len(independent))
-    try:
-        local_sel = geometry.select_contact_subset(
-            contact_vectors,
-            ell,
-            achieved_target,
-            selection_samples=cfg.selection_samples,
-            seed=cfg.sample_seed,
-        )
-    except RankDeficiencyError as exc:
-        raise TraceAborted("contact_selection", exc)
+    independent = geometry._independent_prefix(contact_vectors, ell)
+    local_sel = geometry._drop_one_select(
+        contact_vectors,
+        ell,
+        independent,
+        min(target_k, len(independent)),
+        cfg.selection_samples,
+        cfg.sample_seed,
+    )
     selected_cols = contacts.indices[local_sel]
     k_sel = int(local_sel.size)
     steps.append(

@@ -2,8 +2,9 @@
 
 Each oracle is written with a different algorithm than the code under test:
 exact integer binomial sums, dense grid searches, multiplicative-update
-design optimization, brute-force subset enumeration, and exhaustive pair
-scans.
+design optimization, brute-force subset enumeration, exhaustive pair
+scans, a fresh KKT solve per facet and per drop-one candidate, and
+column-at-a-time elimination.
 """
 
 from __future__ import annotations
@@ -162,3 +163,145 @@ def blocked_min_pairwise_linf(mat: np.ndarray) -> float:
             block[i, start + i] = math.inf
         best = min(best, float(block.min()))
     return best
+
+
+def kkt_solve_facet_qp(q_mat: np.ndarray, kkt_tol: float = 1e-9) -> tuple[np.ndarray, float, float]:
+    """Minimize r' Q r over the probability simplex by an active set that
+    builds and solves the bordered (|I|+1) x (|I|+1) KKT system of every
+    support I, with the library's projected-gradient rescue.  Returns the
+    point, the value, and the KKT residual."""
+    from irlm.geometry import _kkt_residual, _pg_simplex_qp
+
+    k = q_mat.shape[0]
+    if k == 1:
+        return np.ones(1), float(q_mat[0, 0]), 0.0
+    support = np.ones(k, dtype=bool)
+    best = None
+    for _ in range(3 * k + 60):
+        idx = np.flatnonzero(support)
+        ks = idx.size
+        kkt = np.zeros((ks + 1, ks + 1))
+        kkt[:ks, :ks] = 2.0 * q_mat[np.ix_(idx, idx)]
+        kkt[:ks, ks] = 1.0
+        kkt[ks, :ks] = 1.0
+        rhs = np.zeros(ks + 1)
+        rhs[ks] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        r_s = sol[:ks]
+        if np.min(r_s) < -1e-13:
+            support[idx[int(np.argmin(r_s))]] = False
+            if not support.any():
+                break
+            continue
+        r = np.zeros(k)
+        r[idx] = np.maximum(r_s, 0.0)
+        total = r.sum()
+        if total <= 0:
+            break
+        r /= total
+        grad = 2.0 * q_mat @ r
+        nu = float(grad @ r)
+        off = np.flatnonzero(~support)
+        if off.size:
+            viol = nu - grad[off]
+            j = int(np.argmax(viol))
+            if viol[j] > 1e-12:
+                support[off[j]] = True
+                continue
+        best = (r, float(r @ q_mat @ r))
+        break
+    if best is None:
+        r = _pg_simplex_qp(q_mat, np.full(k, 1.0 / k), kkt_tol, 100_000)
+        best = (r, float(r @ q_mat @ r))
+    r, val = best
+    res = _kkt_residual(q_mat, r)
+    if res > kkt_tol:
+        r = _pg_simplex_qp(q_mat, r, kkt_tol, 100_000)
+        val = float(r @ q_mat @ r)
+        res = _kkt_residual(q_mat, r)
+    return r, val, res
+
+
+def kkt_sampled_l1(gram: np.ndarray, n_samples: int, seed: int) -> float:
+    """Sampled L1 lower constant of a D-Gram: the all-plus facet and seeded
+    random ones, then adjacent-facet descent, each facet through
+    kkt_solve_facet_qp on its own Q = G o ss'."""
+    from irlm import rng
+
+    k = gram.shape[0]
+
+    def facet(s):
+        r, val, _ = kkt_solve_facet_qp(gram * np.outer(s, s))
+        return val, r
+
+    patterns = [np.ones(k)]
+    stream = rng.SplitMix64(rng.derive_key(seed, k))
+    patterns += [stream.next_signs(k) for _ in range(max(0, n_samples - 1))]
+    seen = set()
+    best, best_s, best_r = math.inf, patterns[0], np.full(k, 1.0 / k)
+    for s in patterns:
+        if s[0] < 0:
+            s = -s
+        if s.tobytes() in seen:
+            continue
+        seen.add(s.tobytes())
+        val, r = facet(s)
+        if val < best:
+            best, best_s, best_r = val, s, r
+    s, r = best_s, best_r
+    for _ in range(100):
+        for i in np.flatnonzero(r <= 1e-12):
+            s2 = s.copy()
+            s2[i] = -s2[i]
+            v2, r2 = facet(s2)
+            if v2 < best - 1e-15:
+                s, best, r = s2, v2, r2
+                break
+        else:
+            break
+    return math.sqrt(max(best, 0.0))
+
+
+def kkt_drop_one_select(x, shape, current, target_k, samples, seed) -> np.ndarray:
+    """Drop-one greedy that builds every candidate's D-Gram from its rows
+    and evaluates it with kkt_sampled_l1."""
+    current = list(current)
+    while len(current) > target_k:
+        best_mu, best_pos = -math.inf, 0
+        for pos in range(len(current)):
+            cand = x[current[:pos] + current[pos + 1 :]]
+            gram = cand @ shape @ cand.T
+            mu = kkt_sampled_l1((gram + gram.T) / 2.0, samples, seed)
+            if mu > best_mu + 1e-15:
+                best_mu, best_pos = mu, pos
+        del current[best_pos]
+    return np.array(current, dtype=np.intp)
+
+
+def loop_complete_pivot_init(points: np.ndarray) -> list[int]:
+    """Complete-pivoting elimination that updates one column at a time."""
+    work = np.asarray(points, dtype=float).T.copy()
+    n, m = work.shape
+    scale = float(np.abs(work).max()) or 1.0
+    row_free = np.ones(n, dtype=bool)
+    col_free = np.ones(m, dtype=bool)
+    selected = []
+    for _ in range(n):
+        sub = np.abs(work[np.ix_(row_free, col_free)])
+        if sub.size == 0 or sub.max() <= 1e-12 * scale:
+            raise ValueError("points do not span the ambient dimension")
+        ri, ci = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        r, c = int(np.flatnonzero(row_free)[ri]), int(np.flatnonzero(col_free)[ci])
+        selected.append(c)
+        pivot = work[r, c]
+        for j in np.flatnonzero(col_free):
+            if j == c:
+                continue
+            factor = work[r, j] / pivot
+            work[:, j] -= factor * work[:, c]
+        row_free[r] = False
+        col_free[c] = False
+    return selected

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irlm.errors import RankDeficiencyError
 from irlm.geometry import (
     Ellipsoid,
+    _complete_pivot_init,
+    _drop_one_select,
+    _independent_prefix,
     auerbach_basis,
     complete_frame,
     expand_coefficients,
@@ -12,7 +17,7 @@ from irlm.geometry import (
     select_contact_subset,
 )
 
-from oracles import exhaustive_best_det
+from oracles import exhaustive_best_det, kkt_drop_one_select, loop_complete_pivot_init
 
 
 def unit_ball(dim):
@@ -48,6 +53,42 @@ def test_greedy_subset_does_not_decrease_constant(rng):
     mu_sub = l1_lower_constant(vectors[sel], ell, method="exact").value
     mu_full = l1_lower_constant(vectors, ell, method="exact").value
     assert mu_sub >= mu_full - 1e-12
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 10),
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+def test_drop_one_select_matches_kkt_oracle(data_seed, k, drops, samples, seed):
+    g = np.random.default_rng(data_seed)
+    dim = k + int(g.integers(0, 3))
+    root = g.normal(size=(dim, dim))
+    ell = Ellipsoid(dim, root @ root.T + dim * np.eye(dim), 0.0)
+    x = g.normal(size=(k, dim))
+    current = _independent_prefix(x, ell)
+    assert current == list(range(k))
+    got = _drop_one_select(x, ell, current, k - drops, samples, seed)
+    want = kkt_drop_one_select(x, ell.shape, current, k - drops, samples, seed)
+    assert np.array_equal(got, want)
+    assert np.array_equal(select_contact_subset(x, ell, k - drops, samples, seed), want)
+
+
+def test_drop_one_select_gives_dependent_candidates_zero():
+    # rows 0 and 2 coincide, so the set's D-Gram has no inverse to downdate;
+    # each candidate is factored on its own and {e1, e1} scores 0
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert list(_drop_one_select(x, unit_ball(2), [0, 1, 2], 2, 4, 0)) == [1, 2]
+
+
+def test_independent_prefix_keeps_independent_prefix_in_order(rng):
+    x = rng.normal(size=(4, 6))
+    rows = np.vstack([x[0], -x[0], x[1], x[0] + x[1], x[2], 1e-3 * x[3], x[2] - x[1]])
+    assert _independent_prefix(rows, unit_ball(6)) == [0, 2, 4, 5]
+    # no more vectors than dimensions are kept
+    assert _independent_prefix(rng.normal(size=(9, 5)), unit_ball(5)) == [0, 1, 2, 3, 4]
 
 
 # -- frame completion and expansion --------------------------------------------
@@ -155,3 +196,18 @@ def test_rank_deficient_points_raise():
     points = np.ones((5, 3))
     with pytest.raises(RankDeficiencyError):
         auerbach_basis(points, 0.01)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 12), st.booleans())
+def test_complete_pivot_init_matches_column_loop(seed, dim, extra, signs):
+    g = np.random.default_rng(seed)
+    points = g.normal(size=(dim + extra, dim))
+    if signs:  # +-1 entries: every magnitude ties at the first pivot
+        points = np.sign(points)
+    try:
+        want = loop_complete_pivot_init(points)
+    except ValueError:
+        with pytest.raises(RankDeficiencyError):
+            _complete_pivot_init(points)
+        return
+    assert _complete_pivot_init(points) == want

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from irlm.errors import SizeCapError
-from irlm.geometry import Ellipsoid, l1_lower_constant, mvee
+from irlm.geometry import Ellipsoid, _contact_gram, _solve_facet_qp, l1_lower_constant, mvee
 
-from oracles import grid_l1_min
+from oracles import grid_l1_min, kkt_solve_facet_qp
 
 
 def unit_ball(dim):
@@ -87,13 +89,13 @@ def test_exact_size_cap():
 
 
 def test_projected_gradient_fallback_agrees_with_active_set(rng):
-    from irlm.geometry import _kkt_residual, _pg_simplex_qp, _solve_facet_qp
+    from irlm.geometry import _kkt_residual, _pg_simplex_qp
 
     for trial in range(6):
         k = int(rng.integers(2, 9))
         root = rng.normal(size=(k, k))
-        q_mat = root @ root.T  # PSD, possibly ill conditioned
-        r_as, val_as, res_as = _solve_facet_qp(q_mat)
+        q_mat, inv = _contact_gram(root, unit_ball(k))  # PSD, possibly ill conditioned
+        r_as, val_as, res_as = _solve_facet_qp(q_mat, inv, np.ones(k))
         assert res_as <= 1e-9
         r_pg = _pg_simplex_qp(q_mat, np.full(k, 1.0 / k), 1e-9, 20_000)
         val_pg = float(r_pg @ q_mat @ r_pg)
@@ -114,3 +116,69 @@ def test_extra_patterns_bound_realized_combinations(rng):
     lhs = bound.value * np.abs(t).sum()
     rhs = ball.norm(t @ x)
     assert lhs <= rhs + 1e-9
+
+
+def random_ellipsoid(g, dim):
+    root = g.normal(size=(dim, dim))
+    return Ellipsoid(dim, root @ root.T + dim * np.eye(dim), 0.0)
+
+
+@st.composite
+def facet_instances(draw):
+    """Contact rows, an ellipsoid and a sign pattern.  Long rows tend to get
+    no weight at the facet minimum (zero coordinates); spread row scales and
+    a near copy of the first row make the D-Gram ill conditioned."""
+    k = draw(st.integers(2, 12))
+    dim = draw(st.integers(k, k + 3))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = g.normal(size=(k, dim))
+    x *= 10.0 ** (draw(st.sampled_from([0.0, 0.5])) * g.uniform(-1, 1, size=(k, 1)))
+    x[: draw(st.integers(0, k - 1))] *= 10.0
+    if draw(st.booleans()):
+        x[-1] = x[0] + 1e-2 * g.normal(size=dim)
+    ell = random_ellipsoid(g, dim) if draw(st.booleans()) else unit_ball(dim)
+    return x, ell, g.choice([-1.0, 1.0], size=k)
+
+
+def facet_and_oracle(x, ell, s):
+    gram, inv = _contact_gram(x, ell)
+    _, val, res = _solve_facet_qp(gram, inv, s)
+    r_kkt, val_kkt, _ = kkt_solve_facet_qp(gram * np.outer(s, s))
+    return np.linalg.cond(gram), val, res, val_kkt, r_kkt
+
+
+@given(facet_instances())
+def test_facet_qp_matches_kkt_oracle(instance):
+    cond, val, res, val_kkt, _ = facet_and_oracle(*instance)
+    # both solvers' values carry rounding of about eps * cond(G)
+    assume(cond <= 1e6)
+    assert res <= 1e-9
+    assert abs(val - val_kkt) <= 1e-10 * abs(val_kkt)
+
+
+def test_facet_qp_matches_kkt_oracle_with_many_zero_coordinates(rng):
+    many_zeros = 0
+    for trial in range(40):
+        x = rng.normal(size=(10, 10))
+        x[:6] *= 10.0  # long rows: the minimum often puts no weight on them
+        s = rng.choice([-1.0, 1.0], size=10)
+        _, val, res, val_kkt, r_kkt = facet_and_oracle(x, random_ellipsoid(rng, 10), s)
+        assert res <= 1e-9
+        assert abs(val - val_kkt) <= 1e-10 * abs(val_kkt)
+        many_zeros += np.count_nonzero(r_kkt <= 1e-12) >= 5
+    assert many_zeros >= 5
+
+
+def test_dependent_contacts_give_zero(rng):
+    base = rng.normal(size=(3, 4))
+    cases = [
+        np.vstack([base, base[1]]),  # duplicate
+        np.vstack([base, -base[2]]),  # antipode
+        np.vstack([base, base[0] + base[1]]),  # sum of two others
+        rng.normal(size=(5, 4)),  # more vectors than dimensions
+    ]
+    for x in cases:
+        for ell in (unit_ball(4), random_ellipsoid(rng, 4)):
+            for method in ("exact", "sampled"):
+                bound = l1_lower_constant(x, ell, method=method)
+                assert bound == (0.0, 0.0, method == "exact", 0)

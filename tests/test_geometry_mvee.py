@@ -3,7 +3,7 @@ import pytest
 
 from irlm import make_random_sign
 from irlm.errors import DegenerateSpanError, NonconvergenceError, ParameterError
-from irlm.geometry import Ellipsoid, contact_points, mvee, rank_factorize
+from irlm.geometry import Ellipsoid, mvee, rank_factorize
 
 from oracles import mvee_multiplicative
 
@@ -68,21 +68,6 @@ def test_iteration_cap_raises_with_gap(rng):
 def test_tol_validation(rng):
     with pytest.raises(ParameterError):
         mvee(np.eye(3), tol=0.5)
-
-
-def test_contact_points_cross_polytope_collapses_antipodes():
-    ball = Ellipsoid(3, np.eye(3), 0.0)
-    pts = np.vstack([np.eye(3), -np.eye(3)])
-    contacts = contact_points(ball, pts, tol=1e-9)
-    assert len(contacts) == 3  # one per antipodal pair
-    assert contacts.residual <= 1e-9
-    assert np.allclose(contacts.weights, 1.0, atol=1e-7)
-
-
-def test_contact_points_interior_points_empty():
-    ball = Ellipsoid(3, np.eye(3), 0.0)
-    contacts = contact_points(ball, 0.5 * np.eye(3), tol=1e-6)
-    assert len(contacts) == 0
 
 
 def test_contact_count_in_john_range(rng):

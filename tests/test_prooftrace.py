@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irlm import from_factors, make_identity, make_random_sign, prooftrace
+from irlm import from_factors, geometry, make_identity, make_random_sign, prooftrace
 from irlm.bounds import gamma_threshold
 from irlm.errors import ParameterError
+from irlm.geometry import _independent_prefix as independent_prefix
 from irlm.prooftrace import (
     TraceConfig,
     _min_pairwise_linf,
@@ -192,6 +193,26 @@ def test_separation_search_prunes_on_sign_384_64(monkeypatch):
     assert dist == blocked_min_pairwise_linf(b_sub)
     assert report.step("separation").outputs["min_pairwise_distance"] == dist
     assert evaluated <= 0.01 * n * (n - 1) / 2
+
+
+def test_contact_selection_reaches_target_on_sign_512_48(monkeypatch):
+    # all 48 contacts here are independent; an absolute 1e-12 floor on their
+    # D-Gram determinant kept only 41 of them, below the target of 46
+    seen = []
+
+    def spy(vectors, ell):
+        kept = independent_prefix(vectors, ell)
+        seen.append(len(kept))
+        return kept
+
+    monkeypatch.setattr(geometry, "_independent_prefix", spy)
+    gamma = gamma_threshold(512, 48, 0.25)
+    report = trace(make_random_sign(512, 48, 1), TraceConfig(gamma=gamma))
+    assert seen == [48]
+    step = report.step("contact_selection")
+    assert (step.inputs["target_k"], step.outputs["k"]) == (46, 46)
+    assert report.holds("contact_selection")
+    assert report.step("frame_completion").outputs["complement"] == 2
 
 
 # -- canonical serialization -------------------------------------------------------
