@@ -1,6 +1,8 @@
 """Convex-geometry toolkit: column-span factorization, minimum-volume
-enclosing ellipsoids of symmetric hulls, contact points, L1 lower constants
-over contact sets, frame completion, and maxvol basis selection."""
+enclosing ellipsoids of symmetric hulls with their contact sets, the L1
+lower constant of a contact set in closed form (the inradius of the
+cross-polytope of the contacts), contact subset selection, frame
+completion, and maxvol basis selection."""
 
 from __future__ import annotations
 
@@ -78,8 +80,9 @@ class Ellipsoid:
 class ContactSet:
     """Input points on the ellipsoid boundary, with certificate weights.
 
-    weights sum to the dimension and sum(w * (M^(1/2) p)(M^(1/2) p)') should
-    be the identity; residual is the Frobenius defect of that identity.
+    weights sum to the dimension and sum(w * (L'p)(L'p)') should be the
+    identity for the Cholesky factor M = L L'; residual is the Frobenius
+    defect of that identity.
     """
 
     indices: np.ndarray  # indices into the point list
@@ -192,15 +195,9 @@ def mvee(
     return ell, contacts
 
 
-def _sqrt_pd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 def _john_residual(points: np.ndarray, weights: np.ndarray, ell: Ellipsoid) -> float:
-    root = _sqrt_pd(ell.shape)
-    v = points @ root
+    # sum w p p' = M^(-1) exactly when sum w (L'p)(L'p)' = I
+    v = points @ np.linalg.cholesky(ell.shape)
     total = (v * weights[:, None]).T @ v if len(points) else np.zeros((ell.dim, ell.dim))
     return float(np.linalg.norm(total - np.eye(ell.dim)))
 
@@ -220,171 +217,48 @@ class L1LowerBound(NamedTuple):
 # its vector's squared D-norm marks the vector as dependent on earlier ones.
 _PIVOT_RTOL = 1e-14
 
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
+# Sign patterns scored per matrix product by the exact method.
+_PATTERN_CHUNK = 1 << 14
 
 
-def _kkt_residual(q_mat: np.ndarray, r: np.ndarray) -> float:
-    grad = 2.0 * q_mat @ r
-    return float(np.max(np.abs(r - _project_simplex(r - grad))))
-
-
-def _pg_simplex_qp(q_mat: np.ndarray, r: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Projected gradient with exact quadratic line search and Armijo guard."""
-    lip = 2.0 * float(np.linalg.norm(q_mat, 2)) + 1e-30
-    step = 1.0 / lip
-    val = float(r @ q_mat @ r)
-    for _ in range(max_iter):
-        grad = 2.0 * q_mat @ r
-        trial = _project_simplex(r - step * grad)
-        d = trial - r
-        if np.max(np.abs(d)) < 1e-18:
-            break
-        qd = q_mat @ d
-        denom = 2.0 * float(d @ qd)
-        t = 1.0 if denom <= 0 else min(1.0, max(0.0, -float(grad @ d) / denom))
-        cand = r + t * d
-        cand_val = float(cand @ q_mat @ cand)
-        # Armijo fallback: halve the move until it does not increase.
-        shrink = 0
-        while cand_val > val + 1e-18 and shrink < 60:
-            t *= 0.5
-            cand = r + t * d
-            cand_val = float(cand @ q_mat @ cand)
-            shrink += 1
-        r, val = cand, cand_val
-        if _kkt_residual(q_mat, r) <= tol:
-            break
-    return r
-
-
-def _contact_gram(x: np.ndarray, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray | None]:
-    """D-Gram G of the rows of x, and H = G^(-1) through the Cholesky factor
-    of G, computed as the R of a QR of the whitened rows.  H is None when a
-    pivot fails the relative test, which means the rows are dependent."""
-    gram = x @ ell.shape @ x.T
-    gram = (gram + gram.T) / 2.0
+def _contact_gram(x: np.ndarray, ell: Ellipsoid) -> np.ndarray | None:
+    """H = G^(-1) for the D-Gram G of the rows of x, through the Cholesky
+    factor of G, computed as the R of a QR of the whitened rows.  None when
+    a pivot fails the relative test, which means the rows are dependent."""
     if x.shape[0] > ell.dim:
-        return gram, None
+        return None
     z = x @ np.linalg.cholesky(ell.shape)  # z z' = G
     chol = np.linalg.qr(z.T, mode="r")  # G = chol' chol
     if np.any(np.diagonal(chol) ** 2 <= _PIVOT_RTOL * np.einsum("ij,ij->i", z, z)):
-        return gram, None
+        return None
     inv_chol = np.linalg.inv(chol)
-    return gram, inv_chol @ inv_chol.T
+    return inv_chol @ inv_chol.T
 
 
-def _inverse_on(inv: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """G_II^(-1) = H_II - H_IJ H_JJ^(-1) H_JI for H = G^(-1), I the support
-    and J its complement, with zero rows and columns on J."""
-    off = ~support
-    sub = inv - inv[:, off] @ np.linalg.solve(inv[np.ix_(off, off)], inv[off])
-    sub[off] = 0.0
-    sub[:, off] = 0.0
-    return sub
+def _quadratic_forms(patterns: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", patterns @ inv, patterns)
 
 
-def _solve_facet_qp(
-    gram: np.ndarray, inv: np.ndarray, s: np.ndarray, kkt_tol: float = 1e-9
-) -> tuple[np.ndarray, float, float]:
-    """Minimize r' Q r over the probability simplex, Q = G o ss'.
-
-    Active set on the equality KKT system: on a support I the minimizer is
-    proportional to Q_II^(-1) 1 = s_I o G_II^(-1) s_I.  G_II^(-1) starts as
-    the factored H = G^(-1); dropping coordinate j eliminates it by the
-    rank-one downdate W - W_:j W_j: / W_jj, and adding one back recomputes
-    H_II - H_IJ H_JJ^(-1) H_JI.  If the settled point misses the KKT
-    residual kkt_tol, iterative refinement against G, and then projected
-    gradient, finish the job; projected gradient also takes over if the
-    active set cycles.  Returns the point, the value, and the KKT residual.
-    """
-    k = s.size
-    q_mat = gram * np.outer(s, s)
-    if k == 1:
-        return np.ones(1), float(q_mat[0, 0]), 0.0
-    support = np.ones(k, dtype=bool)
-    sub_inv = inv  # G_II^(-1), zero off the support
-    settled = False
-    for _ in range(3 * k + 60):
-        x = sub_inv @ s
-        z = s * x
-        total = z.sum()
-        if not total > 0:
-            break
-        r = z / total  # zero off the support
-        j = int(np.argmin(r))
-        if r[j] < -1e-13:
-            w = sub_inv[:, j]
-            sub_inv = sub_inv - np.outer(w, w / w[j])
-            sub_inv[j] = 0.0
-            sub_inv[:, j] = 0.0
-            support[j] = False
-            continue
-        r = np.maximum(r, 0.0)
-        r /= r.sum()
-        grad = 2.0 * q_mat @ r
-        off = np.flatnonzero(~support)
-        if off.size:
-            viol = float(grad @ r) - grad[off]
-            j = int(np.argmax(viol))
-            if viol[j] > 1e-12:
-                support[off[j]] = True
-                try:
-                    sub_inv = _inverse_on(inv, support)
-                except np.linalg.LinAlgError:
-                    break
-                continue
-        settled = True
-        break
-    if settled:
-        res = _kkt_residual(q_mat, r)
-        for _ in range(3):
-            if res <= kkt_tol:
-                break
-            x = x + sub_inv @ (s - gram @ x)
-            z = s * x
-            r_new = np.maximum(z / z.sum(), 0.0)
-            r_new /= r_new.sum()
-            res_new = _kkt_residual(q_mat, r_new)
-            if not res_new < res:
-                break
-            r, res = r_new, res_new
-    else:
-        r = _pg_simplex_qp(q_mat, np.full(k, 1.0 / k), kkt_tol, 100_000)
-        res = _kkt_residual(q_mat, r)
-    if res > kkt_tol:
-        r = _pg_simplex_qp(q_mat, r, kkt_tol, 100_000)
-        res = _kkt_residual(q_mat, r)
-    return r, float(r @ q_mat @ r), res
-
-
-def _polish_patterns(gram, inv, s, val, r, cap: int = 100) -> float:
-    """Descend across adjacent sign facets through coordinates at zero."""
-    for _ in range(cap):
-        for i in np.flatnonzero(r <= 1e-12):
-            s2 = s.copy()
-            s2[i] = -s2[i]
-            r2, v2, _ = _solve_facet_qp(gram, inv, s2)
-            if v2 < val - 1e-15:
-                s, val, r = s2, v2, r2
-                break
-        else:
-            break
-    return val
+def _exact_maximum(inv: np.ndarray) -> float:
+    """max s' H s over all s in {+-1}^k with s_0 = +1, in chunks."""
+    k = inv.shape[0]
+    bits = np.arange(k - 1)
+    best = -math.inf
+    for start in range(0, 1 << (k - 1), _PATTERN_CHUNK):
+        codes = np.arange(start, min(start + _PATTERN_CHUNK, 1 << (k - 1)))
+        patterns = np.ones((codes.size, k))
+        patterns[:, 1:] -= 2.0 * (codes[:, None] >> bits & 1)
+        best = max(best, float(_quadratic_forms(patterns, inv).max()))
+    return best
 
 
 def _sample_patterns(
     k: int, n_samples: int, seed: int, extra_patterns: np.ndarray | None = None
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """The all-plus facet, the signs of the extra patterns, then seeded
-    random patterns up to n_samples in all."""
+    random patterns up to n_samples in all; each is turned to start with
+    +1 (antipodal facets are equivalent) and repeats are dropped, keeping
+    first occurrences in order."""
     patterns = [np.ones(k)]
     if extra_patterns is not None:
         for row in np.atleast_2d(np.asarray(extra_patterns, dtype=np.float64)):
@@ -392,27 +266,32 @@ def _sample_patterns(
     stream = rng.SplitMix64(rng.derive_key(seed, k))
     for _ in range(max(0, n_samples - len(patterns))):
         patterns.append(stream.next_signs(k))
-    return patterns
+    signs = np.array(patterns)
+    signs *= np.where(signs[:, :1] < 0, -1.0, 1.0)
+    _, first = np.unique(signs, axis=0, return_index=True)
+    return signs[np.sort(first)]
 
 
-def _sampled_minimum(gram, inv, patterns) -> tuple[float, int]:
-    """Smallest facet value over the distinct patterns (up to antipodes),
-    after adjacent-facet descent from the best one, and the facet count."""
-    seen: set[bytes] = set()
-    best = math.inf
-    best_s = patterns[0]
-    best_r = np.full(gram.shape[0], 1.0 / gram.shape[0])
-    for s in patterns:
-        if s[0] < 0:
-            s = -s  # antipodal facets are equivalent
-        key = s.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        r, val, _ = _solve_facet_qp(gram, inv, s)
-        if val < best:
-            best, best_s, best_r = val, s, r
-    return _polish_patterns(gram, inv, best_s, best, best_r), len(seen)
+def _flip_ascent(inv: np.ndarray, patterns: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best pattern s by s' H s, then single-flip ascent: flipping s_i
+    raises s' H s by 4 (H_ii - s_i (Hs)_i), and the flip with the largest
+    gain is taken while it gains.  A flip counts only if the recomputed
+    s' H s rises, so rounding cannot make the ascent cycle.  At the end
+    every s_i (Hs)_i is positive, so the foot Hs / s'Hs of the facet
+    hyperplane lies in the facet.  Returns the final pattern and s' H s."""
+    s = patterns[int(np.argmax(_quadratic_forms(patterns, inv)))].copy()
+    diag = np.diagonal(inv)
+    hs = inv @ s
+    value = float(s @ hs)
+    while True:
+        i = int(np.argmax(diag - s * hs))
+        flipped = s.copy()
+        flipped[i] = -flipped[i]
+        flipped_hs = inv @ flipped
+        flipped_value = float(flipped @ flipped_hs)
+        if not flipped_value > value:
+            return s, value
+        s, hs, value = flipped, flipped_hs, flipped_value
 
 
 def l1_lower_constant(
@@ -426,16 +305,19 @@ def l1_lower_constant(
     """Smallest D-norm of a combination of the contact vectors with unit
     L1 coefficient norm: min |sum t_m x_m|_D over ||t||_1 = 1.
 
-    The contact D-Gram G is factored once per call, and every facet
-    quadratic program reads its active-set iterates off H = G^(-1).  If a
+    That set is the boundary of the cross-polytope conv(+-x_m), so the
+    value is its inradius.  The facet with sign pattern s lies on the
+    hyperplane s't = 1 at D-distance (s' H s)^(-1/2), H = G^(-1) for the
+    contact D-Gram G, and the value is (max_s s' H s)^(-1/2).  If a
     Cholesky pivot of G fails the relative test, the contacts are dependent
-    and the value is 0 with no facet examined.  The exact method enumerates
-    all sign-pattern facets of the L1 sphere (up to antipodal symmetry, so
-    2^(k-1) quadratic programs) and is capped at k <= 20.  The sampled
-    method minimizes over a pattern subset (always including the all-plus
-    facet, caller-provided patterns, and seeded random ones) followed by
-    adjacent-facet descent; its result is an upper estimate of the true
-    minimum and is flagged as not certified.
+    and the value is 0 with no facet examined.  The exact method takes the
+    maximum over all 2^(k-1) patterns up to antipodes and is capped at
+    k <= 20.  The sampled method takes the best of a pattern set (the
+    all-plus facet, caller-provided patterns, and seeded random ones) and
+    climbs from it by single sign flips; it ends on a facet that contains
+    its hyperplane foot, so its value is a true facet distance, an upper
+    estimate of the minimum flagged as not certified, and never above the
+    hyperplane distance of a provided pattern.
     """
     x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
     k = x.shape[0]
@@ -447,23 +329,15 @@ def l1_lower_constant(
     elif method != "sampled":
         raise ParameterError(f"method must be 'exact' or 'sampled', got {method!r}")
     certified = method == "exact"
-    gram, inv = _contact_gram(x, ell)
+    inv = _contact_gram(x, ell)
     if inv is None:
         return L1LowerBound(0.0, 0.0, certified, 0)
     if certified:
-        best = math.inf
-        count = 0
-        for code in range(1 << (k - 1)):
-            s = np.ones(k)
-            for bit in range(k - 1):
-                if code >> bit & 1:
-                    s[bit + 1] = -1.0
-            best = min(best, _solve_facet_qp(gram, inv, s)[1])
-            count += 1
+        best, count = _exact_maximum(inv), 1 << (k - 1)
     else:
         patterns = _sample_patterns(k, n_samples, seed, extra_patterns)
-        best, count = _sampled_minimum(gram, inv, patterns)
-    mu = math.sqrt(max(best, 0.0))
+        best, count = _flip_ascent(inv, patterns)[1], len(patterns)
+    mu = 1.0 / math.sqrt(best)
     return L1LowerBound(mu, mu * math.sqrt(ell.dim), certified, count)
 
 
@@ -506,29 +380,28 @@ def _drop_one_select(
     """Drop-one greedy from the independent rows `current` of x down to
     target_k rows; returns the kept row indices in input order.
 
-    Each round factors the D-Gram G of the current set once.  Every
-    candidate's Gram is a slice of G, and its inverse is the downdate
-    H_-i-i - h h' / H_ii of H = G^(-1); all candidates share the round's
-    sampled patterns.
+    Each round factors the D-Gram G of the current set once, and every
+    candidate's inverse Gram is the downdate H_-i-i - h h' / H_ii of
+    H = G^(-1).  Candidates are scored by the sampled L1 lower constant,
+    all on the round's one deduplicated pattern set.
     """
     current = list(current)
     while len(current) > target_k:
-        gram, inv = _contact_gram(x[current], ell)
+        inv = _contact_gram(x[current], ell)
         patterns = _sample_patterns(len(current) - 1, selection_samples, seed)
         best_mu = -math.inf
         best_pos = 0
         for pos in range(len(current)):
             keep = np.delete(np.arange(len(current)), pos)
             if inv is None:
-                cand_gram, cand_inv = _contact_gram(x[current][keep], ell)
+                cand_inv = _contact_gram(x[current][keep], ell)
             else:
-                cand_gram = gram[np.ix_(keep, keep)]
                 h = inv[keep, pos]
                 cand_inv = inv[np.ix_(keep, keep)] - np.outer(h, h) / inv[pos, pos]
             if cand_inv is None:
                 mu = 0.0
             else:
-                mu = math.sqrt(max(_sampled_minimum(cand_gram, cand_inv, patterns)[0], 0.0))
+                mu = 1.0 / math.sqrt(_flip_ascent(cand_inv, patterns)[1])
             if mu > best_mu + 1e-15:
                 best_mu = mu
                 best_pos = pos
@@ -548,8 +421,10 @@ def select_contact_subset(
     First keeps a maximal linearly independent prefix (a relative pivot
     test, which also collapses antipodal duplicates), then repeatedly
     removes the vector whose removal maximizes the sampled L1 lower constant
-    of the remainder, until target_k vectors are left.  The D-Gram is
-    factored once per round and downdated per candidate.
+    of the remainder, until target_k vectors are left.  Each candidate is
+    scored in closed form, (max_s s' H s)^(-1/2) over sampled patterns and
+    their single-flip ascent, from the round's inverse D-Gram H downdated
+    by one row and column.
     """
     x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
     if target_k < 1:
@@ -595,6 +470,9 @@ def complete_frame(subset: np.ndarray, ell: Ellipsoid, subspace: Subspace | None
             if s.size and s[-1] <= 1e-12 * s[0]:
                 raise RankDeficiencyError("contact vectors are not independent")
             null = vt[k:].T  # n x (n - k), D-orthogonal to every contact
+            # one pass of D-reorthogonalization removes the SVD's rounding
+            proj = x @ ell.shape
+            null = null - x.T @ np.linalg.solve(proj @ x.T, proj @ null)
         gram = null.T @ ell.shape @ null
         chol = np.linalg.cholesky((gram + gram.T) / 2.0)
         comp = np.linalg.solve(chol, null.T)  # rows are D-orthonormal

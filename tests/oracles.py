@@ -3,8 +3,8 @@
 Each oracle is written with a different algorithm than the code under test:
 exact integer binomial sums, dense grid searches, multiplicative-update
 design optimization, brute-force subset enumeration, exhaustive pair
-scans, a fresh KKT solve per facet and per drop-one candidate, and
-column-at-a-time elimination.
+scans, a fresh KKT solve per facet, a linear solve per sign pattern and
+per drop-one candidate, and column-at-a-time elimination.
 """
 
 from __future__ import annotations
@@ -168,15 +168,20 @@ def blocked_min_pairwise_linf(mat: np.ndarray) -> float:
 def kkt_solve_facet_qp(q_mat: np.ndarray, kkt_tol: float = 1e-9) -> tuple[np.ndarray, float, float]:
     """Minimize r' Q r over the probability simplex by an active set that
     builds and solves the bordered (|I|+1) x (|I|+1) KKT system of every
-    support I, with the library's projected-gradient rescue.  Returns the
-    point, the value, and the KKT residual."""
-    from irlm.geometry import _kkt_residual, _pg_simplex_qp
-
+    support I, with an SLSQP rescue when the active set does not settle
+    within kkt_tol.  Returns the point, the value, and the KKT residual:
+    the largest multiplier-sign or complementarity violation."""
     k = q_mat.shape[0]
     if k == 1:
         return np.ones(1), float(q_mat[0, 0]), 0.0
+
+    def residual(r):
+        grad = 2.0 * q_mat @ r
+        gap = grad - float(grad @ r)  # >= 0 everywhere, 0 on the support
+        return float(max(np.max(-gap), np.max(r * np.abs(gap)), 0.0))
+
     support = np.ones(k, dtype=bool)
-    best = None
+    r = np.full(k, 1.0 / k)
     for _ in range(3 * k + 60):
         idx = np.flatnonzero(support)
         ks = idx.size
@@ -196,85 +201,73 @@ def kkt_solve_facet_qp(q_mat: np.ndarray, kkt_tol: float = 1e-9) -> tuple[np.nda
             if not support.any():
                 break
             continue
-        r = np.zeros(k)
-        r[idx] = np.maximum(r_s, 0.0)
-        total = r.sum()
-        if total <= 0:
+        cand = np.zeros(k)
+        cand[idx] = np.maximum(r_s, 0.0)
+        if cand.sum() <= 0:
             break
-        r /= total
+        r = cand / cand.sum()
         grad = 2.0 * q_mat @ r
-        nu = float(grad @ r)
         off = np.flatnonzero(~support)
         if off.size:
-            viol = nu - grad[off]
+            viol = float(grad @ r) - grad[off]
             j = int(np.argmax(viol))
             if viol[j] > 1e-12:
                 support[off[j]] = True
                 continue
-        best = (r, float(r @ q_mat @ r))
         break
-    if best is None:
-        r = _pg_simplex_qp(q_mat, np.full(k, 1.0 / k), kkt_tol, 100_000)
-        best = (r, float(r @ q_mat @ r))
-    r, val = best
-    res = _kkt_residual(q_mat, r)
-    if res > kkt_tol:
-        r = _pg_simplex_qp(q_mat, r, kkt_tol, 100_000)
-        val = float(r @ q_mat @ r)
-        res = _kkt_residual(q_mat, r)
-    return r, val, res
+    if residual(r) > kkt_tol:
+        res = minimize(
+            lambda v: float(v @ q_mat @ v),
+            r,
+            jac=lambda v: 2.0 * q_mat @ v,
+            method="SLSQP",
+            bounds=[(0.0, 1.0)] * k,
+            constraints=[{"type": "eq", "fun": lambda v: np.sum(v) - 1.0}],
+            options={"ftol": 1e-16, "maxiter": 1000},
+        )
+        rescued = np.maximum(res.x, 0.0)
+        rescued /= rescued.sum()
+        if float(rescued @ q_mat @ rescued) < float(r @ q_mat @ r):
+            r = rescued
+    return r, float(r @ q_mat @ r), residual(r)
 
 
-def kkt_sampled_l1(gram: np.ndarray, n_samples: int, seed: int) -> float:
-    """Sampled L1 lower constant of a D-Gram: the all-plus facet and seeded
-    random ones, then adjacent-facet descent, each facet through
-    kkt_solve_facet_qp on its own Q = G o ss'."""
+def brute_flip_l1(gram: np.ndarray, n_samples: int, seed: int) -> float:
+    """Sampled L1 lower constant of a D-Gram by brute force: every pattern
+    s (the all-plus facet and seeded random ones) is scored as s' c with
+    G c = s, and from the best one every single-flip neighbour is scored
+    the same way; the best improving flip is taken until none improves."""
     from irlm import rng
 
     k = gram.shape[0]
 
-    def facet(s):
-        r, val, _ = kkt_solve_facet_qp(gram * np.outer(s, s))
-        return val, r
+    def value(s):
+        return float(s @ np.linalg.solve(gram, s))
 
-    patterns = [np.ones(k)]
     stream = rng.SplitMix64(rng.derive_key(seed, k))
-    patterns += [stream.next_signs(k) for _ in range(max(0, n_samples - 1))]
-    seen = set()
-    best, best_s, best_r = math.inf, patterns[0], np.full(k, 1.0 / k)
-    for s in patterns:
-        if s[0] < 0:
-            s = -s
-        if s.tobytes() in seen:
-            continue
-        seen.add(s.tobytes())
-        val, r = facet(s)
-        if val < best:
-            best, best_s, best_r = val, s, r
-    s, r = best_s, best_r
-    for _ in range(100):
-        for i in np.flatnonzero(r <= 1e-12):
-            s2 = s.copy()
-            s2[i] = -s2[i]
-            v2, r2 = facet(s2)
-            if v2 < best - 1e-15:
-                s, best, r = s2, v2, r2
-                break
-        else:
-            break
-    return math.sqrt(max(best, 0.0))
+    patterns = [np.ones(k)] + [stream.next_signs(k) for _ in range(max(0, n_samples - 1))]
+    values = [value(s) for s in patterns]
+    s = patterns[int(np.argmax(values))].copy()
+    best = max(values)
+    while True:
+        flips = [s * np.where(np.arange(k) == i, -1.0, 1.0) for i in range(k)]
+        flip_values = [value(f) for f in flips]
+        i = int(np.argmax(flip_values))
+        if not flip_values[i] > best:
+            return 1.0 / math.sqrt(best)
+        s, best = flips[i], flip_values[i]
 
 
-def kkt_drop_one_select(x, shape, current, target_k, samples, seed) -> np.ndarray:
+def brute_drop_one_select(x, shape, current, target_k, samples, seed) -> np.ndarray:
     """Drop-one greedy that builds every candidate's D-Gram from its rows
-    and evaluates it with kkt_sampled_l1."""
+    and scores it with brute_flip_l1."""
     current = list(current)
     while len(current) > target_k:
         best_mu, best_pos = -math.inf, 0
         for pos in range(len(current)):
             cand = x[current[:pos] + current[pos + 1 :]]
             gram = cand @ shape @ cand.T
-            mu = kkt_sampled_l1((gram + gram.T) / 2.0, samples, seed)
+            mu = brute_flip_l1((gram + gram.T) / 2.0, samples, seed)
             if mu > best_mu + 1e-15:
                 best_mu, best_pos = mu, pos
         del current[best_pos]

@@ -17,7 +17,7 @@ from irlm.geometry import (
     select_contact_subset,
 )
 
-from oracles import exhaustive_best_det, kkt_drop_one_select, loop_complete_pivot_init
+from oracles import brute_drop_one_select, exhaustive_best_det, loop_complete_pivot_init
 
 
 def unit_ball(dim):
@@ -71,7 +71,7 @@ def test_drop_one_select_matches_kkt_oracle(data_seed, k, drops, samples, seed):
     current = _independent_prefix(x, ell)
     assert current == list(range(k))
     got = _drop_one_select(x, ell, current, k - drops, samples, seed)
-    want = kkt_drop_one_select(x, ell.shape, current, k - drops, samples, seed)
+    want = brute_drop_one_select(x, ell.shape, current, k - drops, samples, seed)
     assert np.array_equal(got, want)
     assert np.array_equal(select_contact_subset(x, ell, k - drops, samples, seed), want)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from irlm.errors import SizeCapError
-from irlm.geometry import Ellipsoid, _contact_gram, _solve_facet_qp, l1_lower_constant, mvee
+from irlm.geometry import (
+    Ellipsoid,
+    _contact_gram,
+    _flip_ascent,
+    _sample_patterns,
+    l1_lower_constant,
+    mvee,
+)
 
 from oracles import grid_l1_min, kkt_solve_facet_qp
 
@@ -88,23 +96,6 @@ def test_exact_size_cap():
         l1_lower_constant(np.eye(25)[:21], ball, method="exact")
 
 
-def test_projected_gradient_fallback_agrees_with_active_set(rng):
-    from irlm.geometry import _kkt_residual, _pg_simplex_qp
-
-    for trial in range(6):
-        k = int(rng.integers(2, 9))
-        root = rng.normal(size=(k, k))
-        q_mat, inv = _contact_gram(root, unit_ball(k))  # PSD, possibly ill conditioned
-        r_as, val_as, res_as = _solve_facet_qp(q_mat, inv, np.ones(k))
-        assert res_as <= 1e-9
-        r_pg = _pg_simplex_qp(q_mat, np.full(k, 1.0 / k), 1e-9, 20_000)
-        val_pg = float(r_pg @ q_mat @ r_pg)
-        # the fallback may stall slightly above the target residual on
-        # ill-conditioned instances but must reach the same minimum value
-        assert _kkt_residual(q_mat, r_pg) <= 1e-6
-        assert abs(val_pg - val_as) <= 1e-8 * max(1.0, abs(val_as))
-
-
 def test_extra_patterns_bound_realized_combinations(rng):
     # seeding the sampled method with a combination's own sign pattern makes
     # mu * ||t||_1 <= |sum t x|_D hold for that combination
@@ -124,11 +115,11 @@ def random_ellipsoid(g, dim):
 
 
 @st.composite
-def facet_instances(draw):
-    """Contact rows, an ellipsoid and a sign pattern.  Long rows tend to get
-    no weight at the facet minimum (zero coordinates); spread row scales and
-    a near copy of the first row make the D-Gram ill conditioned."""
-    k = draw(st.integers(2, 12))
+def contact_instances(draw, max_k=8):
+    """Contact rows and an ellipsoid.  Long rows tend to get no weight at a
+    facet minimum (zero coordinates); spread row scales and a near copy of
+    the first row make the D-Gram ill conditioned."""
+    k = draw(st.integers(2, max_k))
     dim = draw(st.integers(k, k + 3))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = g.normal(size=(k, dim))
@@ -137,36 +128,47 @@ def facet_instances(draw):
     if draw(st.booleans()):
         x[-1] = x[0] + 1e-2 * g.normal(size=dim)
     ell = random_ellipsoid(g, dim) if draw(st.booleans()) else unit_ball(dim)
-    return x, ell, g.choice([-1.0, 1.0], size=k)
+    return x, ell
 
 
-def facet_and_oracle(x, ell, s):
-    gram, inv = _contact_gram(x, ell)
-    _, val, res = _solve_facet_qp(gram, inv, s)
-    r_kkt, val_kkt, _ = kkt_solve_facet_qp(gram * np.outer(s, s))
-    return np.linalg.cond(gram), val, res, val_kkt, r_kkt
+def d_gram(x, ell):
+    gram = x @ ell.shape @ x.T
+    return (gram + gram.T) / 2.0
 
 
-@given(facet_instances())
-def test_facet_qp_matches_kkt_oracle(instance):
-    cond, val, res, val_kkt, _ = facet_and_oracle(*instance)
-    # both solvers' values carry rounding of about eps * cond(G)
-    assume(cond <= 1e6)
-    assert res <= 1e-9
-    assert abs(val - val_kkt) <= 1e-10 * abs(val_kkt)
+def facet_value(gram, s):
+    return kkt_solve_facet_qp(gram * np.outer(s, s))[1]
 
 
-def test_facet_qp_matches_kkt_oracle_with_many_zero_coordinates(rng):
-    many_zeros = 0
-    for trial in range(40):
-        x = rng.normal(size=(10, 10))
-        x[:6] *= 10.0  # long rows: the minimum often puts no weight on them
-        s = rng.choice([-1.0, 1.0], size=10)
-        _, val, res, val_kkt, r_kkt = facet_and_oracle(x, random_ellipsoid(rng, 10), s)
-        assert res <= 1e-9
-        assert abs(val - val_kkt) <= 1e-10 * abs(val_kkt)
-        many_zeros += np.count_nonzero(r_kkt <= 1e-12) >= 5
-    assert many_zeros >= 5
+@given(contact_instances())
+def test_exact_matches_facet_enumeration_oracle(instance):
+    x, ell = instance
+    gram = d_gram(x, ell)
+    # both sides carry rounding of about eps * cond(G)
+    assume(np.linalg.cond(gram) <= 1e6)
+    k = x.shape[0]
+    oracle = min(
+        facet_value(gram, np.array((1.0,) + signs))
+        for signs in itertools.product((1.0, -1.0), repeat=k - 1)
+    )
+    bound = l1_lower_constant(x, ell, method="exact")
+    assert bound.facets_examined == 2 ** (k - 1)
+    assert abs(bound.value**2 - oracle) <= 1e-10 * oracle
+
+
+@given(contact_instances(max_k=12), st.integers(1, 8), st.integers(0, 3))
+def test_sampled_ascent_ends_on_a_facet_at_mu(instance, n_samples, seed):
+    # the ascent's last pattern is a facet whose own minimum is mu^2: the
+    # hyperplane foot lies inside the facet, so mu is a true facet distance
+    x, ell = instance
+    gram = d_gram(x, ell)
+    assume(np.linalg.cond(gram) <= 1e6)
+    k = x.shape[0]
+    patterns = _sample_patterns(k, n_samples, seed)
+    s, _ = _flip_ascent(_contact_gram(x, ell), patterns)
+    bound = l1_lower_constant(x, ell, method="sampled", n_samples=n_samples, seed=seed)
+    assert bound.facets_examined == len(patterns)
+    assert abs(facet_value(gram, s) - bound.value**2) <= 1e-10 * bound.value**2
 
 
 def test_dependent_contacts_give_zero(rng):

@@ -342,6 +342,27 @@ def test_premise_satisfying_noisy_identity_passes_every_step():
     assert split.outputs["max_small_inner"] <= 1.0 / 15.0
 
 
+@pytest.mark.parametrize("n_dim, seed", [(160, 1), (256, 2)])
+def test_premise_holding_sign_traces_pass_every_step(n_dim, seed):
+    # full-rank sign fixtures where the premise holds; frame_completion's
+    # absolute 1e-10 orthogonality was missed here by rounding alone
+    # (1.5e-9 and 1.0e-10) before the complement was D-reorthogonalized
+    gamma = gamma_threshold(n_dim, n_dim, 0.25)
+    report = trace(make_random_sign(n_dim, n_dim, seed), TraceConfig(gamma=gamma))
+    assert report.premise_ok
+    failed = [s.name for s in report.steps if s.check is not None and not s.check.holds]
+    assert failed == []
+    assert report.step("frame_completion").check.lhs <= 1e-14
+
+
+def test_mvee_certificate_residual_is_at_rounding_on_sign_256_256():
+    # the John certificate sum w (L'p)(L'p)' = I through the Cholesky factor
+    # of the shape; an eigh-based square root read 4.5e-2 here
+    gamma = gamma_threshold(256, 256, 0.25)
+    report = trace(make_random_sign(256, 256, 1), TraceConfig(gamma=gamma))
+    assert report.step("mvee").outputs["certificate_residual"] <= 1e-10
+
+
 def test_structural_failure_aborts_with_step_name():
     from irlm.errors import TraceAborted
 
