@@ -156,6 +156,63 @@ def test_exact_matches_facet_enumeration_oracle(instance):
     assert abs(bound.value**2 - oracle) <= 1e-10 * oracle
 
 
+def foot_weights(inv, s):
+    """Barycentric weights s_i (Hs)_i / s'Hs of the foot of the facet
+    hyperplane s't = 1; they sum to 1 and give r'Qr = 1 / s'Hs."""
+    hs = inv @ s
+    return s * hs / float(s @ hs)
+
+
+@given(contact_instances(max_k=12), st.lists(st.sampled_from([1.0, -1.0]), min_size=12, max_size=12))
+def test_facet_qp_matches_kkt_oracle(instance, signs):
+    # a facet's minimum is at least its hyperplane value 1 / s'Hs, and equals
+    # it, attained at the foot, when the foot lies in the facet; the flip
+    # ascent from the facet ends on such a facet with a larger s'Hs
+    x, ell = instance
+    gram = d_gram(x, ell)
+    # both sides carry rounding of about eps * cond(G)
+    assume(np.linalg.cond(gram) <= 1e6)
+    inv = _contact_gram(x, ell)
+    s = np.array(signs[: x.shape[0]])
+    r_kkt, val_kkt, _ = kkt_solve_facet_qp(gram * np.outer(s, s))
+    quad = float(s @ inv @ s)
+    plane = 1.0 / quad
+    assert plane <= val_kkt * (1.0 + 1e-10)
+    foot = foot_weights(inv, s)
+    if foot.min() >= 0.0:
+        assert abs(plane - val_kkt) <= 1e-10 * val_kkt
+        assert np.abs(r_kkt - foot).max() <= 1e-6
+    s_end, value = _flip_ascent(inv, s[None, :])
+    assert value >= quad * (1.0 - 1e-12)
+    r_end, val_end, _ = kkt_solve_facet_qp(gram * np.outer(s_end, s_end))
+    assert abs(val_end - 1.0 / value) <= 1e-10 * val_end
+    assert np.abs(r_end - foot_weights(inv, s_end)).max() <= 1e-6
+
+
+def test_facet_qp_matches_kkt_oracle_with_many_zero_coordinates(rng):
+    # where the facet minimum puts no weight on some coordinates the foot
+    # lies outside the facet, so the hyperplane value is only a lower
+    # estimate; the sampled method seeded with that facet stays below it
+    many_zeros = 0
+    for trial in range(40):
+        x = rng.normal(size=(10, 10))
+        x[:6] *= 10.0  # long rows: the minimum often puts no weight on them
+        ell = random_ellipsoid(rng, 10)
+        s = rng.choice([-1.0, 1.0], size=10)
+        r_kkt, val_kkt, res = kkt_solve_facet_qp(d_gram(x, ell) * np.outer(s, s))
+        assert res <= 1e-9
+        inv = _contact_gram(x, ell)
+        plane = 1.0 / float(s @ inv @ s)
+        assert plane <= val_kkt * (1.0 + 1e-10)
+        zeros = np.count_nonzero(r_kkt <= 1e-12)
+        if zeros:
+            assert foot_weights(inv, s).min() <= 1e-9
+        bound = l1_lower_constant(x, ell, method="sampled", n_samples=1, seed=trial, extra_patterns=s)
+        assert bound.value**2 <= plane * (1.0 + 1e-12)
+        many_zeros += zeros >= 5
+    assert many_zeros >= 5
+
+
 @given(contact_instances(max_k=12), st.integers(1, 8), st.integers(0, 3))
 def test_sampled_ascent_ends_on_a_facet_at_mu(instance, n_samples, seed):
     # the ascent's last pattern is a facet whose own minimum is mu^2: the
