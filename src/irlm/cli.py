@@ -29,7 +29,6 @@ from .errors import (
 )
 from .matrices import (
     FactoredMatrix,
-    approx_error,
     distribution_function,
     make_block_sparse,
     make_identity,
@@ -101,7 +100,7 @@ def _cmd_generate(args) -> int:
             "n": mat.rank_budget,
             "kind": args.kind,
             "seed": args.seed,
-            "error": approx_error(mat),
+            "error": profile.error,
             "nnz_fraction": profile.nnz_fraction,
             "numerical_rank": numerical_rank(mat, 1e-10),
         }
@@ -123,7 +122,7 @@ def _cmd_analyze(args) -> int:
             "gamma": gamma,
             "F_star": profile.global_density,
             "nnz_fraction": profile.nnz_fraction,
-            "error": approx_error(mat),
+            "error": profile.error,
             "bounds": dict(summary.values) | {"c": summary.c},
             "ratio_empirical_over_bound": profile.global_density / bound,
         }
@@ -333,7 +332,7 @@ def _sweep_row(task: tuple) -> dict:
         "n": rank,
         "seed": seed,
         "gamma": gamma,
-        "error": approx_error(mat),
+        "error": profile.error,
         "F_star": profile.global_density,
         "nnz_fraction": profile.nnz_fraction,
         "theorem_bound": bnd.theorem_density_bound(n_dim, rank, 0.05),

@@ -38,10 +38,11 @@ class FactoredMatrix:
     """N x N matrix stored as left (N x r) times right (r x N).
 
     The materialized product has rank at most r by construction.  Instances
-    are immutable; the dense form is computed lazily and cached.  For the
-    sign-based kinds the dense entries are materialized through an exact
-    integer Gram so the diagonal is exactly 1 and values are identical
-    across platforms and BLAS implementations.
+    are immutable; the dense form is computed lazily and cached.  Every
+    matrix materializes in row tiles through one formula (see ``_rows``).
+    For the library kinds and the files they are written to it is an exact
+    integer Gram over a per-row scale, so the diagonal is exactly 1 and
+    values are identical across platforms and BLAS implementations.
     """
 
     n_dim: int
@@ -71,6 +72,10 @@ class FactoredMatrix:
         object.__setattr__(self, "right", right)
 
     @cached_property
+    def _row_scale(self) -> np.ndarray | None:
+        return _lattice_scale(self.left, self.right)
+
+    @cached_property
     def _dense(self) -> np.ndarray:
         mat = _materialize(self)
         mat.flags.writeable = False
@@ -81,29 +86,71 @@ class FactoredMatrix:
         return self._dense
 
 
+# Float64 entries per row tile of the statistics pass (16 MB).  A matrix
+# with N * N at most this (N <= 1448) is one tile.
+_TILE_ENTRIES = 1 << 21
+
+
+def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """Row scales w when the factors lie on an exact sign lattice, else None.
+
+    The lattice: every row of L is sign(L[i]) / w_i for an integer w_i >= 1,
+    and R is integer-valued with rank * max |R| <= 2^53.  Then
+    A = (sign(L) @ R) / w[:, None], where sign(L) @ R is an integer Gram,
+    exact in any summation order, and every entry is one correctly rounded
+    division.
+    """
+    n_dim, rank = left.shape
+    peak = np.abs(left).max(axis=1)
+    with np.errstate(divide="ignore"):
+        scale = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
+    exact = (
+        bool(np.all(np.isfinite(scale) & (scale >= 1.0)))
+        and np.array_equal(left, np.sign(left) / scale[:, None])
+        and np.array_equal(right, np.rint(right))
+        and float(np.abs(right).max()) * rank <= 2.0**53
+    )
+    return scale if exact else None
+
+
+def _rows(a: FactoredMatrix, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows start:stop of A, written into `out` when given: the exact
+    lattice formula (sign(L) @ R) / w, or the float product L @ R off the
+    lattice."""
+    scale = a._row_scale
+    lead = a.left[start:stop]
+    if scale is None:
+        return np.matmul(lead, a.right, out=out)
+    out = np.matmul(np.sign(lead), a.right, out=out)
+    out /= scale[start:stop, None]
+    return out
+
+
+def _tile_bounds(n_dim: int) -> list[tuple[int, int]]:
+    step = max(1, _TILE_ENTRIES // n_dim)
+    return [(start, min(n_dim, start + step)) for start in range(0, n_dim, step)]
+
+
 def _materialize(a: FactoredMatrix) -> np.ndarray:
-    kind = a.provenance.kind
-    if kind == "identity":
-        return np.eye(a.n_dim)
-    if kind in ("random_sign", "random_sign_slice"):
-        # left holds X / n with X in {-1, +1}; recover X and use the exact
-        # integer Gram so every entry is a correctly rounded lattice value.
-        x = np.sign(a.left)
-        return (x @ x.T) / a.rank_budget
-    if kind == "block_sparse":
-        return _materialize_blocks(a)
-    return a.left @ a.right
-
-
-def _materialize_blocks(a: FactoredMatrix) -> np.ndarray:
-    mat = np.zeros((a.n_dim, a.n_dim))
-    for start, size, rank, col, exact in a.provenance.params["blocks"]:
-        if exact:
-            mat[start : start + size, start : start + size] = np.eye(size)
-        else:
-            x = np.sign(a.left[start : start + size, col : col + rank])
-            mat[start : start + size, start : start + size] = (x @ x.T) / rank
+    # Assembled from the same row tiles the statistics pass computes, so
+    # both see identical values even where the float product depends on the
+    # tile height.
+    mat = np.empty((a.n_dim, a.n_dim))
+    for start, stop in _tile_bounds(a.n_dim):
+        _rows(a, start, stop, out=mat[start:stop])
     return mat
+
+
+def _row_tiles(a: FactoredMatrix):
+    """Yield (start, rows) over A in row tiles of O(_TILE_ENTRIES) memory;
+    a one-tile matrix yields its cached dense form."""
+    bounds = _tile_bounds(a.n_dim)
+    if len(bounds) == 1:
+        yield 0, a.dense()
+        return
+    buf = np.empty((bounds[0][1], a.n_dim))
+    for start, stop in bounds:
+        yield start, _rows(a, start, stop, out=buf[: stop - start])
 
 
 def make_identity(n_dim: int) -> FactoredMatrix:
@@ -250,40 +297,40 @@ def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size == 0:
         raise ParameterError("submatrix needs at least one index")
-    kind = a.provenance.kind
-    child_kind = "random_sign_slice" if kind in ("random_sign", "random_sign_slice") else "custom"
     return FactoredMatrix(
         int(indices.size),
         a.rank_budget,
         a.left[indices],
         np.ascontiguousarray(a.right[:, indices]),
-        Provenance(child_kind, a.provenance.seed, {"parent": kind, "size": int(indices.size)}),
+        Provenance(
+            "custom", a.provenance.seed, {"parent": a.provenance.kind, "size": int(indices.size)}
+        ),
     )
 
 
 def _offdiag_abs_max(mat: np.ndarray) -> float:
     if mat.shape[0] == 1:
         return 0.0
-    tmp = np.abs(mat).copy()
+    tmp = np.abs(mat)
     np.fill_diagonal(tmp, 0.0)
     return float(tmp.max())
 
 
 def approx_error(a: FactoredMatrix) -> float:
     """max_{i,j} |A[i, j] - delta[i, j]|: the elementwise distance to I."""
-    mat = a.dense()
-    diag_dev = float(np.abs(np.diagonal(mat) - 1.0).max())
-    return max(diag_dev, _offdiag_abs_max(mat))
+    return distribution_function(a, 0.0).error
 
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Large-entry statistics of a matrix at one threshold."""
+    """Large-entry statistics of a matrix at one threshold, and its
+    elementwise distance to the identity."""
 
     gamma: float
     global_density: float
     column_densities: np.ndarray
     nnz_fraction: float
+    error: float
 
     def __post_init__(self):
         cols = np.asarray(self.column_densities, dtype=np.float64)
@@ -291,20 +338,39 @@ class DensityProfile:
         object.__setattr__(self, "column_densities", cols)
 
 
+def _tile_stats(start: int, rows: np.ndarray, gamma: float) -> tuple[np.ndarray, int, float]:
+    """Column counts of |A| > gamma, nonzero count and max |A - I| over the
+    row tile that starts at row `start`."""
+    local = np.arange(rows.shape[0])
+    diag = (local, start + local)
+    mags = np.abs(rows)
+    counts = (mags > gamma).sum(axis=0)
+    nnz = int(np.count_nonzero(rows))
+    mags[diag] = np.abs(rows[diag] - 1.0)
+    return counts, nnz, float(mags.max())
+
+
 def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     """Fraction of ordered pairs (i, j) with |A[i, j]| strictly above gamma,
-    together with per-column densities and the exact nonzero fraction."""
+    together with per-column densities, the exact nonzero fraction and
+    max |A - I|, from one pass over row tiles."""
     if gamma < 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    mat = a.dense()
     n = a.n_dim
-    large = np.abs(mat) > gamma
-    col_counts = large.sum(axis=0)
+    col_counts = np.zeros(n, dtype=np.int64)
+    nnz = 0
+    error = 0.0
+    for start, rows in _row_tiles(a):
+        counts, tile_nnz, tile_error = _tile_stats(start, rows, gamma)
+        col_counts += counts
+        nnz += tile_nnz
+        error = max(error, tile_error)
     return DensityProfile(
         gamma=float(gamma),
         global_density=float(col_counts.sum()) / (n * n),
-        column_densities=col_counts.astype(np.float64) / n,
-        nnz_fraction=float(np.count_nonzero(mat)) / (n * n),
+        column_densities=col_counts / n,
+        nnz_fraction=float(nnz) / (n * n),
+        error=error,
     )
 
 

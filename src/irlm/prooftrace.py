@@ -26,7 +26,6 @@ from .errors import (
 from .matrices import (
     DensityProfile,
     FactoredMatrix,
-    approx_error,
     distribution_function,
     submatrix,
 )
@@ -310,8 +309,10 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     steps: list[TraceStep] = []
     gamma = cfg.gamma
 
-    # premise: elementwise distance to the identity at most 1/3
-    err = approx_error(a)
+    # premise: elementwise distance to the identity at most 1/3; the same
+    # pass gives the density profile the halving step uses
+    profile = distribution_function(a, gamma)
+    err = profile.error
     premise_ok = err <= 1.0 / 3.0
     steps.append(
         TraceStep(
@@ -324,7 +325,6 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     )
 
     # density halving
-    profile = distribution_function(a, gamma)
     kept, kappa, sub = _halve(a, gamma, profile)
     steps.append(
         TraceStep(

@@ -8,6 +8,11 @@ Layout: 40-byte header, then payload.
   bytes 32..39  u64 little-endian seed
 Payload: left factor (N x n) then right factor (n x N), little-endian
 float64, row-major.  Readers reject wrong magic and any size mismatch.
+
+A loaded matrix keeps the header's kind, block_sparse included.  The block
+layout is not stored and not needed: every kind materializes through the
+exact sign-lattice formula of ``irlm.matrices``, so a loaded matrix is
+bit-identical to the one that was written.
 """
 
 from __future__ import annotations
@@ -53,25 +58,12 @@ def read_matrix(path: str | Path) -> FactoredMatrix:
     body = np.frombuffer(data, dtype="<f8", offset=HEADER.size)
     left = body[: n_dim * rank].reshape(n_dim, rank).astype(np.float64)
     right = body[n_dim * rank :].reshape(rank, n_dim).astype(np.float64)
-    kind = KIND_NAMES[code]
-    if kind == "block_sparse":
-        # Block layout is not stored, so a loaded block matrix materializes
-        # through the generic factor product.
-        kind_out = "custom"
-        params = {"loaded_kind": "block_sparse"}
-    else:
-        kind_out = kind
-        params = {}
-    mat = FactoredMatrix(n_dim, rank, left, right, Provenance(kind_out, int(seed), params))
-    object.__setattr__(mat, "_file_kind_code", int(code))
-    return mat
+    provenance = Provenance(KIND_NAMES[code], int(seed))
+    return FactoredMatrix(n_dim, rank, left, right, provenance)
 
 
 def file_kind_code(a: FactoredMatrix) -> int:
     """Kind code used in the header for this matrix."""
-    stored = getattr(a, "_file_kind_code", None)
-    if stored is not None:
-        return stored
     code = KIND_CODES.get(a.provenance.kind)
     if code is None:
         raise FormatError(f"kind '{a.provenance.kind}' has no file representation")

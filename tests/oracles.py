@@ -4,7 +4,8 @@ Each oracle is written with a different algorithm than the code under test:
 exact integer binomial sums, dense grid searches, multiplicative-update
 design optimization, brute-force subset enumeration, exhaustive pair
 scans, a fresh KKT solve per facet, a linear solve per sign pattern and
-per drop-one candidate, and column-at-a-time elimination.
+per drop-one candidate, column-at-a-time elimination, whole-matrix scans of
+the dense form, and a per-block integer Gram.
 """
 
 from __future__ import annotations
@@ -298,3 +299,40 @@ def loop_complete_pivot_init(points: np.ndarray) -> list[int]:
         row_free[r] = False
         col_free[c] = False
     return selected
+
+
+def dense_scan_error(mat: np.ndarray) -> float:
+    """max |A - I| over the whole dense matrix: the diagonal deviation and
+    the off-diagonal magnitudes scanned separately."""
+    diag_dev = float(np.abs(np.diagonal(mat) - 1.0).max())
+    if mat.shape[0] == 1:
+        return diag_dev
+    off = np.abs(mat)
+    np.fill_diagonal(off, 0.0)
+    return max(diag_dev, float(off.max()))
+
+
+def dense_scan_distribution(mat: np.ndarray, gamma: float) -> tuple[float, np.ndarray, float]:
+    """(global density, column densities, nonzero fraction) of |A| > gamma
+    over the whole dense matrix."""
+    n = mat.shape[0]
+    col_counts = (np.abs(mat) > gamma).sum(axis=0)
+    return (
+        float(col_counts.sum()) / (n * n),
+        col_counts.astype(np.float64) / n,
+        float(np.count_nonzero(mat)) / (n * n),
+    )
+
+
+def block_gram_dense(a) -> np.ndarray:
+    """Dense form of a make_block_sparse matrix from its recorded block
+    layout: an identity per exact block, the integer sign Gram over the
+    block's own columns divided by its rank otherwise."""
+    mat = np.zeros((a.n_dim, a.n_dim))
+    for start, size, rank, col, exact in a.provenance.params["blocks"]:
+        if exact:
+            mat[start : start + size, start : start + size] = np.eye(size)
+        else:
+            x = np.sign(a.left[start : start + size, col : col + rank])
+            mat[start : start + size, start : start + size] = (x @ x.T) / rank
+    return mat

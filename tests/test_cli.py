@@ -53,6 +53,22 @@ def test_generate_round_trip_read_after_write(capsys, tmp_path):
     assert json.loads(s1) == json.loads(s2) | {"path": str(out1)}
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_block_sparse_analyze_matches_generate_after_file_round_trip(capsys, tmp_path, seed):
+    path = tmp_path / "bs.irlm"
+    rc1, s1, _ = run(
+        capsys, "generate", "--kind", "block_sparse", "--N", "1024", "--n", "500",
+        "--alpha", "4", "--beta", "2", "--seed", str(seed), "--out", str(path),
+    )
+    rc2, s2, _ = run(capsys, "analyze", "--matrix", str(path))
+    assert rc1 == rc2 == 0
+    gen, ana = json.loads(s1), json.loads(s2)
+    assert (ana["error"], ana["nnz_fraction"]) == (gen["error"], gen["nnz_fraction"])
+    if seed == 1:
+        # the float factor product read 0.7777777777777775 here
+        assert ana["error"] == 0.7777777777777778
+
+
 def test_generate_infeasible_block_sparse_exits_2_with_sizing_message(capsys, tmp_path):
     rc, _, err = run(
         capsys, "generate", "--kind", "block_sparse", "--N", "8", "--n", "1",

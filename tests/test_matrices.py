@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +17,15 @@ from irlm import (
     numerical_rank,
     submatrix,
 )
+from irlm import matrices
 from irlm.errors import ConstructionError, ParameterError
 
-from oracles import binomial_two_sided_tail
+from oracles import (
+    binomial_two_sided_tail,
+    block_gram_dense,
+    dense_scan_distribution,
+    dense_scan_error,
+)
 
 
 # -- random_sign ------------------------------------------------------------
@@ -194,3 +202,127 @@ def test_submatrix_matches_dense_slice():
     sub = submatrix(a, idx)
     assert np.array_equal(sub.dense(), a.dense()[np.ix_(idx, idx)])
     assert np.all(np.diagonal(sub.dense()) == 1.0)
+
+
+# -- exact lattice materialization and the tiled statistics pass ---------------
+
+
+def _lattice_factors(n_dim, rank, seed):
+    """Factors on an exact sign lattice: row i of the left factor is signs
+    (zeros included) over an integer scale w_i in 1..5, and the right factor
+    holds small integers.  Also returns the row scales."""
+    rng = np.random.default_rng(seed)
+    row_scale = rng.integers(1, 6, size=n_dim).astype(np.float64)
+    left = rng.integers(-1, 2, size=(n_dim, rank)) / row_scale[:, None]
+    right = rng.integers(-2, 3, size=(rank, n_dim)).astype(np.float64)
+    return left, right, row_scale
+
+
+def _build(kind, n_dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        return make_identity(n_dim)
+    if kind == "random_sign":
+        return make_random_sign(n_dim, rank, seed)
+    if kind == "slice":
+        parent = make_random_sign(n_dim + 5, rank, seed)
+        return submatrix(parent, rng.choice(n_dim + 5, size=n_dim, replace=False))
+    if kind == "identity_blocks":
+        return make_block_sparse(6, 6, seed, alpha=1.5)
+    if kind == "mixed_blocks":
+        return make_block_sparse(40, 36, seed, alpha=1.2, beta=2.0)
+    if kind == "block_slice":
+        parent = make_block_sparse(40, 36, seed, alpha=1.2, beta=2.0)
+        return submatrix(parent, rng.choice(40, size=n_dim, replace=False))
+    if kind == "lattice_factors":
+        return from_factors(*_lattice_factors(n_dim, rank, seed)[:2])
+    left = rng.standard_normal((n_dim, rank))
+    left[rng.random(left.shape) < 0.3] = 0.0
+    return from_factors(left, rng.standard_normal((rank, n_dim)))
+
+
+@given(
+    kind=st.sampled_from(
+        ["identity", "random_sign", "slice", "identity_blocks", "mixed_blocks",
+         "block_slice", "lattice_factors", "float_factors"]
+    ),
+    n_dim=st.integers(min_value=1, max_value=24),
+    rank=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+    tile_rows=st.sampled_from([1, 3, 7]),
+    gamma_pick=st.one_of(
+        st.just(0.0),
+        st.integers(min_value=0, max_value=64),
+        st.sampled_from([1.0, 1.25, 2.0, 7.0]),
+    ),
+)
+def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma_pick):
+    rank = min(rank, n_dim)
+    # an integer pick is the lattice point k/n, clipped into [0, 1]
+    gamma = min(gamma_pick, rank) / rank if isinstance(gamma_pick, int) else gamma_pick
+    reference = _build(kind, n_dim, rank, seed)
+    a = _build(kind, n_dim, rank, seed)
+    with mock.patch.object(matrices, "_TILE_ENTRIES", tile_rows * a.n_dim):
+        profile = distribution_function(a, gamma)
+        mat = a.dense()
+    density, columns, nnz = dense_scan_distribution(mat, gamma)
+    assert profile.error == dense_scan_error(mat)
+    assert profile.global_density == density
+    assert np.array_equal(profile.column_densities, columns)
+    assert profile.nnz_fraction == nnz
+    assert approx_error(a) == profile.error
+    if kind != "float_factors":
+        # lattice kinds are exact, so the tile height cannot move a bit
+        assert np.array_equal(mat, reference.dense())
+
+
+@given(
+    n_dim=st.integers(min_value=1, max_value=24),
+    rank=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_lattice_factors_materialize_as_exact_integer_gram(n_dim, rank, seed):
+    left, right, row_scale = _lattice_factors(n_dim, rank, seed)
+    gram = np.sign(left).astype(np.int64) @ right.astype(np.int64)
+    assert np.array_equal(from_factors(left, right).dense(), gram / row_scale[:, None])
+
+
+def test_lattice_factors_are_exact_where_the_float_product_rounds():
+    left = np.full((1, 10), 0.1)
+    right = np.ones((10, 1))
+    assert (left @ right)[0, 0] != 1.0
+    a = from_factors(left, right)
+    assert a.dense()[0, 0] == 1.0
+    assert approx_error(a) == 0.0
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        # row 0 mixes the scales 2 and 3
+        (np.array([[0.5, 1.0 / 3.0], [0.5, 0.0]]), np.array([[1.0, 2.0], [1.0, -1.0]])),
+        # a lattice left factor against a non-integer right factor
+        (np.full((1, 10), 0.1), np.full((10, 1), 0.5)),
+    ],
+    ids=["mixed_row_scales", "non_integer_right"],
+)
+def test_off_lattice_factors_materialize_as_the_float_product(left, right):
+    assert np.array_equal(from_factors(left, right).dense(), left @ right)
+
+
+def test_block_sparse_dense_is_the_per_block_integer_gram():
+    for a in (make_block_sparse(40, 36, 5, alpha=1.2, beta=2.0),
+              make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0)):
+        assert np.array_equal(a.dense(), block_gram_dense(a))
+
+
+def test_distribution_function_streams_in_bounded_memory():
+    a = make_random_sign(8192, 64, 1)
+    tracemalloc.start()
+    try:
+        distribution_function(a, 0.125)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the dense form is 512 MB
+    assert "_dense" not in vars(a)
