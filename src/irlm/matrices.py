@@ -340,7 +340,8 @@ class DensityProfile:
 
 def _tile_stats(start: int, rows: np.ndarray, gamma: float) -> tuple[np.ndarray, int, float]:
     """Column counts of |A| > gamma, nonzero count and max |A - I| over the
-    row tile that starts at row `start`."""
+    row tile that starts at row `start`.  A function of its own so that a
+    tile's temporaries are freed before the next tile is computed."""
     local = np.arange(rows.shape[0])
     diag = (local, start + local)
     mags = np.abs(rows)

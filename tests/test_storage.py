@@ -12,8 +12,9 @@ from irlm.storage import HEADER, MAGIC, read_matrix, write_matrix
         lambda: make_identity(4),
         lambda: make_random_sign(16, 8, 42),
         lambda: make_block_sparse(40, 36, 3, alpha=1.2, beta=2.0),
+        lambda: make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0),
     ],
-    ids=["identity", "random_sign", "block_sparse"],
+    ids=["identity", "random_sign", "block_sparse", "block_sparse_1024"],
 )
 def test_write_read_write_round_trip_is_bit_exact(build, tmp_path):
     mat = build()
@@ -25,31 +26,14 @@ def test_write_read_write_round_trip_is_bit_exact(build, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(loaded.left, mat.left)
     assert np.array_equal(loaded.right, mat.right)
+    assert loaded.provenance.kind == mat.provenance.kind
+    assert np.array_equal(loaded.dense(), mat.dense())
 
 
 def test_file_size_formula(tmp_path):
     path = tmp_path / "id.irlm"
     write_matrix(make_identity(4), path)
     assert path.stat().st_size == 40 + 2 * 4 * 4 * 8
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: make_identity(4),
-        lambda: make_random_sign(40, 12, 9),
-        lambda: make_block_sparse(40, 36, 3, alpha=1.2, beta=2.0),
-        lambda: make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0),
-    ],
-    ids=["identity", "random_sign", "block_sparse", "block_sparse_1024"],
-)
-def test_loaded_matrix_keeps_kind_and_dense_bits(build, tmp_path):
-    mat = build()
-    path = tmp_path / "m.irlm"
-    write_matrix(mat, path)
-    loaded = read_matrix(path)
-    assert loaded.provenance.kind == mat.provenance.kind
-    assert np.array_equal(loaded.dense(), mat.dense())
 
 
 def test_random_sign_loaded_matrix_materializes_identically(tmp_path):
