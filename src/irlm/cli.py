@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,14 +134,12 @@ def _cmd_analyze(args) -> int:
 def _trace_config(args, mat: FactoredMatrix) -> TraceConfig:
     rule = parse_gamma_rule(args.gamma_rule)
     gamma = resolve_gamma(rule, mat.n_dim, mat.rank_budget)
-    manual = args.eps if args.eps is not None else None
     return TraceConfig(
         gamma=gamma,
         c_net=args.C,
         c_one=args.C1,
         mvee_tol=args.mvee_tol,
-        target_eps_rule="manual" if manual is not None else "paper",
-        manual_eps=manual,
+        manual_eps=args.eps,
         basis_mode=args.basis,
     )
 
@@ -244,22 +243,39 @@ def _cmd_auerbach(args) -> int:
 # sweep
 
 
+# the parameter key of each gamma rule in a sweep spec
+_SPEC_GAMMA_KEYS = {"theorem": "c", "fixed": "value", "scaled": "a"}
+
+
+def _spec_ints(values, where: str) -> tuple[int, ...]:
+    try:
+        if not isinstance(values, list):
+            raise TypeError
+        return tuple(int(v) for v in values)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"sweep spec field {where} must be a list of integers, got {values!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     n_values: tuple[int, ...]
-    n_rule: dict
+    n_rule: dict[str, tuple[int, ...]]
     seeds: tuple[int, ...]
-    gamma_rule: dict
+    gamma_rule: tuple[str, float]  # as parse_gamma_rule returns it
     kind: str = "random_sign"
     out: str | None = None
 
     @staticmethod
     def from_json(doc: dict) -> "SweepSpec":
+        if not isinstance(doc, dict):
+            raise ParameterError("sweep spec must be a JSON object")
         for fieldname in ("N_values", "n_rule", "seeds", "gamma_rule"):
             if fieldname not in doc:
                 raise ParameterError(f"sweep spec missing field {fieldname!r}")
-        n_values = tuple(int(v) for v in doc["N_values"])
-        seeds = tuple(int(v) for v in doc["seeds"])
+        n_values = _spec_ints(doc["N_values"], "N_values")
+        seeds = _spec_ints(doc["seeds"], "seeds")
         if not n_values or not seeds:
             raise ParameterError("sweep spec fields N_values and seeds must be nonempty")
         if any(v < 2 for v in n_values):
@@ -271,38 +287,39 @@ class SweepSpec:
             raise ParameterError(
                 "sweep spec field n_rule needs exactly one of 'fixed' or 'log_multiples'"
             )
+        rank_rule = "fixed" if "fixed" in n_rule else "log_multiples"
         gamma_rule = doc["gamma_rule"]
         if not isinstance(gamma_rule, dict) or "rule" not in gamma_rule:
             raise ParameterError("sweep spec field gamma_rule needs a 'rule' key")
-        if gamma_rule["rule"] not in ("theorem", "fixed", "scaled"):
-            raise ParameterError(f"sweep spec gamma_rule.rule {gamma_rule['rule']!r} unknown")
+        name = gamma_rule["rule"]
+        key = _SPEC_GAMMA_KEYS.get(name) if isinstance(name, str) else None
+        if key is None:
+            raise ParameterError(f"sweep spec gamma_rule.rule {name!r} unknown")
+        try:
+            value = float(gamma_rule[key])
+        except KeyError:
+            raise ParameterError(f"sweep spec gamma_rule {name!r} needs a {key!r} key") from None
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"sweep spec field gamma_rule.{key} must be a number, got {gamma_rule[key]!r}"
+            ) from None
         kind = doc.get("kind", "random_sign")
         if kind not in ("random_sign", "block_sparse"):
             raise ParameterError(f"sweep spec kind {kind!r} unknown")
         return SweepSpec(
             n_values=n_values,
-            n_rule=n_rule,
+            n_rule={rank_rule: _spec_ints(n_rule[rank_rule], f"n_rule.{rank_rule}")},
             seeds=seeds,
-            gamma_rule=gamma_rule,
+            gamma_rule=(name, value),
             kind=kind,
             out=doc.get("out"),
         )
 
     def ranks_for(self, n_dim: int) -> list[int]:
-        import math
-
         if "fixed" in self.n_rule:
-            return [int(v) for v in self.n_rule["fixed"]]
+            return list(self.n_rule["fixed"])
         base = math.ceil(math.log(n_dim))
-        return [int(m) * base for m in self.n_rule["log_multiples"]]
-
-    def gamma_for(self, n_dim: int, rank: int) -> float:
-        rule = self.gamma_rule
-        if rule["rule"] == "theorem":
-            return bnd.gamma_threshold(n_dim, rank, float(rule["c"]))
-        if rule["rule"] == "scaled":
-            return float(rule["a"]) / rank**0.5
-        return float(rule["value"])
+        return [m * base for m in self.n_rule["log_multiples"]]
 
 
 SWEEP_COLUMNS = [
@@ -346,7 +363,8 @@ def sweep_to_csv(spec: SweepSpec, jobs: int = 1) -> str:
     for n_dim in spec.n_values:
         for rank in spec.ranks_for(n_dim):
             for seed in spec.seeds:
-                tasks.append((n_dim, rank, seed, spec.gamma_for(n_dim, rank), spec.kind))
+                gamma = resolve_gamma(spec.gamma_rule, n_dim, rank)
+                tasks.append((n_dim, rank, seed, gamma, spec.kind))
     tasks.sort(key=lambda t: (t[0], t[1], t[2]))
     if jobs > 1:
         from multiprocessing import Pool

@@ -369,23 +369,30 @@ def _independent_prefix(vectors: np.ndarray, ell: Ellipsoid) -> list[int]:
     return kept
 
 
-def _drop_one_select(
-    x: np.ndarray,
+def select_contact_subset(
+    contacts: np.ndarray,
     ell: Ellipsoid,
-    current: Sequence[int],
     target_k: int,
-    selection_samples: int,
-    seed: int,
+    selection_samples: int = 4,
+    seed: int = 0,
 ) -> np.ndarray:
-    """Drop-one greedy from the independent rows `current` of x down to
-    target_k rows; returns the kept row indices in input order.
+    """Drop-one greedy subset of the contacts maximizing the L1 lower
+    constant; returns the kept row indices in input order.
 
+    First keeps a maximal D-independent prefix (a relative pivot test,
+    which also collapses antipodal duplicates), then repeatedly removes the
+    vector whose removal maximizes the sampled L1 lower constant of the
+    remainder, until min(target_k, independent count) vectors are left.
     Each round factors the D-Gram G of the current set once, and every
     candidate's inverse Gram is the downdate H_-i-i - h h' / H_ii of
-    H = G^(-1).  Candidates are scored by the sampled L1 lower constant,
-    all on the round's one deduplicated pattern set.
+    H = G^(-1) (refactored per candidate when G has no inverse).
+    Candidates are scored in closed form, (max_s s' H s)^(-1/2) over the
+    round's one deduplicated pattern set and its single-flip ascent.
     """
-    current = list(current)
+    x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
+    if target_k < 1:
+        raise ParameterError(f"target_k must be >= 1, got {target_k}")
+    current = _independent_prefix(x, ell)
     while len(current) > target_k:
         inv = _contact_gram(x[current], ell)
         patterns = _sample_patterns(len(current) - 1, selection_samples, seed)
@@ -407,36 +414,6 @@ def _drop_one_select(
                 best_pos = pos
         del current[best_pos]
     return np.array(current, dtype=np.intp)
-
-
-def select_contact_subset(
-    contacts: np.ndarray,
-    ell: Ellipsoid,
-    target_k: int,
-    selection_samples: int = 4,
-    seed: int = 0,
-) -> np.ndarray:
-    """Drop-one greedy subset of the contacts maximizing the L1 lower constant.
-
-    First keeps a maximal linearly independent prefix (a relative pivot
-    test, which also collapses antipodal duplicates), then repeatedly
-    removes the vector whose removal maximizes the sampled L1 lower constant
-    of the remainder, until target_k vectors are left.  Each candidate is
-    scored in closed form, (max_s s' H s)^(-1/2) over sampled patterns and
-    their single-flip ascent, from the round's inverse D-Gram H downdated
-    by one row and column.
-    """
-    x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
-    if target_k < 1:
-        raise ParameterError(f"target_k must be >= 1, got {target_k}")
-    if target_k > x.shape[0]:
-        raise ParameterError(f"target_k={target_k} exceeds {x.shape[0]} contacts")
-    current = _independent_prefix(x, ell)
-    if len(current) < target_k:
-        raise RankDeficiencyError(
-            f"only {len(current)} independent contacts, need {target_k}"
-        )
-    return _drop_one_select(x, ell, current, target_k, selection_samples, seed)
 
 
 @dataclass(frozen=True)
@@ -488,14 +465,8 @@ def expand_coefficients(columns: np.ndarray, frame: Frame) -> tuple[np.ndarray, 
     v = np.atleast_2d(np.asarray(columns, dtype=np.float64))
     if v.shape[0] != frame.ellipsoid.dim:
         v = v.T
-    m_shape = frame.ellipsoid.shape
-    y = frame.complement
-    s = y @ m_shape @ v if y.shape[0] else np.zeros((0, v.shape[1]))
-    residual = v - (y.T @ s if y.shape[0] else 0.0)
-    if frame.contacts.shape[0]:
-        t, *_ = np.linalg.lstsq(frame.contacts.T, residual, rcond=None)
-    else:
-        t = np.zeros((0, v.shape[1]))
+    s = frame.complement @ frame.ellipsoid.shape @ v
+    t, *_ = np.linalg.lstsq(frame.contacts.T, v - frame.complement.T @ s, rcond=None)
     return t, s
 
 

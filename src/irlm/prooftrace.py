@@ -35,20 +35,16 @@ from .matrices import (
 # elementary steps
 
 
-def halve_by_density(a: FactoredMatrix, gamma: float) -> tuple[np.ndarray, float]:
+def halve_by_density(
+    a: FactoredMatrix, gamma: float, profile: DensityProfile | None = None
+) -> tuple[np.ndarray, float, FactoredMatrix]:
     """Drop the columns (and same-indexed rows) whose large-entry density
     exceeds twice the global density; at least half the indices survive.
-    Returns the kept indices and the maximal column density of the kept
-    submatrix at the same threshold."""
-    kept, kappa, _ = _halve(a, gamma, distribution_function(a, gamma))
-    return kept, kappa
-
-
-def _halve(
-    a: FactoredMatrix, gamma: float, profile: DensityProfile
-) -> tuple[np.ndarray, float, FactoredMatrix]:
-    """halve_by_density on a precomputed density profile of `a`; also
-    returns the kept submatrix."""
+    `profile` is the density profile of `a` at gamma, computed when not
+    given.  Returns the kept indices, the maximal column density of the kept
+    submatrix at the same threshold, and that submatrix."""
+    if profile is None:
+        profile = distribution_function(a, gamma)
     kept = np.flatnonzero(profile.column_densities <= 2.0 * profile.global_density)
     sub = submatrix(a, kept)
     kappa = float(distribution_function(sub, gamma).column_densities.max())
@@ -113,40 +109,40 @@ def final_density_inequality(
 # configuration and report types
 
 
+# Fixed parameters of every replay, recorded in the report's config.
+RANK_TOL = 1e-10  # relative singular-value cutoff of the rank factorization
+AUERBACH_DELTA = 0.01  # maxvol swap threshold of the lemmaB basis
+L1_SAMPLES = 64  # sign patterns behind the sampled L1 lower constant
+SELECTION_SAMPLES = 4  # sign patterns per contact-selection round
+SAMPLE_SEED = 0
+
+
 @dataclass(frozen=True)
 class TraceConfig:
-    """Knobs of one proof replay."""
+    """Knobs of one proof replay.  eps follows the paper's choice unless
+    manual_eps is given."""
 
     gamma: float
     c_net: float = 1.0
     c_one: float = 1.0
     mvee_tol: float = 1e-6
-    target_eps_rule: str = "paper"
     manual_eps: float | None = None
     basis_mode: str = "lemmaA"
-    rank_tol: float = 1e-10
-    auerbach_delta: float = 0.01
-    l1_samples: int = 64
-    selection_samples: int = 4
-    sample_seed: int = 0
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
         if self.c_net <= 0 or self.c_one <= 0:
             raise ParameterError("C and C1 must be positive")
-        if self.target_eps_rule not in ("paper", "manual"):
-            raise ParameterError(f"unknown eps rule {self.target_eps_rule!r}")
-        if self.target_eps_rule == "manual":
-            if self.manual_eps is None or not 0 < self.manual_eps < 1:
-                raise ParameterError("manual eps rule needs manual_eps in (0, 1)")
+        if self.manual_eps is not None and not 0 < self.manual_eps < 1:
+            raise ParameterError(f"manual_eps must be in (0, 1), got {self.manual_eps}")
         if self.basis_mode not in ("lemmaA", "lemmaB"):
             raise ParameterError(f"unknown basis mode {self.basis_mode!r}")
         if not 0 < self.mvee_tol < 0.1:
             raise ParameterError("mvee_tol must be in (0, 0.1)")
 
     def epsilon(self, n_dim: int, rank: float) -> float:
-        if self.target_eps_rule == "manual":
+        if self.manual_eps is not None:
             return float(self.manual_eps)
         return epsilon_choice(n_dim, rank, self.c_net)
 
@@ -286,14 +282,14 @@ def _config_dict(a: FactoredMatrix, cfg: TraceConfig) -> dict[str, Any]:
         "C": cfg.c_net,
         "C1": cfg.c_one,
         "mvee_tol": cfg.mvee_tol,
-        "eps_rule": cfg.target_eps_rule,
+        "eps_rule": "paper" if cfg.manual_eps is None else "manual",
         "manual_eps": cfg.manual_eps,
         "basis_mode": cfg.basis_mode,
-        "rank_tol": cfg.rank_tol,
-        "auerbach_delta": cfg.auerbach_delta,
-        "l1_samples": cfg.l1_samples,
-        "selection_samples": cfg.selection_samples,
-        "sample_seed": cfg.sample_seed,
+        "rank_tol": RANK_TOL,
+        "auerbach_delta": AUERBACH_DELTA,
+        "l1_samples": L1_SAMPLES,
+        "selection_samples": SELECTION_SAMPLES,
+        "sample_seed": SAMPLE_SEED,
     }
 
 
@@ -325,7 +321,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     )
 
     # density halving
-    kept, kappa, sub = _halve(a, gamma, profile)
+    kept, kappa, sub = halve_by_density(a, gamma, profile)
     steps.append(
         TraceStep(
             name="density_halving",
@@ -338,7 +334,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
 
     # rank factorization of the kept submatrix
     try:
-        space = geometry.rank_factorize(sub, cfg.rank_tol)
+        space = geometry.rank_factorize(sub, RANK_TOL)
     except (np.linalg.LinAlgError, ParameterError) as exc:
         raise TraceAborted("rank_factorization", exc)
     dim = space.dim
@@ -347,7 +343,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     steps.append(
         TraceStep(
             name="rank_factorization",
-            inputs={"tol": cfg.rank_tol},
+            inputs={"tol": RANK_TOL},
             outputs={"dim": dim},
             check=TraceCheck(float(dim), float(a.rank_budget), dim <= a.rank_budget),
         )
@@ -358,15 +354,13 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     if cfg.basis_mode == "lemmaA":
         ell, contacts_cols, frame = _lemma_a_frame(points, dim, eps, cfg, steps)
     else:
-        ell, contacts_cols, frame = _lemma_b_frame(points, dim, cfg, steps)
+        ell, contacts_cols, frame = _lemma_b_frame(points, dim, steps)
 
     k_sel = frame.contacts.shape[0]
 
     # expansion of every kept column over the frame
     t_coef, s_coef = geometry.expand_coefficients(space.coords, frame)
-    recon = frame.contacts.T @ t_coef
-    if frame.complement.shape[0]:
-        recon = recon + frame.complement.T @ s_coef
+    recon = frame.contacts.T @ t_coef + frame.complement.T @ s_coef
     col_norms = np.linalg.norm(space.coords, axis=0)
     col_norms[col_norms == 0] = 1.0
     recon_err = float(np.max(np.linalg.norm(recon - space.coords, axis=0) / col_norms))
@@ -402,8 +396,8 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
             frame.contacts,
             ell,
             method="sampled",
-            n_samples=cfg.l1_samples,
-            seed=cfg.sample_seed,
+            n_samples=L1_SAMPLES,
+            seed=SAMPLE_SEED,
             extra_patterns=own_patterns,
         )
         mu = l1.value
@@ -426,7 +420,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
         mu = None
         c0_hat = None
         coeff_bound = float(np.abs(t_coef).max()) if t_coef.size else 0.0
-        l1_cap = dim * (1.0 + cfg.auerbach_delta)
+        l1_cap = dim * (1.0 + AUERBACH_DELTA)
         steps.append(
             TraceStep(
                 name="l1_bound",
@@ -484,10 +478,8 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     )
 
     # matrix B on the selected rows, against the identity
-    b_mat = w_rows @ t_coef
-    if frame.complement.shape[0]:
-        y_rows = (space.basis @ frame.complement.T)[row_set]
-        b_mat = b_mat + y_rows @ s_coef
+    y_rows = (space.basis @ frame.complement.T)[row_set]
+    b_mat = w_rows @ t_coef + y_rows @ s_coef
     b_sub = b_mat[:, row_set]
     delta = np.eye(row_set.size)
     b_dev = float(np.abs(b_sub - delta).max())
@@ -593,15 +585,8 @@ def _lemma_a_frame(points, dim, eps, cfg, steps):
         )
     )
     target_k = min(math.ceil(dim * (1.0 - eps)), dim)
-    contact_vectors = points[contacts.indices]
-    independent = geometry._independent_prefix(contact_vectors, ell)
-    local_sel = geometry._drop_one_select(
-        contact_vectors,
-        ell,
-        independent,
-        min(target_k, len(independent)),
-        cfg.selection_samples,
-        cfg.sample_seed,
+    local_sel = geometry.select_contact_subset(
+        points[contacts.indices], ell, target_k, SELECTION_SAMPLES, SAMPLE_SEED
     )
     selected_cols = contacts.indices[local_sel]
     k_sel = int(local_sel.size)
@@ -635,21 +620,21 @@ def _lemma_a_frame(points, dim, eps, cfg, steps):
     return ell, selected_cols, frame
 
 
-def _lemma_b_frame(points, dim, cfg, steps):
+def _lemma_b_frame(points, dim, steps):
     """Maxvol basis as the frame with empty complement (reconstructed branch)."""
     try:
-        basis = geometry.auerbach_basis(points, cfg.auerbach_delta)
+        basis = geometry.auerbach_basis(points, AUERBACH_DELTA)
     except (RankDeficiencyError, NonconvergenceError) as exc:
         raise TraceAborted("auerbach_basis", exc)
     steps.append(
         TraceStep(
             name="auerbach_basis",
-            inputs={"delta": cfg.auerbach_delta},
+            inputs={"delta": AUERBACH_DELTA},
             outputs={"k": int(basis.indices.size), "swaps": basis.swaps},
             check=TraceCheck(
                 basis.coefficient_bound,
-                1.0 + cfg.auerbach_delta + 1e-9,
-                basis.coefficient_bound <= 1.0 + cfg.auerbach_delta + 1e-9,
+                1.0 + AUERBACH_DELTA + 1e-9,
+                basis.coefficient_bound <= 1.0 + AUERBACH_DELTA + 1e-9,
             ),
             notes="reconstructed branch: volume-maximizing basis",
         )

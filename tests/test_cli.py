@@ -272,6 +272,35 @@ def test_sweep_spec_validation_names_fields(capsys, tmp_path):
     assert "n_rule" in err
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"gamma_rule": {"rule": "theorem"}}, "'c'"),
+        ({"N_values": ["x"]}, "N_values"),
+        ({"gamma_rule": {"rule": "scaled", "a": "q"}}, "gamma_rule.a"),
+        ({"n_rule": {"fixed": 8}}, "n_rule.fixed"),
+    ],
+)
+def test_malformed_sweep_spec_exits_2_without_traceback(capsys, tmp_path, overrides, field):
+    spec = sweep_spec(tmp_path, **overrides)
+    rc, _, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+    assert rc == 2
+    assert "Traceback" not in err
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "gamma_rule, cli_rule",
+    [({"rule": "scaled", "a": 0.5}, ("scaled", 0.5)), ({"rule": "fixed", "value": 0.3}, ("fixed", 0.3))],
+)
+def test_sweep_gamma_rules_resolve_like_the_cli(capsys, tmp_path, gamma_rule, cli_rule):
+    spec = sweep_spec(tmp_path, n_rule={"fixed": [8]}, seeds=[1], gamma_rule=gamma_rule)
+    out = tmp_path / "g.csv"
+    assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out))[0] == 0
+    row = out.read_text().strip().split("\n")[1].split(",")
+    assert float(row[3]) == resolve_gamma(cli_rule, 32, 8)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["generate", "--kind", "bogus", "--N", "4", "--out", "x"]) == 2
     assert main([]) == 2

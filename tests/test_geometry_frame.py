@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from irlm import geometry
 from irlm.errors import RankDeficiencyError
 from irlm.geometry import (
     Ellipsoid,
     _complete_pivot_init,
-    _drop_one_select,
     _independent_prefix,
     auerbach_basis,
     complete_frame,
@@ -39,10 +39,11 @@ def test_antipodal_duplicates_collapse():
     assert sel.size == 1
 
 
-def test_rank_deficiency_error():
+def test_selection_caps_at_independent_count():
+    # an antipodal pair holds one independent vector, so a target of 2
+    # keeps that one instead of failing
     x = np.vstack([np.eye(3)[0], -np.eye(3)[0]])
-    with pytest.raises(RankDeficiencyError):
-        select_contact_subset(x, unit_ball(3), 2)
+    assert list(select_contact_subset(x, unit_ball(3), 2)) == [0]
 
 
 def test_greedy_subset_does_not_decrease_constant(rng):
@@ -70,17 +71,18 @@ def test_drop_one_select_matches_kkt_oracle(data_seed, k, drops, samples, seed):
     x = g.normal(size=(k, dim))
     current = _independent_prefix(x, ell)
     assert current == list(range(k))
-    got = _drop_one_select(x, ell, current, k - drops, samples, seed)
+    got = select_contact_subset(x, ell, k - drops, samples, seed)
     want = brute_drop_one_select(x, ell.shape, current, k - drops, samples, seed)
     assert np.array_equal(got, want)
-    assert np.array_equal(select_contact_subset(x, ell, k - drops, samples, seed), want)
 
 
-def test_drop_one_select_gives_dependent_candidates_zero():
+def test_drop_one_select_gives_dependent_candidates_zero(monkeypatch):
     # rows 0 and 2 coincide, so the set's D-Gram has no inverse to downdate;
-    # each candidate is factored on its own and {e1, e1} scores 0
+    # each candidate is factored on its own and {e1, e1} scores 0.  The
+    # independence filter would drop row 2, so it is bypassed here.
+    monkeypatch.setattr(geometry, "_independent_prefix", lambda vectors, ell: [0, 1, 2])
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    assert list(_drop_one_select(x, unit_ball(2), [0, 1, 2], 2, 4, 0)) == [1, 2]
+    assert list(select_contact_subset(x, unit_ball(2), 2, 4, 0)) == [1, 2]
 
 
 def test_independent_prefix_keeps_independent_prefix_in_order(rng):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from irlm.errors import SizeCapError
@@ -114,21 +114,33 @@ def random_ellipsoid(g, dim):
     return Ellipsoid(dim, root @ root.T + dim * np.eye(dim), 0.0)
 
 
+def contact_instance(k, dim, seed, spread, n_long, near_copy, random_shape):
+    """k contact rows in dimension dim and an ellipsoid, from one seed."""
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(k, dim))
+    x *= 10.0 ** (spread * g.uniform(-1, 1, size=(k, 1)))
+    x[:n_long] *= 10.0
+    if near_copy:
+        x[-1] = x[0] + 1e-2 * g.normal(size=dim)
+    ell = random_ellipsoid(g, dim) if random_shape else unit_ball(dim)
+    return x, ell
+
+
 @st.composite
 def contact_instances(draw, max_k=8):
     """Contact rows and an ellipsoid.  Long rows tend to get no weight at a
     facet minimum (zero coordinates); spread row scales and a near copy of
     the first row make the D-Gram ill conditioned."""
     k = draw(st.integers(2, max_k))
-    dim = draw(st.integers(k, k + 3))
-    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = g.normal(size=(k, dim))
-    x *= 10.0 ** (draw(st.sampled_from([0.0, 0.5])) * g.uniform(-1, 1, size=(k, 1)))
-    x[: draw(st.integers(0, k - 1))] *= 10.0
-    if draw(st.booleans()):
-        x[-1] = x[0] + 1e-2 * g.normal(size=dim)
-    ell = random_ellipsoid(g, dim) if draw(st.booleans()) else unit_ball(dim)
-    return x, ell
+    return contact_instance(
+        k,
+        draw(st.integers(k, k + 3)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from([0.0, 0.5])),
+        draw(st.integers(0, k - 1)),
+        draw(st.booleans()),
+        draw(st.booleans()),
+    )
 
 
 def d_gram(x, ell):
@@ -141,11 +153,17 @@ def facet_value(gram, s):
 
 
 @given(contact_instances())
+# cond(G) = 8.3e5 with a near copy of the first row: the two sides differ by
+# 1.01e-10 relative, which a fixed 1e-10 tolerance rejected
+@example(contact_instance(6, 7, 1917390891, 0.0, 0, True, False))
+# cond(G) = 1.19: the sides differ by 2.2 eps * cond(G) relative, so the
+# bound needs the factor k of the rounding model below
+@example(contact_instance(2, 5, 1951838119, 0.5, 0, False, False))
 def test_exact_matches_facet_enumeration_oracle(instance):
     x, ell = instance
     gram = d_gram(x, ell)
-    # both sides carry rounding of about eps * cond(G)
-    assume(np.linalg.cond(gram) <= 1e6)
+    cond = np.linalg.cond(gram)
+    assume(cond <= 1e6)
     k = x.shape[0]
     oracle = min(
         facet_value(gram, np.array((1.0,) + signs))
@@ -153,7 +171,10 @@ def test_exact_matches_facet_enumeration_oracle(instance):
     )
     bound = l1_lower_constant(x, ell, method="exact")
     assert bound.facets_examined == 2 ** (k - 1)
-    assert abs(bound.value**2 - oracle) <= 1e-10 * oracle
+    # each side solves a k x k system in G, with relative rounding up to
+    # about k * eps * cond(G); the two sides together give twice that
+    tol = 2.0 * k * np.finfo(np.float64).eps * cond
+    assert abs(bound.value**2 - oracle) <= tol * oracle
 
 
 def foot_weights(inv, s):

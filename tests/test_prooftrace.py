@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from irlm import from_factors, geometry, make_identity, make_random_sign, prooftrace
 from irlm.bounds import gamma_threshold
 from irlm.errors import ParameterError
+from irlm.matrices import distribution_function
 from irlm.geometry import _independent_prefix as independent_prefix
 from irlm.prooftrace import (
     TraceConfig,
@@ -98,9 +99,11 @@ def test_final_density_kappa_zero_limit():
 
 
 def test_halve_identity_keeps_everything():
-    kept, kappa = halve_by_density(make_identity(12), 0.5)
+    a = make_identity(12)
+    kept, kappa, sub = halve_by_density(a, 0.5)
     assert kept.size == 12
     assert kappa == 1.0 / 12.0
+    assert np.array_equal(sub.dense(), a.dense()[np.ix_(kept, kept)])
 
 
 def test_halve_removes_constructed_outlier():
@@ -108,18 +111,23 @@ def test_halve_removes_constructed_outlier():
     mat[:, 3] = 0.9
     mat[3, 3] = 1.0
     a = from_factors(mat, np.eye(8), kind="custom")
-    kept, kappa = halve_by_density(a, 0.5)
+    kept, kappa, sub = halve_by_density(a, 0.5)
     assert 3 not in kept
     assert kept.size == 7
+    assert np.array_equal(sub.dense(), mat[np.ix_(kept, kept)])
 
 
 def test_halve_keeps_at_least_half():
     for seed in (1, 2, 3):
         a = make_random_sign(64, 8, seed)
         for gamma in (0.05, 0.2, 0.5):
-            kept, kappa = halve_by_density(a, gamma)
+            kept, kappa, sub = halve_by_density(a, gamma)
             assert kept.size >= 32
             assert 0.0 <= kappa <= 1.0
+            assert np.array_equal(sub.dense(), a.dense()[np.ix_(kept, kept)])
+            # a precomputed profile of the same matrix gives the same result
+            again = halve_by_density(a, gamma, distribution_function(a, gamma))
+            assert np.array_equal(again[0], kept) and again[1] == kappa
 
 
 # -- pairwise sup-norm separation -------------------------------------------------
@@ -270,11 +278,11 @@ def test_manual_eps_can_fail_gate_and_downstream_still_reported():
     base = TraceConfig(gamma=0.017)
     ok = trace(make_identity(16), base)
     assert ok.holds("gate")
-    flipped = trace(
-        make_identity(16),
-        TraceConfig(gamma=0.017, target_eps_rule="manual", manual_eps=0.001),
-    )
+    assert ok.config["eps_rule"] == "paper"
+    flipped = trace(make_identity(16), TraceConfig(gamma=0.017, manual_eps=0.001))
     assert not flipped.holds("gate")
+    assert flipped.config["eps_rule"] == "manual"
+    assert flipped.measured_constants["eps"] == 0.001
     for name in ("matrix_B", "separation", "net_inequality", "final_density"):
         assert flipped.holds(name)
 
@@ -375,8 +383,9 @@ def test_structural_failure_aborts_with_step_name():
 def test_trace_config_validation():
     with pytest.raises(ParameterError):
         TraceConfig(gamma=-0.1)
-    with pytest.raises(ParameterError):
-        TraceConfig(gamma=0.1, target_eps_rule="manual")
+    for manual_eps in (0.0, 1.5):
+        with pytest.raises(ParameterError):
+            TraceConfig(gamma=0.1, manual_eps=manual_eps)
     with pytest.raises(ParameterError):
         TraceConfig(gamma=0.1, basis_mode="other")
     with pytest.raises(ParameterError):
