@@ -75,10 +75,14 @@ def parse_gamma_rule(text: str) -> tuple[str, float]:
 def resolve_gamma(rule: tuple[str, float], n_dim: int, rank: int) -> float:
     name, value = rule
     if name == "theorem":
-        return bnd.gamma_threshold(n_dim, rank, value)
-    if name == "scaled":
-        return value / rank**0.5
-    return value
+        gamma = bnd.gamma_threshold(n_dim, rank, value)
+    elif name == "scaled":
+        gamma = value / rank**0.5
+    else:
+        gamma = value
+    if not math.isfinite(gamma):
+        raise ParameterError(f"gamma rule {name}:{value} gives a non-finite gamma {gamma}")
+    return gamma
 
 
 # ---------------------------------------------------------------------------

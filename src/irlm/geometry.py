@@ -425,15 +425,13 @@ class Frame:
     ellipsoid: Ellipsoid
 
 
-def complete_frame(subset: np.ndarray, ell: Ellipsoid, subspace: Subspace | None = None) -> Frame:
+def complete_frame(subset: np.ndarray, ell: Ellipsoid) -> Frame:
     """Extend independent contact vectors to a basis by adjoining vectors
     D-orthogonal to their span, D-orthonormalized."""
     x = np.atleast_2d(np.asarray(subset, dtype=np.float64))
     if x.shape[0] == 0:
         x = x.reshape(0, ell.dim)
     n = ell.dim
-    if subspace is not None and subspace.dim != n:
-        raise ParameterError(f"subspace dim {subspace.dim} != ellipsoid dim {n}")
     k = x.shape[0]
     if k > n:
         raise RankDeficiencyError(f"{k} contacts cannot be independent in dimension {n}")
@@ -474,6 +472,10 @@ def expand_coefficients(columns: np.ndarray, frame: Frame) -> tuple[np.ndarray, 
 # maxvol basis
 
 
+# Swaps of the maxvol ascent before it reports nonconvergence.
+_MAX_SWAPS = 10_000
+
+
 class AuerbachBasis(NamedTuple):
     indices: np.ndarray
     signs: np.ndarray
@@ -508,11 +510,7 @@ def _complete_pivot_init(points: np.ndarray) -> list[int]:
     return selected
 
 
-def auerbach_basis(
-    points: np.ndarray,
-    delta: float = 0.01,
-    max_swaps: int = 10_000,
-) -> AuerbachBasis:
+def auerbach_basis(points: np.ndarray, delta: float = 0.01) -> AuerbachBasis:
     """Select n points whose determinant is locally maximal so every input
     point expands over them with coefficients bounded by 1 + delta.
 
@@ -530,7 +528,7 @@ def auerbach_basis(
         raise RankDeficiencyError(f"{m} points cannot span dimension {n}")
     selected = _complete_pivot_init(p)
     swaps = 0
-    for _ in range(max_swaps):
+    for _ in range(_MAX_SWAPS):
         basis = p[selected]
         coeff = np.linalg.solve(basis.T, p.T).T  # p = coeff @ basis
         flat = int(np.argmax(np.abs(coeff)))
@@ -544,4 +542,4 @@ def auerbach_basis(
             )
         selected[j] = int(i)
         swaps += 1
-    raise NonconvergenceError(f"maxvol swap ascent hit {max_swaps} swaps")
+    raise NonconvergenceError(f"maxvol swap ascent hit {_MAX_SWAPS} swaps")

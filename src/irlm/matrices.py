@@ -179,6 +179,10 @@ def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
     )
 
 
+# Draws of one random block of make_block_sparse before the first is kept.
+_BLOCK_ATTEMPTS = 16
+
+
 def _block_seed(master: int, block: int, attempt: int) -> int:
     # Block 0, attempt 0 uses the master seed unchanged so that a single
     # block construction coincides bit for bit with make_random_sign.
@@ -193,7 +197,6 @@ def make_block_sparse(
     seed: int,
     alpha: float = 1.0,
     beta: float = 8.0,
-    max_retries: int = 16,
 ) -> FactoredMatrix:
     """Block-diagonal identity approximation with O(log(N)/n) fill.
 
@@ -202,8 +205,8 @@ def make_block_sparse(
     size becomes an exact identity block; otherwise it is a random-sign
     approximation, which must be allotted at least ceil(beta * ln(B+1))
     columns or the sizing is infeasible (for a single block this is the
-    precondition n >= beta * ln(N+1)).  Each random block is re-seeded up
-    to max_retries times looking for block error <= 1/3; if no attempt
+    precondition n >= beta * ln(N+1)).  Each random block is drawn up to
+    _BLOCK_ATTEMPTS times looking for block error <= 1/3; if no attempt
     reaches that, the first attempt is kept and the shortfall is recorded
     in the provenance.
     """
@@ -249,7 +252,7 @@ def make_block_sparse(
             block_errors.append(0.0)
         else:
             chosen = None
-            for attempt in range(max_retries):
+            for attempt in range(_BLOCK_ATTEMPTS):
                 x = rng.sign_matrix(size, r_b, _block_seed(seed, b, attempt), KIND_RANDOM_SIGN)
                 block = (x @ x.T) / r_b
                 err = _offdiag_abs_max(block)
@@ -375,18 +378,42 @@ def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     )
 
 
-def factor_singular_values(a: FactoredMatrix) -> np.ndarray:
-    """Singular values of the materialized matrix, via the thin factor core."""
-    q, r_l = np.linalg.qr(a.left)
-    core = r_l @ a.right
-    return np.linalg.svd(core, compute_uv=False)
+def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
+    """Smallest sup-norm distance between two rows of the square matrix
+    `mat` (inf below two rows), and the number of row pairs evaluated.
+
+    Columns i and j give every pair the lower bound
+    L[i, j] = max(|m_ii - m_ji|, |m_jj - m_ij|) <= ||m_i - m_j||_inf, with
+    the same IEEE values the full distance takes its maximum over.  Pairs
+    are evaluated in batches in increasing L, and only while L is below the
+    best distance found, so the result is the exact minimum.
+    """
+    n = mat.shape[0]
+    if n < 2:
+        return math.inf, 0
+    p = np.abs(mat - np.diagonal(mat)[None, :])  # p[i, j] = |m_ij - m_jj|
+    rows, cols = np.triu_indices(n, 1)
+    bounds = np.maximum(p[rows, cols], p[cols, rows])
+    order = np.argsort(bounds)
+    bounds, rows, cols = bounds[order], rows[order], cols[order]
+    best = math.inf
+    done = 0
+    limit = bounds.size
+    while done < limit:
+        stop = min(done + 256, limit)
+        i, j = rows[done:stop], cols[done:stop]
+        best = min(best, float(np.abs(mat[i] - mat[j]).max(axis=1).min()))
+        done = stop
+        limit = int(np.searchsorted(bounds, best, side="left"))
+    return best, done
 
 
 def numerical_rank(a: FactoredMatrix, tol: float) -> int:
-    """Count of singular values above tol times the largest one."""
+    """Count of singular values above tol times the largest one.  With
+    L = QR they are those of the thin core R @ right; Q is never formed."""
     if not 0 < tol < 1:
         raise ParameterError(f"tol must be in (0, 1), got {tol}")
-    s = factor_singular_values(a)
+    s = np.linalg.svd(np.linalg.qr(a.left, mode="r") @ a.right, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

@@ -27,6 +27,7 @@ from .matrices import (
     DensityProfile,
     FactoredMatrix,
     distribution_function,
+    min_pairwise_linf,
     submatrix,
 )
 
@@ -493,7 +494,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     )
 
     # pairwise sup-norm separation of the rows of B
-    min_sep, _ = _min_pairwise_linf(b_sub)
+    min_sep, _ = min_pairwise_linf(b_sub)
     steps.append(
         TraceStep(
             name="separation",
@@ -646,32 +647,3 @@ def _lemma_b_frame(points, dim, steps):
     )
     return ell, basis.indices, frame
 
-
-def _min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
-    """Smallest sup-norm distance between two rows of the square matrix
-    `mat` (inf below two rows), and the number of row pairs evaluated.
-
-    Columns i and j give every pair the lower bound
-    L[i, j] = max(|m_ii - m_ji|, |m_jj - m_ij|) <= ||m_i - m_j||_inf, with
-    the same IEEE values the full distance takes its maximum over.  Pairs
-    are evaluated in batches in increasing L, and only while L is below the
-    best distance found, so the result is the exact minimum.
-    """
-    n = mat.shape[0]
-    if n < 2:
-        return math.inf, 0
-    p = np.abs(mat - np.diagonal(mat)[None, :])  # p[i, j] = |m_ij - m_jj|
-    rows, cols = np.triu_indices(n, 1)
-    bounds = np.maximum(p[rows, cols], p[cols, rows])
-    order = np.argsort(bounds)
-    bounds, rows, cols = bounds[order], rows[order], cols[order]
-    best = math.inf
-    done = 0
-    limit = bounds.size
-    while done < limit:
-        stop = min(done + 256, limit)
-        i, j = rows[done:stop], cols[done:stop]
-        best = min(best, float(np.abs(mat[i] - mat[j]).max(axis=1).min()))
-        done = stop
-        limit = int(np.searchsorted(bounds, best, side="left"))
-    return best, done

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irlm import from_factors, make_identity, make_random_sign
@@ -24,7 +24,7 @@ from irlm.bounds import (
 )
 from irlm.errors import ParameterError, SizeCapError
 
-from oracles import brute_max_clique, edge_count_scan
+from oracles import blocked_min_pairwise_linf, brute_max_clique, edge_count_scan
 
 
 # -- closed-form bounds --------------------------------------------------------
@@ -121,9 +121,42 @@ def test_volume_argument_full_rank_sign_fixture():
     report = volume_argument_verify(a)
     assert report.premise_ok
     assert report.ok
-    assert report.violations == ()
     assert report.min_pair_distance >= 1.0 / 3.0
     assert report.max_pair_distance <= 5.0 / 3.0
+
+
+@st.composite
+def near_identity_matrices(draw):
+    """I + E with |E| <= 1/3, so the volume premise holds: uniform floats,
+    a lattice of step 1/12 off the diagonal (ties, and entries at exactly
+    1/3), and the same lattice with one column copied onto another outside
+    their two diagonal rows, the closest pair the premise allows."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(["floats", "lattice", "repeated"]))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "floats":
+        return np.eye(n) + gen.uniform(-0.33, 0.33, (n, n))
+    mat = gen.integers(-4, 5, (n, n)) / 12.0
+    np.fill_diagonal(mat, 1.0 + gen.integers(-2, 3, n) / 8.0)
+    if kind == "repeated" and n >= 2:
+        src, dst = gen.choice(n, size=2, replace=False)
+        rows = np.setdiff1d(np.arange(n), [src, dst])
+        mat[rows, dst] = mat[rows, src]
+    return mat
+
+
+@settings(max_examples=200)
+@given(near_identity_matrices())
+def test_volume_argument_distances_equal_pairwise_scans(mat):
+    a = from_factors(mat, np.eye(mat.shape[0]))
+    report = volume_argument_verify(a)
+    dense = a.dense()
+    assert report.premise_ok
+    assert report.min_pair_distance == blocked_min_pairwise_linf(dense.T)
+    # every ordered column pair, the diagonal's zeros included
+    assert report.max_pair_distance == float(np.abs(dense[:, :, None] - dense[:, None, :]).max())
+    assert report.separation_ok == (report.min_pair_distance >= 1.0 / 3.0)
+    assert report.diameter_ok == (report.max_pair_distance <= 5.0 / 3.0)
 
 
 def test_volume_argument_premise_failure_is_report_not_error():

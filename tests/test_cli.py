@@ -118,6 +118,18 @@ def test_analyze_bad_file_exits_3(capsys, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("rule", ["fixed:nan", "scaled:nan", "theorem:nan", "fixed:inf"])
+@pytest.mark.parametrize("command", ["analyze", "trace"])
+def test_non_finite_gamma_exits_2(capsys, tmp_path, command, rule):
+    mat = tmp_path / "rs.irlm"
+    run(capsys, "generate", "--kind", "random_sign", "--N", "32", "--n", "8",
+        "--seed", "1", "--out", str(mat))
+    rc, stdout, err = run(capsys, command, "--matrix", str(mat), "--gamma-rule", rule)
+    assert rc == 2
+    assert stdout == ""
+    assert "non-finite gamma" in err
+
+
 def test_trace_premise_violation_exits_zero(capsys, tmp_path):
     mat = tmp_path / "rs.irlm"
     run(capsys, "generate", "--kind", "random_sign", "--N", "32", "--n", "8",
@@ -299,6 +311,21 @@ def test_sweep_gamma_rules_resolve_like_the_cli(capsys, tmp_path, gamma_rule, cl
     assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out))[0] == 0
     row = out.read_text().strip().split("\n")[1].split(",")
     assert float(row[3]) == resolve_gamma(cli_rule, 32, 8)
+
+
+@pytest.mark.parametrize(
+    "gamma_rule",
+    [{"rule": "fixed", "value": math.nan}, {"rule": "scaled", "a": math.inf},
+     {"rule": "theorem", "c": math.nan}],
+)
+def test_sweep_non_finite_gamma_exits_2(capsys, tmp_path, gamma_rule):
+    # json.loads accepts NaN and Infinity, so a spec can carry them
+    spec = sweep_spec(tmp_path, n_rule={"fixed": [8]}, seeds=[1], gamma_rule=gamma_rule)
+    out = tmp_path / "g.csv"
+    rc, _, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+    assert rc == 2
+    assert "non-finite gamma" in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from irlm import from_factors, geometry, make_identity, make_random_sign, prooftrace
 from irlm.bounds import gamma_threshold
 from irlm.errors import ParameterError
-from irlm.matrices import distribution_function
+from irlm.matrices import distribution_function, min_pairwise_linf
 from irlm.geometry import _independent_prefix as independent_prefix
 from irlm.prooftrace import (
     TraceConfig,
-    _min_pairwise_linf,
     dumps_canonical,
     epsilon_choice,
     final_density_inequality,
@@ -163,7 +162,7 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_min_pairwise_linf_equals_blocked_scan(mat):
     n = mat.shape[0]
-    dist, evaluated = _min_pairwise_linf(mat)
+    dist, evaluated = min_pairwise_linf(mat)
     assert dist == blocked_min_pairwise_linf(mat)
     assert 0 <= evaluated <= n * (n - 1) // 2
     if n < 2:
@@ -178,7 +177,7 @@ def test_min_pairwise_linf_evaluates_every_pair_when_bounds_are_loose():
     gen = np.random.default_rng(7)
     mat = np.where(gen.random((48, 48)) < 0.5, -1.0, 1.0)
     np.fill_diagonal(mat, 0.0)
-    dist, evaluated = _min_pairwise_linf(mat)
+    dist, evaluated = min_pairwise_linf(mat)
     assert dist == blocked_min_pairwise_linf(mat) == 2.0
     assert evaluated == 48 * 47 // 2
 
@@ -189,11 +188,11 @@ def test_separation_search_prunes_on_sign_384_64(monkeypatch):
     seen = []
 
     def spy(mat):
-        result = _min_pairwise_linf(mat)
+        result = min_pairwise_linf(mat)
         seen.append((mat, result))
         return result
 
-    monkeypatch.setattr(prooftrace, "_min_pairwise_linf", spy)
+    monkeypatch.setattr(prooftrace, "min_pairwise_linf", spy)
     gamma = gamma_threshold(384, 64, 0.25)
     report = trace(make_random_sign(384, 64, 1), TraceConfig(gamma=gamma, basis_mode="lemmaB"))
     ((b_sub, (dist, evaluated)),) = seen
