@@ -39,8 +39,8 @@ def theorem_density_bound(n_dim: int, rank: float, c: float) -> float:
         raise ParameterError(f"N must be >= 3, got {n_dim}")
     if rank < 1:
         raise ParameterError(f"n must be >= 1, got {rank}")
-    if c <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ParameterError(f"c must be positive and finite, got {c}")
     log_n = math.log(n_dim)
     return c * log_n / (rank * math.log(2.0 + rank / log_n))
 
@@ -51,8 +51,8 @@ def gamma_threshold(n_dim: int, rank: float, c: float) -> float:
         raise ParameterError(f"N must be >= 3, got {n_dim}")
     if rank < 1:
         raise ParameterError(f"n must be >= 1, got {rank}")
-    if c <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ParameterError(f"c must be positive and finite, got {c}")
     return c * max(rank ** -1.5 * math.log(n_dim), 1.0 / rank)
 
 
@@ -192,6 +192,8 @@ class GammaGraph:
 
 
 def gamma_graph(a: FactoredMatrix, gamma: float) -> GammaGraph:
+    if not math.isfinite(gamma):
+        raise ParameterError(f"gamma must be finite, got {gamma}")
     mat = np.abs(a.dense())
     small = np.maximum(mat, mat.T) <= gamma
     np.fill_diagonal(small, False)

@@ -74,15 +74,14 @@ def parse_gamma_rule(text: str) -> tuple[str, float]:
 
 def resolve_gamma(rule: tuple[str, float], n_dim: int, rank: int) -> float:
     name, value = rule
+    # each rule maps a finite parameter to a finite gamma
+    if not math.isfinite(value):
+        raise ParameterError(f"gamma rule {name}:{value} gives a non-finite gamma")
     if name == "theorem":
-        gamma = bnd.gamma_threshold(n_dim, rank, value)
-    elif name == "scaled":
-        gamma = value / rank**0.5
-    else:
-        gamma = value
-    if not math.isfinite(gamma):
-        raise ParameterError(f"gamma rule {name}:{value} gives a non-finite gamma {gamma}")
-    return gamma
+        return bnd.gamma_threshold(n_dim, rank, value)
+    if name == "scaled":
+        return value / rank**0.5
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +309,16 @@ class SweepSpec:
         kind = doc.get("kind", "random_sign")
         if kind not in ("random_sign", "block_sparse"):
             raise ParameterError(f"sweep spec kind {kind!r} unknown")
+        out = doc.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ParameterError(f"sweep spec field out must be a path string, got {out!r}")
         return SweepSpec(
             n_values=n_values,
             n_rule={rank_rule: _spec_ints(n_rule[rank_rule], f"n_rule.{rank_rule}")},
             seeds=seeds,
             gamma_rule=(name, value),
             kind=kind,
-            out=doc.get("out"),
+            out=out,
         )
 
     def ranks_for(self, n_dim: int) -> list[int]:

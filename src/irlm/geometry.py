@@ -455,14 +455,12 @@ def complete_frame(subset: np.ndarray, ell: Ellipsoid) -> Frame:
 
 
 def expand_coefficients(columns: np.ndarray, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (t, s) with column = contacts' t + complement' s.
+    """Coefficients (t, s) with columns = contacts' t + complement' s (dim x count).
 
     The complement part is read off exactly as D-inner products; the contact
     part solves the remaining system by least squares.
     """
-    v = np.atleast_2d(np.asarray(columns, dtype=np.float64))
-    if v.shape[0] != frame.ellipsoid.dim:
-        v = v.T
+    v = np.asarray(columns, dtype=np.float64)
     s = frame.complement @ frame.ellipsoid.shape @ v
     t, *_ = np.linalg.lstsq(frame.contacts.T, v - frame.complement.T @ s, rcond=None)
     return t, s
@@ -483,42 +481,47 @@ class AuerbachBasis(NamedTuple):
     swaps: int
 
 
-def _complete_pivot_init(points: np.ndarray) -> list[int]:
-    """Gaussian-elimination complete pivoting over the point matrix; the
-    pivot columns index an independent, large-volume starting basis.  Each
-    pivot updates all free columns in one rank-one step."""
-    work = points.T.copy()  # n x m, variables x points
-    n, m = work.shape
-    scale = float(np.abs(work).max()) or 1.0
+def _pivot(tab: np.ndarray, r: int, c: int) -> None:
+    """In-place Gauss-Jordan pivot: tab[r, c] becomes 1 and the rest of column c 0."""
+    tab[r] /= tab[r, c]
+    col = tab[:, c].copy()
+    col[r] = 0.0
+    tab -= np.outer(col, tab[r])
+
+
+def _complete_pivot_init(points: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Complete pivoting of the variables x points tableau on its largest free
+    entry picks an independent, large-volume starting basis `selected`;
+    returns it with `coeff` such that points = coeff @ points[selected]."""
+    tab = points.T.copy()  # n x m, variables x points
+    n, m = tab.shape
+    scale = float(np.abs(tab).max()) or 1.0
     row_free = np.ones(n, dtype=bool)
     col_free = np.ones(m, dtype=bool)
+    pivot_rows: list[int] = []
     selected: list[int] = []
     for _ in range(n):
-        sub = np.abs(work[np.ix_(row_free, col_free)])
-        if sub.size == 0 or sub.max() <= 1e-12 * scale:
+        sub = np.abs(tab[np.ix_(row_free, col_free)])
+        if sub.max() <= 1e-12 * scale:
             raise RankDeficiencyError("points do not span the ambient dimension")
-        rows = np.flatnonzero(row_free)
-        cols = np.flatnonzero(col_free)
         ri, ci = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        r, c = int(rows[ri]), int(cols[ci])
+        r, c = int(np.flatnonzero(row_free)[ri]), int(np.flatnonzero(col_free)[ci])
+        _pivot(tab, r, c)
+        pivot_rows.append(r)
         selected.append(c)
         row_free[r] = False
         col_free[c] = False
-        js = np.flatnonzero(col_free)
-        factor = work[r, js] / work[r, c]
-        work[:, js] -= work[:, c][:, None] * factor
-    return selected
+    return selected, tab[pivot_rows].T
 
 
 def auerbach_basis(points: np.ndarray, delta: float = 0.01) -> AuerbachBasis:
     """Select n points whose determinant is locally maximal so every input
     point expands over them with coefficients bounded by 1 + delta.
 
-    Greedy complete-pivoting initialization followed by swap ascent: any
-    selected/unselected swap improving |det| by a factor above 1 + delta is
-    taken (each swap multiplies |det| by the corresponding expansion
-    coefficient).  On termination the largest coefficient magnitude is at
-    most 1 + delta, which is returned as the achieved bound.
+    Greedy complete-pivoting initialization, then swap ascent on the same
+    tableau: the largest coefficient above 1 + delta swaps its point into its
+    slot (|det| grows by that factor) with one Gauss-Jordan pivot.  The bound
+    returned is the largest coefficient of one solve on the final basis.
     """
     if not 0 < delta <= 0.5:
         raise ParameterError(f"delta must be in (0, 0.5], got {delta}")
@@ -526,20 +529,16 @@ def auerbach_basis(points: np.ndarray, delta: float = 0.01) -> AuerbachBasis:
     m, n = p.shape
     if m < n:
         raise RankDeficiencyError(f"{m} points cannot span dimension {n}")
-    selected = _complete_pivot_init(p)
-    swaps = 0
-    for _ in range(_MAX_SWAPS):
-        basis = p[selected]
-        coeff = np.linalg.solve(basis.T, p.T).T  # p = coeff @ basis
-        flat = int(np.argmax(np.abs(coeff)))
-        i, j = np.unravel_index(flat, coeff.shape)
+    selected, coeff = _complete_pivot_init(p)
+    for swaps in range(_MAX_SWAPS):
+        i, j = np.unravel_index(int(np.argmax(np.abs(coeff))), coeff.shape)
         if abs(coeff[i, j]) <= 1.0 + delta:
             return AuerbachBasis(
                 indices=np.array(selected, dtype=np.intp),
                 signs=np.ones(n, dtype=np.int64),
-                coefficient_bound=float(np.max(np.abs(coeff))),
+                coefficient_bound=float(np.max(np.abs(np.linalg.solve(p[selected].T, p.T)))),
                 swaps=swaps,
             )
+        _pivot(coeff.T, int(j), int(i))
         selected[j] = int(i)
-        swaps += 1
     raise NonconvergenceError(f"maxvol swap ascent hit {_MAX_SWAPS} swaps")

@@ -212,8 +212,8 @@ def make_block_sparse(
     """
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("alpha and beta must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ParameterError("alpha and beta must be positive and finite")
     log_n = math.log(n_dim) if n_dim > 1 else 0.0
     block_size = max(1, min(n_dim, math.ceil(alpha * n_dim * log_n / rank)))
     n_blocks = math.ceil(n_dim / block_size)
@@ -383,29 +383,23 @@ def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
     `mat` (inf below two rows), and the number of row pairs evaluated.
 
     Columns i and j give every pair the lower bound
-    L[i, j] = max(|m_ii - m_ji|, |m_jj - m_ij|) <= ||m_i - m_j||_inf, with
-    the same IEEE values the full distance takes its maximum over.  Pairs
-    are evaluated in batches in increasing L, and only while L is below the
-    best distance found, so the result is the exact minimum.
+    L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) <= ||m_i - m_j||_inf, with
+    the same IEEE values the full distance takes its maximum over.  Row i is
+    compared with exactly the j > i whose L is below the best distance found
+    so far, so the result is the exact minimum.
     """
     n = mat.shape[0]
-    if n < 2:
-        return math.inf, 0
-    p = np.abs(mat - np.diagonal(mat)[None, :])  # p[i, j] = |m_ij - m_jj|
-    rows, cols = np.triu_indices(n, 1)
-    bounds = np.maximum(p[rows, cols], p[cols, rows])
-    order = np.argsort(bounds)
-    bounds, rows, cols = bounds[order], rows[order], cols[order]
-    best = math.inf
-    done = 0
-    limit = bounds.size
-    while done < limit:
-        stop = min(done + 256, limit)
-        i, j = rows[done:stop], cols[done:stop]
-        best = min(best, float(np.abs(mat[i] - mat[j]).max(axis=1).min()))
-        done = stop
-        limit = int(np.searchsorted(bounds, best, side="left"))
-    return best, done
+    diag = np.diagonal(mat)
+    best, evaluated = math.inf, 0
+    for i in range(n - 1):
+        row, col = mat[i, i + 1 :] - diag[i + 1 :], mat[i + 1 :, i] - diag[i]
+        js = i + 1 + np.flatnonzero(np.maximum(np.abs(row), np.abs(col)) < best)
+        if js.size:
+            diff = mat[js]
+            diff -= mat[i]
+            best = min(best, float(np.abs(diff, out=diff).max(axis=1).min()))
+            evaluated += js.size
+    return best, evaluated
 
 
 def numerical_rank(a: FactoredMatrix, tol: float) -> int:

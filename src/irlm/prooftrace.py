@@ -131,10 +131,10 @@ class TraceConfig:
     basis_mode: str = "lemmaA"
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
-        if self.c_net <= 0 or self.c_one <= 0:
-            raise ParameterError("C and C1 must be positive")
+        if not 0 <= self.gamma < math.inf:
+            raise ParameterError(f"gamma must be >= 0 and finite, got {self.gamma}")
+        if not (0 < self.c_net < math.inf and 0 < self.c_one < math.inf):
+            raise ParameterError("C and C1 must be positive and finite")
         if self.manual_eps is not None and not 0 < self.manual_eps < 1:
             raise ParameterError(f"manual_eps must be in (0, 1), got {self.manual_eps}")
         if self.basis_mode not in ("lemmaA", "lemmaB"):

@@ -4,8 +4,9 @@ Each oracle is written with a different algorithm than the code under test:
 exact integer binomial sums, dense grid searches, multiplicative-update
 design optimization, brute-force subset enumeration, exhaustive pair
 scans, a fresh KKT solve per facet, a linear solve per sign pattern and
-per drop-one candidate, column-at-a-time elimination, whole-matrix scans of
-the dense form, and a per-block integer Gram.
+per drop-one candidate, column-at-a-time elimination, a fresh solve per
+maxvol swap, whole-matrix scans of the dense form, and a per-block integer
+Gram.
 """
 
 from __future__ import annotations
@@ -299,6 +300,21 @@ def loop_complete_pivot_init(points: np.ndarray) -> list[int]:
         row_free[r] = False
         col_free[c] = False
     return selected
+
+
+def resolve_auerbach_basis(points: np.ndarray, delta: float) -> tuple[list[int], int, float]:
+    """Maxvol swap ascent that solves the whole coefficient system afresh
+    after every swap; returns (indices, swaps, largest coefficient)."""
+    p = np.asarray(points, dtype=float)
+    selected = loop_complete_pivot_init(p)
+    swaps = 0
+    while True:
+        coeff = np.linalg.solve(p[selected].T, p.T).T  # p = coeff @ basis
+        i, j = np.unravel_index(int(np.argmax(np.abs(coeff))), coeff.shape)
+        if abs(coeff[i, j]) <= 1.0 + delta:
+            return selected, swaps, float(np.max(np.abs(coeff)))
+        selected[j] = int(i)
+        swaps += 1
 
 
 def dense_scan_error(mat: np.ndarray) -> float:

@@ -130,6 +130,34 @@ def test_non_finite_gamma_exits_2(capsys, tmp_path, command, rule):
     assert "non-finite gamma" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--N", "64", "--n", "8", "--c", "nan"],
+        ["bounds", "--N", "64", "--n", "8", "--c", "inf"],
+        ["analyze", "--matrix", "{mat}", "--bound-c", "nan"],
+        ["trace", "--matrix", "{mat}", "--C", "nan"],
+        ["trace", "--matrix", "{mat}", "--C", "inf"],
+        ["trace", "--matrix", "{mat}", "--C1", "nan"],
+        ["trace", "--matrix", "{mat}", "--C1", "inf"],
+        ["generate", "--kind", "block_sparse", "--N", "64", "--n", "32", "--alpha", "nan", "--out", "{out}"],
+        ["generate", "--kind", "block_sparse", "--N", "64", "--n", "32", "--beta", "nan", "--out", "{out}"],
+        ["turan", "--matrix", "{mat}", "--gamma", "nan"],
+    ],
+)
+def test_non_finite_constants_exit_2(capsys, tmp_path, argv):
+    mat = tmp_path / "rs.irlm"
+    run(capsys, "generate", "--kind", "random_sign", "--N", "32", "--n", "8",
+        "--seed", "1", "--out", str(mat))
+    out = tmp_path / "out.irlm"
+    argv = [a.format(mat=mat, out=out) for a in argv]
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 2
+    assert stdout == ""
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_trace_premise_violation_exits_zero(capsys, tmp_path):
     mat = tmp_path / "rs.irlm"
     run(capsys, "generate", "--kind", "random_sign", "--N", "32", "--n", "8",
@@ -291,6 +319,7 @@ def test_sweep_spec_validation_names_fields(capsys, tmp_path):
         ({"N_values": ["x"]}, "N_values"),
         ({"gamma_rule": {"rule": "scaled", "a": "q"}}, "gamma_rule.a"),
         ({"n_rule": {"fixed": 8}}, "n_rule.fixed"),
+        ({"out": 5}, "out"),
     ],
 )
 def test_malformed_sweep_spec_exits_2_without_traceback(capsys, tmp_path, overrides, field):

@@ -17,7 +17,12 @@ from irlm.geometry import (
     select_contact_subset,
 )
 
-from oracles import brute_drop_one_select, exhaustive_best_det, loop_complete_pivot_init
+from oracles import (
+    brute_drop_one_select,
+    exhaustive_best_det,
+    loop_complete_pivot_init,
+    resolve_auerbach_basis,
+)
 
 
 def unit_ball(dim):
@@ -177,9 +182,14 @@ def test_interior_points_never_selected():
     assert all(i < 6 for i in basis.indices)
 
 
-def test_random_fixture_coefficient_bound(rng):
+def test_random_fixture_coefficient_bound(rng, monkeypatch):
     points = rng.normal(size=(30, 5))
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
     basis = auerbach_basis(points, 0.01)
+    monkeypatch.undo()
+    # the swaps pivot the tableau; only the reported bound takes a solve
+    assert basis.swaps > 0 and len(solves) == 1
     assert basis.coefficient_bound <= 1.01 + 1e-9
     coeff = np.linalg.solve(points[basis.indices].T, points.T).T
     assert np.abs(coeff).max() <= 1.01 + 1e-9
@@ -212,4 +222,32 @@ def test_complete_pivot_init_matches_column_loop(seed, dim, extra, signs):
         with pytest.raises(RankDeficiencyError):
             _complete_pivot_init(points)
         return
-    assert _complete_pivot_init(points) == want
+    selected, coeff = _complete_pivot_init(points)
+    assert selected == want
+    assert coeff.shape == (dim + extra, dim)
+    assert np.allclose(coeff @ points[selected], points, rtol=0.0, atol=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 24))
+def test_auerbach_basis_matches_per_swap_resolve(seed, dim, extra):
+    points = np.random.default_rng(seed).normal(size=(dim + extra, dim))
+    basis = auerbach_basis(points, 0.01)
+    indices, swaps, bound = resolve_auerbach_basis(points, 0.01)
+    assert basis.indices.tolist() == indices
+    assert basis.swaps == swaps
+    assert basis.coefficient_bound == bound
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 24))
+def test_auerbach_basis_guarantees_on_sign_points(seed, dim, extra):
+    # exact ties among +-1 coefficients may pick a different (equally valid)
+    # basis than the re-solving ascent, so only the guarantees are asserted
+    points = np.sign(np.random.default_rng(seed).normal(size=(dim + extra, dim)))
+    if np.linalg.matrix_rank(points) < dim:
+        with pytest.raises(RankDeficiencyError):
+            auerbach_basis(points, 0.01)
+        return
+    basis = auerbach_basis(points, 0.01)
+    coeff = np.linalg.solve(points[basis.indices].T, points.T)
+    assert basis.coefficient_bound == float(np.max(np.abs(coeff)))
+    assert basis.coefficient_bound <= 1.01 + 1e-9

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,14 +173,28 @@ def test_min_pairwise_linf_equals_blocked_scan(mat):
 
 
 def test_min_pairwise_linf_evaluates_every_pair_when_bounds_are_loose():
-    # every bound is 1 and every distance 2: nothing can be pruned, and the
-    # search runs through several batches
+    # every bound is 1 and every distance 2: nothing can be pruned
     gen = np.random.default_rng(7)
     mat = np.where(gen.random((48, 48)) < 0.5, -1.0, 1.0)
     np.fill_diagonal(mat, 0.0)
     dist, evaluated = min_pairwise_linf(mat)
     assert dist == blocked_min_pairwise_linf(mat) == 2.0
     assert evaluated == 48 * 47 // 2
+
+
+def test_min_pairwise_linf_memory_stays_linear_per_row():
+    # the columns of sign 2048/2048 seed 1, as the volume check searches them:
+    # beyond the 32 MB input only row 0's candidate block (another 32 MB) may
+    # be held, never an array per pair
+    mat = np.ascontiguousarray(make_random_sign(2048, 2048, 1).dense().T)
+    tracemalloc.start()
+    try:
+        dist, _ = min_pairwise_linf(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist == 0.8994140625
+    assert peak < 80e6
 
 
 def test_separation_search_prunes_on_sign_384_64(monkeypatch):
@@ -380,8 +395,9 @@ def test_structural_failure_aborts_with_step_name():
 
 
 def test_trace_config_validation():
-    with pytest.raises(ParameterError):
-        TraceConfig(gamma=-0.1)
+    for gamma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            TraceConfig(gamma=gamma)
     for manual_eps in (0.0, 1.5):
         with pytest.raises(ParameterError):
             TraceConfig(gamma=0.1, manual_eps=manual_eps)
