@@ -38,11 +38,12 @@ class FactoredMatrix:
     """N x N matrix stored as left (N x r) times right (r x N).
 
     The materialized product has rank at most r by construction.  Instances
-    are immutable; the dense form is computed lazily and cached.  Every
-    matrix materializes in row tiles through one formula (see ``_rows``).
-    For the library kinds and the files they are written to it is an exact
-    integer Gram over a per-row scale, so the diagonal is exactly 1 and
-    values are identical across platforms and BLAS implementations.
+    are immutable and their factors finite; the dense form is computed
+    lazily and cached.  Every matrix is computed in row tiles as V / w (see
+    ``_gram_tiles``).  For the library kinds and the files they are written
+    to, V is an exact integer Gram, computed in float32, and w a per-row
+    integer scale, so the diagonal is exactly 1 and values are identical
+    across platforms and BLAS implementations.
     """
 
     n_dim: int
@@ -66,6 +67,10 @@ class FactoredMatrix:
             raise ParameterError(
                 f"right factor shape {right.shape} != ({self.rank_budget}, {self.n_dim})"
             )
+        # min and max propagate NaN, so four reductions check every entry
+        # without an array-sized temporary
+        if not np.all(np.isfinite([left.min(), left.max(), right.min(), right.max()])):
+            raise ParameterError("factor entries must be finite")
         left.flags.writeable = False
         right.flags.writeable = False
         object.__setattr__(self, "left", left)
@@ -86,19 +91,24 @@ class FactoredMatrix:
         return self._dense
 
 
-# Float64 entries per row tile of the statistics pass (16 MB).  A matrix
-# with N * N at most this (N <= 1448) is one tile.
+# Entries per row tile of the statistics pass (8 MB of float32 Gram on the
+# lattice, 16 MB of float64 off it).  A matrix with N * N at most this
+# (N <= 1448) is one tile.
 _TILE_ENTRIES = 1 << 21
+
+# Largest rank * max |R| of a lattice: float32 holds every integer up to
+# 2^24, so every partial sum of the Gram is exact in any summation order.
+_LATTICE_BOUND = 2.0**24
 
 
 def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     """Row scales w when the factors lie on an exact sign lattice, else None.
 
     The lattice: every row of L is sign(L[i]) / w_i for an integer w_i >= 1,
-    and R is integer-valued with rank * max |R| <= 2^53.  Then
+    and R is integer-valued with rank * max |R| <= 2^24.  Then
     A = (sign(L) @ R) / w[:, None], where sign(L) @ R is an integer Gram,
-    exact in any summation order, and every entry is one correctly rounded
-    division.
+    exact in float32 in any summation order, and every entry is one
+    correctly rounded float64 division.
     """
     n_dim, rank = left.shape
     peak = np.abs(left).max(axis=1)
@@ -108,22 +118,9 @@ def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
         bool(np.all(np.isfinite(scale) & (scale >= 1.0)))
         and np.array_equal(left, np.sign(left) / scale[:, None])
         and np.array_equal(right, np.rint(right))
-        and float(np.abs(right).max()) * rank <= 2.0**53
+        and float(np.abs(right).max()) * rank <= _LATTICE_BOUND
     )
     return scale if exact else None
-
-
-def _rows(a: FactoredMatrix, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows start:stop of A, written into `out` when given: the exact
-    lattice formula (sign(L) @ R) / w, or the float product L @ R off the
-    lattice."""
-    scale = a._row_scale
-    lead = a.left[start:stop]
-    if scale is None:
-        return np.matmul(lead, a.right, out=out)
-    out = np.matmul(np.sign(lead), a.right, out=out)
-    out /= scale[start:stop, None]
-    return out
 
 
 def _tile_bounds(n_dim: int) -> list[tuple[int, int]]:
@@ -131,26 +128,46 @@ def _tile_bounds(n_dim: int) -> list[tuple[int, int]]:
     return [(start, min(n_dim, start + step)) for start in range(0, n_dim, step)]
 
 
+def _gram_tiles(a: FactoredMatrix):
+    """Yield (start, V, w) over every row tile, with A[start:stop] = V / w
+    row by row: the float32 integer Gram sign(L) @ R and the row scales on
+    the lattice, the float64 product L @ R and None (w = 1) off it.  V is
+    one reused buffer, valid until the next tile.  The float32 factors are
+    made per pass, so a matrix holds no copy of its factors between passes."""
+    scale = a._row_scale
+    right = a.right if scale is None else a.right.astype(np.float32)
+    bounds = _tile_bounds(a.n_dim)
+    buf = np.empty((bounds[0][1], a.n_dim), dtype=right.dtype)
+    for start, stop in bounds:
+        lead = a.left[start:stop]
+        if scale is not None:
+            lead = np.sign(lead).astype(np.float32)
+        values = np.matmul(lead, right, out=buf[: stop - start])
+        yield start, values, None if scale is None else scale[start:stop]
+
+
 def _materialize(a: FactoredMatrix) -> np.ndarray:
     # Assembled from the same row tiles the statistics pass computes, so
     # both see identical values even where the float product depends on the
     # tile height.
     mat = np.empty((a.n_dim, a.n_dim))
-    for start, stop in _tile_bounds(a.n_dim):
-        _rows(a, start, stop, out=mat[start:stop])
+    for start, values, scale in _gram_tiles(a):
+        rows = mat[start : start + values.shape[0]]
+        if scale is None:
+            rows[...] = values
+        else:
+            np.divide(values, scale[:, None], out=rows)
     return mat
 
 
 def _row_tiles(a: FactoredMatrix):
-    """Yield (start, rows) over A in row tiles of O(_TILE_ENTRIES) memory;
-    a one-tile matrix yields its cached dense form."""
-    bounds = _tile_bounds(a.n_dim)
-    if len(bounds) == 1:
-        yield 0, a.dense()
-        return
-    buf = np.empty((bounds[0][1], a.n_dim))
-    for start, stop in bounds:
-        yield start, _rows(a, start, stop, out=buf[: stop - start])
+    """Yield (start, V, w) over A in row tiles of O(_TILE_ENTRIES) memory,
+    as ``_gram_tiles`` does; the caller may overwrite V.  A one-tile matrix
+    yields a copy of its cached dense form with w None."""
+    if a.n_dim * a.n_dim <= _TILE_ENTRIES:
+        yield 0, a.dense().copy(), None
+    else:
+        yield from _gram_tiles(a)
 
 
 def make_identity(n_dim: int) -> FactoredMatrix:
@@ -341,17 +358,47 @@ class DensityProfile:
         object.__setattr__(self, "column_densities", cols)
 
 
-def _tile_stats(start: int, rows: np.ndarray, gamma: float) -> tuple[np.ndarray, int, float]:
+def _integer_cut(gamma: float, scale: np.ndarray) -> np.ndarray:
+    """Per row, the largest integer t <= 2^24 with fl(t / w) <= gamma.
+
+    fl(v / w) is monotone in v, so for every integer v in [0, 2^24],
+    fl(v / w) > gamma exactly when v > t.  floor(fl(gamma * w)) is at most
+    one away from t; one step each way settles it.
+    """
+    with np.errstate(over="ignore"):
+        cut = np.minimum(np.floor(gamma * scale), _LATTICE_BOUND)
+    cut += (cut + 1.0) / scale <= gamma
+    cut -= cut / scale > gamma
+    return np.minimum(cut, _LATTICE_BOUND)
+
+
+def _tile_stats(
+    start: int, values: np.ndarray, scale: np.ndarray | None, gamma: float
+) -> tuple[np.ndarray, int, float]:
     """Column counts of |A| > gamma, nonzero count and max |A - I| over the
-    row tile that starts at row `start`.  A function of its own so that a
-    tile's temporaries are freed before the next tile is computed."""
-    local = np.arange(rows.shape[0])
+    row tile A = V / w that starts at row `start` (w None: A = V).  On the
+    lattice the counts compare |V| with the integer cut of each row and the
+    error divides one maximum per row, so the tile is never divided.  V is
+    overwritten.  A function of its own so that a tile's temporaries are
+    freed before the next tile is computed."""
+    local = np.arange(values.shape[0])
     diag = (local, start + local)
-    mags = np.abs(rows)
-    counts = (mags > gamma).sum(axis=0)
-    nnz = int(np.count_nonzero(rows))
-    mags[diag] = np.abs(rows[diag] - 1.0)
-    return counts, nnz, float(mags.max())
+    diag_dev = values[diag].astype(np.float64)
+    if scale is None:
+        cut = gamma
+    else:
+        diag_dev /= scale
+        cut = _integer_cut(gamma, scale).astype(values.dtype)[:, None]
+    diag_dev -= 1.0
+    mags = np.abs(values, out=values)
+    mask = mags > cut
+    counts = mask.sum(axis=0, dtype=np.int32)
+    nnz = int(np.count_nonzero(np.not_equal(mags, 0, out=mask)))
+    mags[diag] = 0
+    row_max = mags.max(axis=1).astype(np.float64)
+    if scale is not None:
+        row_max /= scale
+    return counts, nnz, float(max(row_max.max(), np.abs(diag_dev).max()))
 
 
 def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
@@ -364,8 +411,8 @@ def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     col_counts = np.zeros(n, dtype=np.int64)
     nnz = 0
     error = 0.0
-    for start, rows in _row_tiles(a):
-        counts, tile_nnz, tile_error = _tile_stats(start, rows, gamma)
+    for start, values, scale in _row_tiles(a):
+        counts, tile_nnz, tile_error = _tile_stats(start, values, scale, gamma)
         col_counts += counts
         nnz += tile_nnz
         error = max(error, tile_error)
@@ -378,6 +425,11 @@ def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     )
 
 
+# Entries of the candidate rows one comparison block of min_pairwise_linf
+# holds (2 MB of float64).
+_PAIR_BLOCK_ENTRIES = 1 << 18
+
+
 def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
     """Smallest sup-norm distance between two rows of the square matrix
     `mat` (inf below two rows), and the number of row pairs evaluated.
@@ -385,20 +437,25 @@ def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
     Columns i and j give every pair the lower bound
     L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) <= ||m_i - m_j||_inf, with
     the same IEEE values the full distance takes its maximum over.  Row i is
-    compared with exactly the j > i whose L is below the best distance found
-    so far, so the result is the exact minimum.
+    compared, in blocks of rows, with exactly the j > i whose L is below the
+    best distance found before the block, so the result is the exact minimum
+    and the extra memory is one block.
     """
     n = mat.shape[0]
     diag = np.diagonal(mat)
+    block = max(1, _PAIR_BLOCK_ENTRIES // max(n, 1))
     best, evaluated = math.inf, 0
     for i in range(n - 1):
         row, col = mat[i, i + 1 :] - diag[i + 1 :], mat[i + 1 :, i] - diag[i]
-        js = i + 1 + np.flatnonzero(np.maximum(np.abs(row), np.abs(col)) < best)
-        if js.size:
-            diff = mat[js]
+        bound = np.maximum(np.abs(row), np.abs(col))
+        js = np.flatnonzero(bound < best)
+        while js.size:
+            head, js = js[:block], js[block:]
+            diff = mat[i + 1 + head]
             diff -= mat[i]
             best = min(best, float(np.abs(diff, out=diff).max(axis=1).min()))
-            evaluated += js.size
+            evaluated += head.size
+            js = js[bound[js] < best]
     return best, evaluated
 
 

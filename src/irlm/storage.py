@@ -7,7 +7,8 @@ Layout: 40-byte header, then payload.
   bytes 24..31  u64 little-endian kind code (0 identity, 1 random_sign, 2 block_sparse)
   bytes 32..39  u64 little-endian seed
 Payload: left factor (N x n) then right factor (n x N), little-endian
-float64, row-major.  Readers reject wrong magic and any size mismatch.
+float64, row-major.  Readers reject wrong magic, any size mismatch and
+non-finite factor entries.
 
 A loaded matrix keeps the header's kind, block_sparse included.  The block
 layout is not stored and not needed: every kind materializes through the
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .matrices import KIND_CODES, KIND_NAMES, FactoredMatrix, Provenance
 
 MAGIC = b"IRLM0001"
@@ -59,7 +60,10 @@ def read_matrix(path: str | Path) -> FactoredMatrix:
     left = body[: n_dim * rank].reshape(n_dim, rank).astype(np.float64)
     right = body[n_dim * rank :].reshape(rank, n_dim).astype(np.float64)
     provenance = Provenance(KIND_NAMES[code], int(seed))
-    return FactoredMatrix(n_dim, rank, left, right, provenance)
+    try:
+        return FactoredMatrix(n_dim, rank, left, right, provenance)
+    except ParameterError as exc:  # the header is checked, so: non-finite entries
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def file_kind_code(a: FactoredMatrix) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -116,6 +117,21 @@ def test_analyze_bad_file_exits_3(capsys, tmp_path):
     missing = tmp_path / "missing.irlm"
     rc, _, _ = run(capsys, "analyze", "--matrix", str(missing))
     assert rc == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_analyze_non_finite_factor_row_exits_3(capsys, tmp_path, bad):
+    # one row of the left factor of a 64/16 sign file overwritten
+    mat = tmp_path / "rs.irlm"
+    run(capsys, "generate", "--kind", "random_sign", "--N", "64", "--n", "16",
+        "--seed", "1", "--out", str(mat))
+    data = bytearray(mat.read_bytes())
+    data[40 + 5 * 16 * 8 : 40 + 6 * 16 * 8] = struct.pack("<16d", *[bad] * 16)
+    mat.write_bytes(bytes(data))
+    rc, stdout, err = run(capsys, "analyze", "--matrix", str(mat))
+    assert rc == 3
+    assert stdout == ""
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("rule", ["fixed:nan", "scaled:nan", "theorem:nan", "fixed:inf"])

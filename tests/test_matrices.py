@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irlm import (
@@ -253,13 +253,21 @@ def _build(kind, n_dim, rank, seed):
     gamma_pick=st.one_of(
         st.just(0.0),
         st.integers(min_value=0, max_value=64),
+        st.tuples(st.integers(min_value=0, max_value=64), st.sampled_from([-math.inf, math.inf])),
         st.sampled_from([1.0, 1.25, 2.0, 7.0]),
     ),
 )
 def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma_pick):
     rank = min(rank, n_dim)
-    # an integer pick is the lattice point k/n, clipped into [0, 1]
-    gamma = min(gamma_pick, rank) / rank if isinstance(gamma_pick, int) else gamma_pick
+    # an integer pick is the lattice point k/n, clipped into [0, 1]; a pair
+    # (k, direction) is the float next to k/n in that direction
+    if isinstance(gamma_pick, int):
+        gamma = min(gamma_pick, rank) / rank
+    elif isinstance(gamma_pick, tuple):
+        k, toward = gamma_pick
+        gamma = max(0.0, float(np.nextafter(min(k, rank) / rank, toward)))
+    else:
+        gamma = gamma_pick
     reference = _build(kind, n_dim, rank, seed)
     a = _build(kind, n_dim, rank, seed)
     with mock.patch.object(matrices, "_TILE_ENTRIES", tile_rows * a.n_dim):
@@ -296,6 +304,69 @@ def test_lattice_factors_are_exact_where_the_float_product_rounds():
     assert approx_error(a) == 0.0
 
 
+@pytest.mark.parametrize("peak, on_lattice", [(2**22, True), (2**22 + 1, False)])
+def test_lattice_bound_is_rank_times_peak_at_most_2_to_the_24(peak, on_lattice):
+    # rank 4: column 0 of row 0 sums four entries of `peak`, so at 2^22 the
+    # Gram reaches the bound 2^24 exactly (still the lattice, checked against
+    # the int64 Gram); one more puts rank * max |R| past it (float product)
+    gen = np.random.default_rng(3)
+    signs = gen.choice([-1.0, 1.0], size=(8, 4))
+    signs[0] = 1.0
+    right = gen.integers(-peak, peak + 1, size=(4, 8)).astype(np.float64)
+    right[:, 0] = peak
+    scale = np.full(8, 3.0)
+    left = signs / scale[:, None]
+    exact = (signs.astype(np.int64) @ right.astype(np.int64)) / scale[:, None]
+    assert not np.array_equal(left @ right, exact)
+    dense = from_factors(left, right).dense()
+    assert np.array_equal(dense, exact if on_lattice else left @ right)
+
+
+@st.composite
+def integer_cut_cases(draw):
+    """(w, gamma, lo, hi): an integer row scale, gamma at k/w or at one of
+    its float neighbours, and the integers lo..hi to compare over, either
+    all of 0..hi or the top 2^12 below the lattice bound 2^24."""
+    scale = draw(st.one_of(st.integers(min_value=1, max_value=64),
+                           st.integers(min_value=1, max_value=2**24)))
+    hi = draw(st.one_of(st.integers(min_value=0, max_value=2**12), st.just(2**24)))
+    lo = 0 if hi <= 2**12 else hi - 2**12
+    k = draw(st.integers(min_value=max(0, lo - 1), max_value=hi + 1))
+    gamma = k / scale
+    toward = draw(st.sampled_from([None, -math.inf, math.inf]))
+    if toward is not None:
+        gamma = max(0.0, float(np.nextafter(gamma, toward)))
+    return scale, gamma, lo, hi
+
+
+@given(integer_cut_cases())
+# floor(fl(gamma * w)) is one below the cut at 61/7 and one above it just
+# below 5/3
+@example((7, 61 / 7, 0, 64))
+@example((3, float(np.nextafter(5 / 3, -math.inf)), 0, 64))
+def test_integer_cut_agrees_with_the_divided_comparison(case):
+    scale, gamma, lo, hi = case
+    cut = matrices._integer_cut(gamma, np.array([float(scale)]))
+    v = np.arange(lo, hi + 1, dtype=np.float64)
+    assert np.array_equal(v > cut[0], v / scale > gamma)
+
+
+def test_integer_cut_edges():
+    scale = np.array([1.0, 3.0, 2.0**24])
+    assert np.array_equal(matrices._integer_cut(0.0, scale), [0.0, 0.0, 0.0])
+    assert np.array_equal(matrices._integer_cut(math.inf, scale), [2.0**24] * 3)
+    assert np.array_equal(matrices._integer_cut(1e308, scale), [2.0**24] * 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("factor", ["left", "right"])
+def test_non_finite_factors_are_rejected(factor, bad):
+    left, right, _ = _lattice_factors(6, 3, 1)
+    (left if factor == "left" else right)[1, 2] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        from_factors(left, right)
+
+
 @pytest.mark.parametrize(
     "left, right",
     [
@@ -326,3 +397,16 @@ def test_distribution_function_streams_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 64 * 2**20  # the dense form is 512 MB
     assert "_dense" not in vars(a)
+
+
+def test_distribution_function_tiles_stay_under_24_mb():
+    # one float32 Gram tile (8 MB), its bool mask (2 MB) and the float32
+    # right factor (2 MB) are the whole pass
+    a = make_random_sign(8192, 64, 1)
+    tracemalloc.start()
+    try:
+        distribution_function(a, 0.125)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

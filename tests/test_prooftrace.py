@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irlm import from_factors, geometry, make_identity, make_random_sign, prooftrace
+from irlm import from_factors, geometry, make_identity, make_random_sign, matrices, prooftrace
 from irlm.bounds import gamma_threshold
 from irlm.errors import ParameterError
 from irlm.matrices import distribution_function, min_pairwise_linf
@@ -139,8 +140,8 @@ def square_matrices(draw):
     a coarse lattice (ties), a lattice with a repeated row (distance 0), the
     identity plus lattice noise, and +-1 off the diagonal with a zero
     diagonal, where every bound is 1 and most distances are 2, so nearly
-    every pair must be evaluated.  Sizes reach 48 rows (1128 pairs), so the
-    search runs through several batches of pairs."""
+    every pair must be evaluated.  Sizes reach 48 rows (1128 pairs), so with
+    a few rows per comparison block a row's candidates span many blocks."""
     n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=3, max_value=48)))
     kind = draw(st.sampled_from(["floats", "lattice", "repeated", "near_identity", "far"]))
     gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -160,10 +161,13 @@ def square_matrices(draw):
 
 
 @settings(max_examples=300)
-@given(square_matrices())
-def test_min_pairwise_linf_equals_blocked_scan(mat):
+@given(square_matrices(), st.sampled_from([1, 3, None]))
+def test_min_pairwise_linf_equals_blocked_scan(mat, block_rows):
+    # block_rows: candidate rows per comparison block (None: the default)
     n = mat.shape[0]
-    dist, evaluated = min_pairwise_linf(mat)
+    entries = matrices._PAIR_BLOCK_ENTRIES if block_rows is None else block_rows * max(n, 1)
+    with mock.patch.object(matrices, "_PAIR_BLOCK_ENTRIES", entries):
+        dist, evaluated = min_pairwise_linf(mat)
     assert dist == blocked_min_pairwise_linf(mat)
     assert 0 <= evaluated <= n * (n - 1) // 2
     if n < 2:
@@ -184,8 +188,8 @@ def test_min_pairwise_linf_evaluates_every_pair_when_bounds_are_loose():
 
 def test_min_pairwise_linf_memory_stays_linear_per_row():
     # the columns of sign 2048/2048 seed 1, as the volume check searches them:
-    # beyond the 32 MB input only row 0's candidate block (another 32 MB) may
-    # be held, never an array per pair
+    # beyond the 32 MB input only one 2 MB block of candidate rows may be
+    # held, never row 0's (N-1) x N comparison nor an array per pair
     mat = np.ascontiguousarray(make_random_sign(2048, 2048, 1).dense().T)
     tracemalloc.start()
     try:
@@ -194,7 +198,7 @@ def test_min_pairwise_linf_memory_stays_linear_per_row():
     finally:
         tracemalloc.stop()
     assert dist == 0.8994140625
-    assert peak < 80e6
+    assert peak < 6e6
 
 
 def test_separation_search_prunes_on_sign_384_64(monkeypatch):

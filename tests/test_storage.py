@@ -74,6 +74,18 @@ def test_reader_rejects_truncation_and_trailing_bytes(tmp_path):
         read_matrix(stub)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("offset", [0, 16 * 8], ids=["left", "right"])
+def test_reader_rejects_non_finite_entries(tmp_path, offset, bad):
+    path = tmp_path / "nf.irlm"
+    write_matrix(make_random_sign(16, 8, 1), path)
+    data = bytearray(path.read_bytes())
+    data[HEADER.size + 8 * offset : HEADER.size + 8 * offset + 8] = np.float64(bad).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="finite"):
+        read_matrix(path)
+
+
 def test_header_layout():
     assert HEADER.size == 40
     assert MAGIC == b"IRLM0001"
