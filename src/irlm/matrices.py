@@ -91,9 +91,8 @@ class FactoredMatrix:
         return self._dense
 
 
-# Entries per row tile of the statistics pass (8 MB of float32 Gram on the
-# lattice, 16 MB of float64 off it).  A matrix with N * N at most this
-# (N <= 1448) is one tile.
+# Entries per row tile of the statistics pass and of the dense form (8 MB
+# of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
 
 # Largest rank * max |R| of a lattice: float32 holds every integer up to
@@ -132,8 +131,9 @@ def _gram_tiles(a: FactoredMatrix):
     """Yield (start, V, w) over every row tile, with A[start:stop] = V / w
     row by row: the float32 integer Gram sign(L) @ R and the row scales on
     the lattice, the float64 product L @ R and None (w = 1) off it.  V is
-    one reused buffer, valid until the next tile.  The float32 factors are
-    made per pass, so a matrix holds no copy of its factors between passes."""
+    one reused buffer, valid until the next tile, which the caller may
+    overwrite.  The float32 factors are made per pass, so a matrix holds no
+    copy of its factors between passes."""
     scale = a._row_scale
     right = a.right if scale is None else a.right.astype(np.float32)
     bounds = _tile_bounds(a.n_dim)
@@ -158,16 +158,6 @@ def _materialize(a: FactoredMatrix) -> np.ndarray:
         else:
             np.divide(values, scale[:, None], out=rows)
     return mat
-
-
-def _row_tiles(a: FactoredMatrix):
-    """Yield (start, V, w) over A in row tiles of O(_TILE_ENTRIES) memory,
-    as ``_gram_tiles`` does; the caller may overwrite V.  A one-tile matrix
-    yields a copy of its cached dense form with w None."""
-    if a.n_dim * a.n_dim <= _TILE_ENTRIES:
-        yield 0, a.dense().copy(), None
-    else:
-        yield from _gram_tiles(a)
 
 
 def make_identity(n_dim: int) -> FactoredMatrix:
@@ -271,8 +261,11 @@ def make_block_sparse(
             chosen = None
             for attempt in range(_BLOCK_ATTEMPTS):
                 x = rng.sign_matrix(size, r_b, _block_seed(seed, b, attempt), KIND_RANDOM_SIGN)
-                block = (x @ x.T) / r_b
-                err = _offdiag_abs_max(block)
+                # x x^T is an exact integer Gram and division is monotone,
+                # so one division of its off-diagonal maximum is the error
+                gram = x @ x.T
+                np.fill_diagonal(gram, 0.0)
+                err = float(np.abs(gram).max()) / r_b
                 if chosen is None:
                     chosen = (x, err, attempt)
                 if err <= 1.0 / 3.0:
@@ -326,14 +319,6 @@ def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
             "custom", a.provenance.seed, {"parent": a.provenance.kind, "size": int(indices.size)}
         ),
     )
-
-
-def _offdiag_abs_max(mat: np.ndarray) -> float:
-    if mat.shape[0] == 1:
-        return 0.0
-    tmp = np.abs(mat)
-    np.fill_diagonal(tmp, 0.0)
-    return float(tmp.max())
 
 
 def approx_error(a: FactoredMatrix) -> float:
@@ -404,14 +389,15 @@ def _tile_stats(
 def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     """Fraction of ordered pairs (i, j) with |A[i, j]| strictly above gamma,
     together with per-column densities, the exact nonzero fraction and
-    max |A - I|, from one pass over row tiles."""
+    max |A - I|, from one pass over the ``_gram_tiles`` row tiles at every
+    N: the pass neither reads nor builds the dense form."""
     if gamma < 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     n = a.n_dim
     col_counts = np.zeros(n, dtype=np.int64)
     nnz = 0
     error = 0.0
-    for start, values, scale in _row_tiles(a):
+    for start, values, scale in _gram_tiles(a):
         counts, tile_nnz, tile_error = _tile_stats(start, values, scale, gamma)
         col_counts += counts
         nnz += tile_nnz

@@ -248,6 +248,18 @@ def test_mvee_and_auerbach_commands(capsys, tmp_path):
     assert doc["coefficient_bound"] <= 1.01 + 1e-9
 
 
+@pytest.mark.parametrize("command", ["mvee", "auerbach", "trace"])
+def test_zero_factors_exit_4(capsys, tmp_path, command):
+    # a random_sign header (kind code 1) over all-zero 8 x 2 factors: the
+    # column span is degenerate
+    mat = tmp_path / "zero.irlm"
+    mat.write_bytes(struct.pack("<8sQQQQ", b"IRLM0001", 8, 2, 1, 1) + bytes(2 * 8 * 2 * 8))
+    rc, stdout, err = run(capsys, command, "--matrix", str(mat))
+    assert rc == 4
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
 def sweep_spec(tmp_path, **overrides):
     spec = {
         "N_values": [32],
@@ -308,6 +320,24 @@ def test_sweep_parallel_workers_do_not_change_bytes(capsys, tmp_path):
     assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out1))[0] == 0
     assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out2), "--jobs", "2")[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_sparse_sweep_row_matches_generate(capsys, tmp_path, seed):
+    spec = sweep_spec(tmp_path, kind="block_sparse", N_values=[64], n_rule={"fixed": [64]},
+                      seeds=[seed])
+    out = tmp_path / "bs.csv"
+    assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out))[0] == 0
+    header, row = out.read_text().strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    rc, stdout, _ = run(
+        capsys, "generate", "--kind", "block_sparse", "--N", "64", "--n", "64",
+        "--seed", str(seed), "--out", str(tmp_path / "bs.irlm"),
+    )
+    assert rc == 0
+    gen = json.loads(stdout)
+    assert float(cells["error"]) == gen["error"]
+    assert float(cells["nnz_fraction"]) == gen["nnz_fraction"]
 
 
 def test_analyze_sign_fixture_ratio_at_least_one(capsys, tmp_path):

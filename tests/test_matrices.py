@@ -387,15 +387,17 @@ def test_block_sparse_dense_is_the_per_block_integer_gram():
         assert np.array_equal(a.dense(), block_gram_dense(a))
 
 
-def test_distribution_function_streams_in_bounded_memory():
-    a = make_random_sign(8192, 64, 1)
+# 1448 is the largest N of one tile; the dense forms are 16 MB and 512 MB
+@pytest.mark.parametrize("n_dim, bound_mb", [(1448, 16), (8192, 64)])
+def test_distribution_function_streams_in_bounded_memory(n_dim, bound_mb):
+    a = make_random_sign(n_dim, 64, 1)
     tracemalloc.start()
     try:
         distribution_function(a, 0.125)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20  # the dense form is 512 MB
+    assert peak < bound_mb * 2**20
     assert "_dense" not in vars(a)
 
 
