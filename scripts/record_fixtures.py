@@ -55,7 +55,7 @@ def main() -> None:
                     "gamma": gam,
                     "F_star": profile.global_density,
                     "bound": bound,
-                    "error": approx_error(mat),
+                    "error": profile.error,
                 }
     doc["theorem_sweep"] = sweep
 

@@ -56,19 +56,6 @@ def gamma_threshold(n_dim: int, rank: float, c: float) -> float:
     return c * max(rank ** -1.5 * math.log(n_dim), 1.0 / rank)
 
 
-def width_incompressibility_bound(rank: int, gamma: float) -> int:
-    """Certified lower bracket ceil(exp(gamma^2 n / 4)) for the smallest M
-    whose M x M identity admits no rank-n approximation within gamma."""
-    if not 0 < gamma < 1:
-        raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
-    if rank < 1:
-        raise ParameterError(f"n must be >= 1, got {rank}")
-    exponent = gamma * gamma * rank / 4.0
-    if exponent > 700:
-        raise ParameterError(f"bracket exp({exponent:.1f}) exceeds float range")
-    return math.ceil(math.exp(exponent))
-
-
 def turan_edge_bound(n_vertices: int, clique_bound: int) -> float:
     """(1 - 1/(M-1)) N^2 / 2: max edges of a K_M-free graph on N vertices."""
     if clique_bound < 2:
@@ -293,7 +280,7 @@ def clique_identity_check(
     if idx.size and (idx.min() < 0 or idx.max() >= a.n_dim):
         raise ParameterError("clique contains out-of-range vertices")
     err = approx_error(a)
-    sub = a.dense()[np.ix_(idx, idx)]
+    sub = a.dense(idx)[idx]
     diag_dev = np.abs(np.diagonal(sub) - 1.0)
     max_diag = float(diag_dev.max()) if idx.size else 0.0
     diag_wit = int(idx[int(np.argmax(diag_dev))]) if idx.size else None

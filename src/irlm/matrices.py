@@ -38,12 +38,13 @@ class FactoredMatrix:
     """N x N matrix stored as left (N x r) times right (r x N).
 
     The materialized product has rank at most r by construction.  Instances
-    are immutable and their factors finite; the dense form is computed
-    lazily and cached.  Every matrix is computed in row tiles as V / w (see
-    ``_gram_tiles``).  For the library kinds and the files they are written
-    to, V is an exact integer Gram, computed in float32, and w a per-row
-    integer scale, so the diagonal is exactly 1 and values are identical
-    across platforms and BLAS implementations.
+    are immutable and their factors finite; no dense copy is kept, and
+    ``dense`` computes the columns asked for on each call.  Every matrix is
+    computed in row tiles as V / w (see ``_gram_tiles``).  For the library
+    kinds and the files they are written to, V is an exact integer Gram,
+    computed in float32, and w a per-row integer scale, so the diagonal is
+    exactly 1 and values are identical across platforms and BLAS
+    implementations.
     """
 
     n_dim: int
@@ -80,15 +81,10 @@ class FactoredMatrix:
     def _row_scale(self) -> np.ndarray | None:
         return _lattice_scale(self.left, self.right)
 
-    @cached_property
-    def _dense(self) -> np.ndarray:
-        mat = _materialize(self)
-        mat.flags.writeable = False
-        return mat
-
-    def dense(self) -> np.ndarray:
-        """Dense row-major materialization (read-only view, cached)."""
-        return self._dense
+    def dense(self, cols: np.ndarray | None = None) -> np.ndarray:
+        """A[:, cols] (all of A by default), row-major, computed from the row
+        tiles on every call."""
+        return _materialize(self, cols)
 
 
 # Entries per row tile of the statistics pass and of the dense form (8 MB
@@ -109,15 +105,22 @@ def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     exact in float32 in any summation order, and every entry is one
     correctly rounded float64 division.
     """
-    n_dim, rank = left.shape
-    peak = np.abs(left).max(axis=1)
+    rank = left.shape[1]
+    # R first, so that its temporaries are freed before |L| is allocated
+    if not (
+        np.array_equal(right, np.rint(right))
+        and float(np.abs(right).max()) * rank <= _LATTICE_BOUND
+    ):
+        return None
+    mags = np.abs(left)
+    peak = mags.max(axis=1)
     with np.errstate(divide="ignore"):
         scale = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
+    # fl(1/w) > 0 and -1/w rounds to -fl(1/w), so a row is sign(L[i]) / w_i
+    # exactly when each of its nonzero magnitudes equals fl(1/w_i)
     exact = (
         bool(np.all(np.isfinite(scale) & (scale >= 1.0)))
-        and np.array_equal(left, np.sign(left) / scale[:, None])
-        and np.array_equal(right, np.rint(right))
-        and float(np.abs(right).max()) * rank <= _LATTICE_BOUND
+        and np.count_nonzero(mags == (1.0 / scale)[:, None]) == np.count_nonzero(mags)
     )
     return scale if exact else None
 
@@ -127,17 +130,20 @@ def _tile_bounds(n_dim: int) -> list[tuple[int, int]]:
     return [(start, min(n_dim, start + step)) for start in range(0, n_dim, step)]
 
 
-def _gram_tiles(a: FactoredMatrix):
-    """Yield (start, V, w) over every row tile, with A[start:stop] = V / w
-    row by row: the float32 integer Gram sign(L) @ R and the row scales on
-    the lattice, the float64 product L @ R and None (w = 1) off it.  V is
-    one reused buffer, valid until the next tile, which the caller may
-    overwrite.  The float32 factors are made per pass, so a matrix holds no
-    copy of its factors between passes."""
+def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None):
+    """Yield (start, V, w) over every row tile, with A[start:stop, cols] = V / w
+    row by row (all columns when cols is None): the float32 integer Gram
+    sign(L) @ R[:, cols] and the row scales on the lattice, the float64
+    product L @ R[:, cols] and None (w = 1) off it.  V is one reused buffer,
+    valid until the next tile, which the caller may overwrite.  The float32
+    factors are made per pass, so a matrix holds no copy of its factors
+    between passes."""
     scale = a._row_scale
-    right = a.right if scale is None else a.right.astype(np.float32)
+    right = a.right if cols is None else a.right[:, cols]
+    if scale is not None:
+        right = right.astype(np.float32)
     bounds = _tile_bounds(a.n_dim)
-    buf = np.empty((bounds[0][1], a.n_dim), dtype=right.dtype)
+    buf = np.empty((bounds[0][1], right.shape[1]), dtype=right.dtype)
     for start, stop in bounds:
         lead = a.left[start:stop]
         if scale is not None:
@@ -146,12 +152,12 @@ def _gram_tiles(a: FactoredMatrix):
         yield start, values, None if scale is None else scale[start:stop]
 
 
-def _materialize(a: FactoredMatrix) -> np.ndarray:
+def _materialize(a: FactoredMatrix, cols: np.ndarray | None = None) -> np.ndarray:
     # Assembled from the same row tiles the statistics pass computes, so
     # both see identical values even where the float product depends on the
     # tile height.
-    mat = np.empty((a.n_dim, a.n_dim))
-    for start, values, scale in _gram_tiles(a):
+    mat = np.empty((a.n_dim, a.n_dim if cols is None else len(cols)))
+    for start, values, scale in _gram_tiles(a, cols):
         rows = mat[start : start + values.shape[0]]
         if scale is None:
             rows[...] = values

@@ -353,9 +353,9 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     points = space.coords.T  # one row per kept column, in span coordinates
 
     if cfg.basis_mode == "lemmaA":
-        ell, contacts_cols, frame = _lemma_a_frame(points, dim, eps, cfg, steps)
+        contacts_cols, frame, max_lev = _lemma_a_frame(points, dim, eps, cfg, steps)
     else:
-        ell, contacts_cols, frame = _lemma_b_frame(points, dim, steps)
+        contacts_cols, frame = _lemma_b_frame(points, dim, steps)
 
     k_sel = frame.contacts.shape[0]
 
@@ -378,9 +378,10 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     max_l1 = float(l1_norms.max()) if l1_norms.size else 0.0
 
     if cfg.basis_mode == "lemmaA":
-        # norm chain: every column sits inside the ellipsoid
-        d_norms = ell.norm(points)
-        max_d = float(d_norms.max())
+        # norm chain: every column sits inside the ellipsoid; sqrt is
+        # monotone and correctly rounded, so it commutes with the maximum
+        # leverage the mvee step measured
+        max_d = math.sqrt(max(max_lev, 0.0))
         steps.append(
             TraceStep(
                 name="norm_chain",
@@ -395,7 +396,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
         own_patterns[own_patterns == 0] = 1.0
         l1 = geometry.l1_lower_constant(
             frame.contacts,
-            ell,
+            frame.ellipsoid,
             method="sampled",
             n_samples=L1_SAMPLES,
             seed=SAMPLE_SEED,
@@ -448,8 +449,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     )
 
     # rows with low density over the selected contact columns
-    sub_dense = sub.dense()
-    x_rows = sub_dense[:, contacts_cols]  # n_kept x k
+    x_rows = sub.dense(contacts_cols)  # n_kept x k
     row_densities = (np.abs(x_rows) > gamma).sum(axis=1) / max(k_sel, 1)
     row_set = np.flatnonzero(row_densities <= 2.0 * kappa)
     steps.append(
@@ -479,9 +479,8 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     )
 
     # matrix B on the selected rows, against the identity
-    y_rows = (space.basis @ frame.complement.T)[row_set]
-    b_mat = w_rows @ t_coef + y_rows @ s_coef
-    b_sub = b_mat[:, row_set]
+    y_rows = space.basis[row_set] @ frame.complement.T
+    b_sub = w_rows @ t_coef[:, row_set] + y_rows @ s_coef[:, row_set]
     delta = np.eye(row_set.size)
     b_dev = float(np.abs(b_sub - delta).max())
     steps.append(
@@ -565,8 +564,8 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
 
 def _lemma_a_frame(points, dim, eps, cfg, steps):
     """Ellipsoid contacts, greedy subset, and completed frame; appends the
-    mvee / contact_selection / frame_completion steps.  Returns the ellipsoid,
-    the selected column indices, and the frame."""
+    mvee / contact_selection / frame_completion steps.  Returns the selected
+    column indices, the frame, and the largest leverage of the points."""
     try:
         ell, contacts = geometry.mvee(points, tol=cfg.mvee_tol)
     except (DegenerateSpanError, NonconvergenceError) as exc:
@@ -618,7 +617,7 @@ def _lemma_a_frame(points, dim, eps, cfg, steps):
             check=TraceCheck(ortho, 1e-10, ortho <= 1e-10),
         )
     )
-    return ell, selected_cols, frame
+    return selected_cols, frame, max_lev
 
 
 def _lemma_b_frame(points, dim, steps):
@@ -645,5 +644,5 @@ def _lemma_b_frame(points, dim, steps):
     frame = geometry.Frame(
         contacts=points[basis.indices], complement=np.zeros((0, dim)), ellipsoid=ell
     )
-    return ell, basis.indices, frame
+    return basis.indices, frame
 

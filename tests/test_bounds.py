@@ -20,7 +20,6 @@ from irlm.bounds import (
     turan_edge_bound,
     volume_argument_verify,
     volume_rank_lower_bound,
-    width_incompressibility_bound,
 )
 from irlm.errors import ParameterError, SizeCapError
 
@@ -73,14 +72,6 @@ def test_gamma_threshold_branches():
     assert abs(left - lo**-1.5 * math.log(n_dim)) <= 1e-15
     right = gamma_threshold(n_dim, hi, 1.0)
     assert abs(right - 1.0 / hi) <= 1e-15
-
-
-def test_width_incompressibility_values():
-    assert width_incompressibility_bound(64, 0.5) == 55
-    assert width_incompressibility_bound(4, 0.5) <= 2
-    grid = [(16, 0.2), (32, 0.2), (64, 0.2), (64, 0.3), (64, 0.4)]
-    vals = [width_incompressibility_bound(n, g) for n, g in grid]
-    assert vals == sorted(vals)
 
 
 def test_turan_and_implied_density_values():
@@ -315,5 +306,3 @@ def test_parameter_validation():
         gamma_threshold(1024, 64, 0.0)
     with pytest.raises(ParameterError):
         turan_edge_bound(10, 1)
-    with pytest.raises(ParameterError):
-        width_incompressibility_bound(4, 1.5)

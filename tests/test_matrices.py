@@ -280,8 +280,13 @@ def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma
     assert profile.nnz_fraction == nnz
     assert approx_error(a) == profile.error
     if kind != "float_factors":
-        # lattice kinds are exact, so the tile height cannot move a bit
+        # lattice kinds are exact, so the tile height cannot move a bit, nor
+        # can reading only some of the columns
         assert np.array_equal(mat, reference.dense())
+        cols = np.flatnonzero(np.random.default_rng(seed).random(a.n_dim) < 0.5)
+        with mock.patch.object(matrices, "_TILE_ENTRIES", tile_rows * a.n_dim):
+            assert np.array_equal(a.dense(cols), mat[:, cols])
+            assert np.array_equal(a.dense(cols[:0]), mat[:, :0])
 
 
 @given(
@@ -374,10 +379,15 @@ def test_non_finite_factors_are_rejected(factor, bad):
         (np.array([[0.5, 1.0 / 3.0], [0.5, 0.0]]), np.array([[1.0, 2.0], [1.0, -1.0]])),
         # a lattice left factor against a non-integer right factor
         (np.full((1, 10), 0.1), np.full((10, 1), 0.5)),
+        # one entry one ulp above 1/3
+        (np.array([[1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)]]), np.ones((2, 1))),
+        # row 0 mixes 1/3 and 1/6, whose scales 3 and 6 differ
+        (np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 3.0, 0.0]]), np.array([[1.0, 2.0], [3.0, -1.0]])),
     ],
-    ids=["mixed_row_scales", "non_integer_right"],
+    ids=["mixed_row_scales", "non_integer_right", "one_ulp_off", "thirds_and_sixths"],
 )
 def test_off_lattice_factors_materialize_as_the_float_product(left, right):
+    assert matrices._lattice_scale(left, right) is None
     assert np.array_equal(from_factors(left, right).dense(), left @ right)
 
 
@@ -398,7 +408,6 @@ def test_distribution_function_streams_in_bounded_memory(n_dim, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak < bound_mb * 2**20
-    assert "_dense" not in vars(a)
 
 
 def test_distribution_function_tiles_stay_under_24_mb():

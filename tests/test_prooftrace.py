@@ -221,6 +221,26 @@ def test_separation_search_prunes_on_sign_384_64(monkeypatch):
     assert evaluated <= 0.01 * n * (n - 1) / 2
 
 
+@pytest.mark.parametrize("n_dim, rank, basis", [(96, 96, "lemmaA"), (384, 64, "lemmaB")])
+def test_trace_reads_only_the_contact_columns(monkeypatch, n_dim, rank, basis):
+    # row selection reads the k contact columns of the kept submatrix; no
+    # step materializes all of its columns
+    seen = []
+    materialize = matrices._materialize
+
+    def spy(a, cols=None):
+        seen.append((a.n_dim, cols))
+        return materialize(a, cols)
+
+    monkeypatch.setattr(matrices, "_materialize", spy)
+    gamma = gamma_threshold(n_dim, rank, 0.25)
+    trace(make_random_sign(n_dim, rank, 1), TraceConfig(gamma=gamma, basis_mode=basis))
+    assert seen
+    for n_kept, cols in seen:
+        assert cols is not None
+        assert np.unique(cols).size < n_kept
+
+
 def test_contact_selection_reaches_target_on_sign_512_48(monkeypatch):
     # all 48 contacts here are independent; an absolute 1e-12 floor on their
     # D-Gram determinant kept only 41 of them, below the target of 46
