@@ -273,16 +273,20 @@ def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma
     with mock.patch.object(matrices, "_TILE_ENTRIES", tile_rows * a.n_dim):
         profile = distribution_function(a, gamma)
         mat = a.dense()
+        error = approx_error(a)
     density, columns, nnz = dense_scan_distribution(mat, gamma)
     assert profile.error == dense_scan_error(mat)
     assert profile.global_density == density
     assert np.array_equal(profile.column_densities, columns)
     assert profile.nnz_fraction == nnz
-    assert approx_error(a) == profile.error
+    # the float product may move by an ulp with the tile height, so the
+    # error is compared at the same height for every kind
+    assert error == profile.error
     if kind != "float_factors":
         # lattice kinds are exact, so the tile height cannot move a bit, nor
         # can reading only some of the columns
         assert np.array_equal(mat, reference.dense())
+        assert approx_error(reference) == profile.error
         cols = np.flatnonzero(np.random.default_rng(seed).random(a.n_dim) < 0.5)
         with mock.patch.object(matrices, "_TILE_ENTRIES", tile_rows * a.n_dim):
             assert np.array_equal(a.dense(cols), mat[:, cols])
