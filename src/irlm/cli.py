@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import bounds as bnd
@@ -271,6 +271,8 @@ class SweepSpec:
     gamma_rule: tuple[str, float]  # as parse_gamma_rule returns it
     kind: str = "random_sign"
     out: str | None = None
+    # block_sparse's alpha and beta; the constructor's defaults where absent
+    sizing: dict[str, float] = field(default_factory=dict)
 
     @staticmethod
     def from_json(doc: dict) -> "SweepSpec":
@@ -311,6 +313,19 @@ class SweepSpec:
         kind = doc.get("kind", "random_sign")
         if kind not in ("random_sign", "block_sparse"):
             raise ParameterError(f"sweep spec kind {kind!r} unknown")
+        sizing = {}
+        for key in ("alpha", "beta"):
+            if key not in doc:
+                continue
+            if kind != "block_sparse":
+                raise ParameterError(f"sweep spec field {key} applies to kind block_sparse only")
+            value = doc[key]
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (numeric and 0 < value < math.inf):
+                raise ParameterError(
+                    f"sweep spec field {key} must be a positive finite number, got {value!r}"
+                )
+            sizing[key] = float(value)
         out = doc.get("out")
         if out is not None and not isinstance(out, str):
             raise ParameterError(f"sweep spec field out must be a path string, got {out!r}")
@@ -321,6 +336,7 @@ class SweepSpec:
             gamma_rule=(name, value),
             kind=kind,
             out=out,
+            sizing=sizing,
         )
 
     def ranks_for(self, n_dim: int) -> list[int]:
@@ -345,8 +361,8 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_row(task: tuple) -> dict:
-    n_dim, rank, seed, gamma, kind = task
-    mat = _construct(kind, n_dim, rank, seed)
+    n_dim, rank, seed, gamma, kind, sizing = task
+    mat = _construct(kind, n_dim, rank, seed, **sizing)
     profile = distribution_function(mat, gamma)
     report = trace(mat, TraceConfig(gamma=gamma))
     return {
@@ -369,7 +385,7 @@ def sweep_to_csv(spec: SweepSpec, jobs: int = 1) -> str:
         for rank in spec.ranks_for(n_dim):
             for seed in spec.seeds:
                 gamma = resolve_gamma(spec.gamma_rule, n_dim, rank)
-                tasks.append((n_dim, rank, seed, gamma, spec.kind))
+                tasks.append((n_dim, rank, seed, gamma, spec.kind, spec.sizing))
     tasks.sort(key=lambda t: (t[0], t[1], t[2]))
     if jobs > 1:
         from multiprocessing import Pool

@@ -451,11 +451,58 @@ def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
     return best, evaluated
 
 
+# Relative floor of the full-rank certificate: a factor passes when its
+# Gram is proved to have lambda_min >= (tau / 2) * trace.
+_RANK_TAU = 1e-6
+
+
+def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
+    """Whether one Cholesky proves lambda_min(G) >= (tau / 2) * tr(G) for the
+    exact Gram G = F'F of a factor F with `length` rows, given `gram`, its
+    float64 product.  Overwrites `gram` with gram - tau * trace(gram) * I.
+
+    Rounding in the Gram, in the shift and in a Cholesky that completes
+    (Demmel 1989; Higham, Accuracy and Stability, Thm 10.5) moves the
+    spectrum by at most about (length + r + 2) * u * tr(G) in 2-norm.  The
+    guard keeps that below tau / 4 * tr(G), with eps = 2u in place of u, so
+    a completed Cholesky leaves lambda_min(G) above (tau / 2) * tr(G).  A
+    matrix the guard refuses is left to the caller's fallback."""
+    r = gram.shape[0]
+    if (length + r + 2) * np.finfo(np.float64).eps > _RANK_TAU / 4:
+        return False
+    gram[np.diag_indices(r)] -= _RANK_TAU * np.trace(gram)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def numerical_rank(a: FactoredMatrix, tol: float) -> int:
-    """Count of singular values above tol times the largest one.  With
-    L = QR they are those of the thin core R @ right; Q is never formed."""
+    """Count of singular values of A = L @ R above tol times the largest one.
+
+    Certificate first.  When 4 * tol < tau and both L'L and R R' pass
+    ``_gram_floor_certified``, then sigma_min(F) >= sqrt(tau / 2) sigma_max(F)
+    for F = L and F = R', so sigma_r(A) >= sigma_min(L) sigma_min(R) >=
+    (tau / 2) sigma_max(L) sigma_max(R) >= (tau / 2) sigma_1(A) >
+    2 tol sigma_1(A), and the count is exactly r = rank_budget.  The factor 2
+    covers the SVD below, whose values err by about 1e-13 sigma_1, so both
+    routes give the same count wherever the certificate clears.  It costs
+    two r x r Grams and two Choleskys and needs no eigenvalue (an eigenvalue
+    of a Gram would square the condition number).
+
+    Fallback, wherever a Cholesky fails (rank-deficient or ill-conditioned
+    factors, r > N, where F'F is singular) or the guard refuses: the
+    singular values of the thin core R_L @ right with L = Q R_L, Q never
+    formed."""
     if not 0 < tol < 1:
         raise ParameterError(f"tol must be in (0, 1), got {tol}")
+    if (
+        4 * tol < _RANK_TAU
+        and _gram_floor_certified(a.left.T @ a.left, a.n_dim)
+        and _gram_floor_certified(a.right @ a.right.T, a.n_dim)
+    ):
+        return a.rank_budget
     s = np.linalg.svd(np.linalg.qr(a.left, mode="r") @ a.right, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0

@@ -38,8 +38,8 @@ def write_matrix(a: FactoredMatrix, path: str | Path) -> None:
     right = np.ascontiguousarray(a.right, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(left.tobytes())
-        fh.write(right.tobytes())
+        fh.write(left)
+        fh.write(right)
 
 
 def read_matrix(path: str | Path) -> FactoredMatrix:
@@ -56,9 +56,11 @@ def read_matrix(path: str | Path) -> FactoredMatrix:
     expected = HEADER.size + 2 * 8 * n_dim * rank
     if len(data) != expected:
         raise FormatError(f"{path}: payload is {len(data)} bytes, expected {expected}")
+    # read-only views of `data`: FactoredMatrix converts them to float64
+    # only where the byte order differs from the machine's
     body = np.frombuffer(data, dtype="<f8", offset=HEADER.size)
-    left = body[: n_dim * rank].reshape(n_dim, rank).astype(np.float64)
-    right = body[n_dim * rank :].reshape(rank, n_dim).astype(np.float64)
+    left = body[: n_dim * rank].reshape(n_dim, rank)
+    right = body[n_dim * rank :].reshape(rank, n_dim)
     provenance = Provenance(KIND_NAMES[code], int(seed))
     try:
         return FactoredMatrix(n_dim, rank, left, right, provenance)

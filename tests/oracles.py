@@ -5,8 +5,8 @@ exact integer binomial sums, dense grid searches, multiplicative-update
 design optimization, brute-force subset enumeration, exhaustive pair
 scans, a fresh KKT solve per facet, a linear solve per sign pattern and
 per drop-one candidate, column-at-a-time elimination, a fresh solve per
-maxvol swap, whole-matrix scans of the dense form, and a per-block integer
-Gram.
+maxvol swap, whole-matrix scans of the dense form, a per-block integer
+Gram, and an SVD of the dense form.
 """
 
 from __future__ import annotations
@@ -352,3 +352,10 @@ def block_gram_dense(a) -> np.ndarray:
             x = np.sign(a.left[start : start + size, col : col + rank])
             mat[start : start + size, start : start + size] = (x @ x.T) / rank
     return mat
+
+
+def dense_numerical_rank(a, tol: float) -> int:
+    """Count of singular values of the dense form above tol times the
+    largest one."""
+    s = np.linalg.svd(a.dense(), compute_uv=False)
+    return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0

@@ -340,6 +340,26 @@ def test_block_sparse_sweep_row_matches_generate(capsys, tmp_path, seed):
     assert float(cells["nnz_fraction"]) == gen["nnz_fraction"]
 
 
+def test_block_sparse_sweep_sizing_reaches_random_blocks(capsys, tmp_path):
+    # at alpha=4, beta=2 the 128/64 matrix has three random sign blocks of
+    # size 39 next to one exact identity block, where the defaults give only
+    # identity blocks
+    spec = sweep_spec(tmp_path, kind="block_sparse", N_values=[128], n_rule={"fixed": [64]},
+                      seeds=[1], alpha=4, beta=2)
+    out = tmp_path / "bs.csv"
+    assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out))[0] == 0
+    header, row = out.read_text().strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    rc, stdout, _ = run(
+        capsys, "generate", "--kind", "block_sparse", "--N", "128", "--n", "64",
+        "--alpha", "4", "--beta", "2", "--seed", "1", "--out", str(tmp_path / "bs.irlm"),
+    )
+    assert rc == 0
+    gen = json.loads(stdout)
+    assert float(cells["error"]) == gen["error"] == 0.75
+    assert float(cells["nnz_fraction"]) == gen["nnz_fraction"]
+
+
 def test_analyze_sign_fixture_ratio_at_least_one(capsys, tmp_path):
     mat = tmp_path / "rs.irlm"
     run(capsys, "generate", "--kind", "random_sign", "--N", "64", "--n", "16",
@@ -366,6 +386,9 @@ def test_sweep_spec_validation_names_fields(capsys, tmp_path):
         ({"gamma_rule": {"rule": "scaled", "a": "q"}}, "gamma_rule.a"),
         ({"n_rule": {"fixed": 8}}, "n_rule.fixed"),
         ({"out": 5}, "out"),
+        ({"kind": "block_sparse", "alpha": "4"}, "alpha"),
+        ({"kind": "block_sparse", "beta": -2.0}, "beta"),
+        ({"alpha": 4.0}, "alpha"),
     ],
 )
 def test_malformed_sweep_spec_exits_2_without_traceback(capsys, tmp_path, overrides, field):

@@ -23,6 +23,7 @@ from irlm.errors import ConstructionError, ParameterError
 from oracles import (
     binomial_two_sided_tail,
     block_gram_dense,
+    dense_numerical_rank,
     dense_scan_distribution,
     dense_scan_error,
 )
@@ -142,6 +143,88 @@ def test_numerical_rank_random_sign_fixture_seeds():
         a = make_random_sign(256, 64, seed)
         assert numerical_rank(a, 1e-10) == 64
         assert numerical_rank(a, 1e-10) <= a.rank_budget
+
+
+def _spectrum_factors(n_dim, rank, ratio, seed=0):
+    """L = U diag(s) and R = V' with orthonormal U, V and s = 1 except the
+    last value, which is `ratio`: A = L @ R has exactly these singular values."""
+    gen = np.random.default_rng(seed)
+    u = np.linalg.qr(gen.standard_normal((n_dim, rank)))[0]
+    v = np.linalg.qr(gen.standard_normal((n_dim, rank)))[0]
+    s = np.ones(rank)
+    s[-1] = ratio
+    return from_factors(u * s, v.T, kind="custom")
+
+
+def _dropped_column(n_dim, rank, side):
+    """Gaussian factors with one column of L (or row of R) repeated, so the
+    product has rank r - 1."""
+    gen = np.random.default_rng(rank)
+    left = gen.standard_normal((n_dim, rank))
+    right = gen.standard_normal((rank, n_dim))
+    if side == "left":
+        left[:, -1] = left[:, 0]
+    else:
+        right[-1] = right[0]
+    return from_factors(left, right, kind="custom")
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: _spectrum_factors(200, 24, 1.0), 24),
+        (lambda: _spectrum_factors(200, 24, 1e-8), 24),
+        (lambda: _spectrum_factors(200, 24, 1e-12), 23),
+        (lambda: _dropped_column(60, 12, "left"), 11),
+        (lambda: _dropped_column(60, 12, "right"), 11),
+        (lambda: from_factors(np.ones((5, 8)), np.eye(8)[:, :5], kind="custom"), 1),
+        (lambda: from_factors(np.eye(6, 9), np.eye(9, 6) * 2.0, kind="custom"), 6),
+        (lambda: make_identity(17), 17),
+    ],
+    ids=["cond-1", "cond-1e8", "cond-1e12", "deficient-L", "deficient-R", "r>N-rank-1",
+         "r>N-full", "identity"],
+)
+def test_numerical_rank_matches_dense_svd_oracle(build, expected):
+    a = build()
+    assert numerical_rank(a, 1e-10) == dense_numerical_rank(a, 1e-10) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_numerical_rank_block_sparse_matches_dense_svd_oracle(seed):
+    a = make_block_sparse(1024, 500, seed, alpha=4.0, beta=2.0)
+    assert numerical_rank(a, 1e-10) == dense_numerical_rank(a, 1e-10) == 500
+
+
+def _refuse_svd(*args, **kwargs):
+    raise AssertionError("numerical_rank reached the SVD fallback")
+
+
+def test_numerical_rank_certificate_clears_full_rank_fixtures_without_svd(monkeypatch):
+    sign = make_random_sign(4096, 128, 1)
+    block = make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0)
+    monkeypatch.setattr(matrices.np.linalg, "svd", _refuse_svd)
+    assert numerical_rank(sign, 1e-10) == 128
+    assert numerical_rank(block, 1e-10) == 500
+    assert numerical_rank(make_identity(9), 1e-10) == 9
+
+
+def test_numerical_rank_ill_conditioned_factors_reach_the_svd(monkeypatch):
+    a = _spectrum_factors(200, 24, 1e-8)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(matrices.np.linalg, "svd", counting_svd)
+    assert numerical_rank(a, 1e-10) == 24
+    assert calls == [(24, 200)]
+    # a tolerance that the certificate's floor cannot separate from also
+    # goes to the SVD, even on a perfectly conditioned matrix
+    calls.clear()
+    assert numerical_rank(make_identity(9), 1e-6) == 9
+    assert calls == [(9, 9)]
 
 
 def test_numerical_rank_tol_validation():

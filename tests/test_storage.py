@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,26 @@ def test_write_read_write_round_trip_is_bit_exact(build, tmp_path):
     assert np.array_equal(loaded.right, mat.right)
     assert loaded.provenance.kind == mat.provenance.kind
     assert np.array_equal(loaded.dense(), mat.dense())
+
+
+def test_read_and_write_hold_no_payload_copy(tmp_path):
+    # the reader's factors are views of the file's bytes, and the writer
+    # hands the factors to the file without a bytes copy
+    mat = make_random_sign(1024, 64, 1)
+    path = tmp_path / "rs.irlm"
+    payload = 2 * 8 * 1024 * 64
+    tracemalloc.start()
+    try:
+        write_matrix(mat, path)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded = read_matrix(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert write_peak < payload / 4
+    assert read_peak < 1.25 * payload
+    assert np.array_equal(loaded.left, mat.left) and not loaded.left.flags.writeable
 
 
 def test_file_size_formula(tmp_path):
