@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import bounds as bnd
@@ -263,6 +263,21 @@ def _spec_ints(values, where: str) -> tuple[int, ...]:
         ) from None
 
 
+def _spec_sizing(doc: dict, kind: str, name: str) -> float | None:
+    """block_sparse's optional `name` ("alpha" or "beta") from a sweep spec."""
+    if name not in doc:
+        return None
+    if kind != "block_sparse":
+        raise ParameterError(f"sweep spec field {name} applies to kind block_sparse only")
+    raw = doc[name]
+    numeric = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if not (numeric and 0 < raw < math.inf):
+        raise ParameterError(
+            f"sweep spec field {name} must be a positive finite number, got {raw!r}"
+        )
+    return float(raw)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     n_values: tuple[int, ...]
@@ -271,8 +286,9 @@ class SweepSpec:
     gamma_rule: tuple[str, float]  # as parse_gamma_rule returns it
     kind: str = "random_sign"
     out: str | None = None
-    # block_sparse's alpha and beta; the constructor's defaults where absent
-    sizing: dict[str, float] = field(default_factory=dict)
+    # block_sparse's alpha and beta; the constructor's defaults where None
+    alpha: float | None = None
+    beta: float | None = None
 
     @staticmethod
     def from_json(doc: dict) -> "SweepSpec":
@@ -313,19 +329,7 @@ class SweepSpec:
         kind = doc.get("kind", "random_sign")
         if kind not in ("random_sign", "block_sparse"):
             raise ParameterError(f"sweep spec kind {kind!r} unknown")
-        sizing = {}
-        for key in ("alpha", "beta"):
-            if key not in doc:
-                continue
-            if kind != "block_sparse":
-                raise ParameterError(f"sweep spec field {key} applies to kind block_sparse only")
-            value = doc[key]
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (numeric and 0 < value < math.inf):
-                raise ParameterError(
-                    f"sweep spec field {key} must be a positive finite number, got {value!r}"
-                )
-            sizing[key] = float(value)
+        alpha, beta = (_spec_sizing(doc, kind, name) for name in ("alpha", "beta"))
         out = doc.get("out")
         if out is not None and not isinstance(out, str):
             raise ParameterError(f"sweep spec field out must be a path string, got {out!r}")
@@ -336,7 +340,8 @@ class SweepSpec:
             gamma_rule=(name, value),
             kind=kind,
             out=out,
-            sizing=sizing,
+            alpha=alpha,
+            beta=beta,
         )
 
     def ranks_for(self, n_dim: int) -> list[int]:
@@ -361,7 +366,8 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_row(task: tuple) -> dict:
-    n_dim, rank, seed, gamma, kind, sizing = task
+    n_dim, rank, seed, gamma, kind, alpha, beta = task
+    sizing = {k: v for k, v in (("alpha", alpha), ("beta", beta)) if v is not None}
     mat = _construct(kind, n_dim, rank, seed, **sizing)
     profile = distribution_function(mat, gamma)
     report = trace(mat, TraceConfig(gamma=gamma))
@@ -385,7 +391,7 @@ def sweep_to_csv(spec: SweepSpec, jobs: int = 1) -> str:
         for rank in spec.ranks_for(n_dim):
             for seed in spec.seeds:
                 gamma = resolve_gamma(spec.gamma_rule, n_dim, rank)
-                tasks.append((n_dim, rank, seed, gamma, spec.kind, spec.sizing))
+                tasks.append((n_dim, rank, seed, gamma, spec.kind, spec.alpha, spec.beta))
     tasks.sort(key=lambda t: (t[0], t[1], t[2]))
     if jobs > 1:
         from multiprocessing import Pool

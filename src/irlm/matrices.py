@@ -491,14 +491,20 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     two r x r Grams and two Choleskys and needs no eigenvalue (an eigenvalue
     of a Gram would square the condition number).
 
+    The certificate is tried only when r < N.  At r > N, F'F is singular
+    and it cannot clear.  A random N x N sign factor has lambda_min / tr(G)
+    near 1 / N^3, so it clears on about half the seeds at N = 64 and on
+    none from N = 96 on.  One failed Gram and Cholesky cost an eighth to a
+    sixth of the fallback's own time, so square factors go straight to it.
+
     Fallback, wherever a Cholesky fails (rank-deficient or ill-conditioned
-    factors, r > N, where F'F is singular) or the guard refuses: the
-    singular values of the thin core R_L @ right with L = Q R_L, Q never
-    formed."""
+    factors), the guard refuses or r >= N: the singular values of the thin
+    core R_L @ right with L = Q R_L, Q never formed."""
     if not 0 < tol < 1:
         raise ParameterError(f"tol must be in (0, 1), got {tol}")
     if (
         4 * tol < _RANK_TAU
+        and a.rank_budget < a.n_dim
         and _gram_floor_certified(a.left.T @ a.left, a.n_dim)
         and _gram_floor_certified(a.right @ a.right.T, a.n_dim)
     ):

@@ -358,6 +358,8 @@ def test_block_sparse_sweep_sizing_reaches_random_blocks(capsys, tmp_path):
     gen = json.loads(stdout)
     assert float(cells["error"]) == gen["error"] == 0.75
     assert float(cells["nnz_fraction"]) == gen["nnz_fraction"]
+    # the sizing keys leave the gamma rule's parameter (c = 0.25) alone
+    assert float(cells["gamma"]) == resolve_gamma(("theorem", 0.25), 128, 64)
 
 
 def test_analyze_sign_fixture_ratio_at_least_one(capsys, tmp_path):

@@ -205,7 +205,27 @@ def test_numerical_rank_certificate_clears_full_rank_fixtures_without_svd(monkey
     monkeypatch.setattr(matrices.np.linalg, "svd", _refuse_svd)
     assert numerical_rank(sign, 1e-10) == 128
     assert numerical_rank(block, 1e-10) == 500
-    assert numerical_rank(make_identity(9), 1e-10) == 9
+
+
+def _refuse_cholesky(*args, **kwargs):
+    raise AssertionError("numerical_rank tried the certificate")
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: make_identity(9), 9),
+        (lambda: make_random_sign(96, 96, 1), 96),
+        (lambda: make_random_sign(256, 256, 2), 256),
+        (lambda: from_factors(np.eye(6, 9), np.eye(9, 6) * 2.0, kind="custom"), 6),
+    ],
+    ids=["identity-9", "sign-96/96", "sign-256/256", "r>N"],
+)
+def test_numerical_rank_square_and_wide_factors_skip_the_certificate(monkeypatch, build,
+                                                                     expected):
+    a = build()
+    monkeypatch.setattr(matrices.np.linalg, "cholesky", _refuse_cholesky)
+    assert numerical_rank(a, 1e-10) == dense_numerical_rank(a, 1e-10) == expected
 
 
 def test_numerical_rank_ill_conditioned_factors_reach_the_svd(monkeypatch):
