@@ -44,7 +44,9 @@ class FactoredMatrix:
     kinds and the files they are written to, V is an exact integer Gram,
     computed in float32, and w a per-row integer scale, so the diagonal is
     exactly 1 and values are identical across platforms and BLAS
-    implementations.
+    implementations.  Their right factor is also exactly sign(L)', so V is
+    symmetric and the statistics pass computes only its upper band (see
+    ``_band_pass``); ``dense`` always takes the row tiles.
     """
 
     n_dim: int
@@ -78,8 +80,14 @@ class FactoredMatrix:
         object.__setattr__(self, "right", right)
 
     @cached_property
+    def _right_is_signs(self) -> bool:
+        """Whether R == sign(L)' exactly: on the lattice, the integer Gram
+        V = sign(L) @ R is then symmetric."""
+        return np.array_equal(np.sign(self.left), self.right.T)
+
+    @cached_property
     def _row_scale(self) -> np.ndarray | None:
-        return _lattice_scale(self.left, self.right)
+        return _lattice_scale(self.left, self.right, self._right_is_signs)
 
     def dense(self, cols: np.ndarray | None = None) -> np.ndarray:
         """A[:, cols] (all of A by default), row-major, computed from the row
@@ -91,23 +99,30 @@ class FactoredMatrix:
 # of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
 
+# Entries per row band of the symmetric statistics pass (4 MB of float32
+# Gram): half a tile, since the bands measured faster at this height.
+_BAND_ENTRIES = _TILE_ENTRIES // 2
+
 # Largest rank * max |R| of a lattice: float32 holds every integer up to
 # 2^24, so every partial sum of the Gram is exact in any summation order.
 _LATTICE_BOUND = 2.0**24
 
 
-def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+def _lattice_scale(
+    left: np.ndarray, right: np.ndarray, right_is_signs: bool = False
+) -> np.ndarray | None:
     """Row scales w when the factors lie on an exact sign lattice, else None.
 
     The lattice: every row of L is sign(L[i]) / w_i for an integer w_i >= 1,
     and R is integer-valued with rank * max |R| <= 2^24.  Then
     A = (sign(L) @ R) / w[:, None], where sign(L) @ R is an integer Gram,
     exact in float32 in any summation order, and every entry is one
-    correctly rounded float64 division.
+    correctly rounded float64 division.  `right_is_signs` says R == sign(L)'
+    is known, so R's half of the test holds wherever rank <= 2^24.
     """
     rank = left.shape[1]
     # R first, so that its temporaries are freed before |L| is allocated
-    if not (
+    if not (right_is_signs and rank <= _LATTICE_BOUND) and not (
         np.array_equal(right, np.rint(right))
         and float(np.abs(right).max()) * rank <= _LATTICE_BOUND
     ):
@@ -125,8 +140,8 @@ def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     return scale if exact else None
 
 
-def _tile_bounds(n_dim: int) -> list[tuple[int, int]]:
-    step = max(1, _TILE_ENTRIES // n_dim)
+def _tile_bounds(n_dim: int, entries: int) -> list[tuple[int, int]]:
+    step = max(1, entries // n_dim)
     return [(start, min(n_dim, start + step)) for start in range(0, n_dim, step)]
 
 
@@ -137,12 +152,15 @@ def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None):
     product L @ R[:, cols] and None (w = 1) off it.  V is one reused buffer,
     valid until the next tile, which the caller may overwrite.  The float32
     factors are made per pass, so a matrix holds no copy of its factors
-    between passes."""
+    between passes.  ``dense`` reads every matrix through these tiles, and
+    the statistics pass reads every matrix whose Gram is not symmetric
+    (R != sign(L)' or off the lattice); symmetric Grams take ``_band_pass``,
+    which computes each entry pair once."""
     scale = a._row_scale
     right = a.right if cols is None else a.right[:, cols]
     if scale is not None:
         right = right.astype(np.float32)
-    bounds = _tile_bounds(a.n_dim)
+    bounds = _tile_bounds(a.n_dim, _TILE_ENTRIES)
     buf = np.empty((bounds[0][1], right.shape[1]), dtype=right.dtype)
     for start, stop in bounds:
         lead = a.left[start:stop]
@@ -392,22 +410,114 @@ def _tile_stats(
     return counts, nnz, float(max(row_max.max(), np.abs(diag_dev).max()))
 
 
-def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
-    """Fraction of ordered pairs (i, j) with |A[i, j]| strictly above gamma,
-    together with per-column densities, the exact nonzero fraction and
-    max |A - I|, from one pass over the ``_gram_tiles`` row tiles at every
-    N: the pass neither reads nor builds the dense form."""
-    if gamma < 0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
+def _band_stats(
+    start: int,
+    values: np.ndarray,
+    scale: np.ndarray,
+    cut: np.ndarray,
+    equal_cuts: bool,
+    equal_scales: bool,
+) -> tuple[np.ndarray, int, float]:
+    """Column counts of |A| > gamma (for columns start..N), nonzero count
+    and max |A - I| that the band V[start:stop, start:] = S[start:stop] @
+    S[start:]' contributes, with S = sign(L), A = V / w and `cut` the
+    rows' integer cuts.  The band's left part (columns start..stop) holds
+    rows start..stop of A.  Its right part (columns stop..N) holds those
+    rows and, since V is symmetric, also the columns start..stop below
+    them: A[j, i] = V[i, j] / w_j.  So column i gains the j >= stop with
+    |V_ij| > cut_j, the right part's nonzeros count twice, and the error
+    also takes the right part's column maxima divided by w_j.  Where all
+    cuts are equal the mirror's mask is the band's own, where they are all
+    0 that mask is the nonzero mask, and where all scales are equal the row
+    maxima cover the mirror.  V is overwritten."""
+    height = values.shape[0]
+    stop = start + height
+    local = np.arange(height)
+    rows = scale[start:stop]
+    diag_dev = values[local, local].astype(np.float64)
+    diag_dev /= rows
+    diag_dev -= 1.0
+    mags = np.abs(values, out=values)
+    band_cut = cut[0] if equal_cuts else cut[start:stop, None]
+    mask = mags > band_cut
+    counts = mask.sum(axis=0, dtype=np.int32)
+    right = mags[:, height:]
+    if right.size:
+        mirror = mask[:, height:] if equal_cuts else right > cut[stop:]
+        counts[:height] += mirror.sum(axis=1, dtype=np.int32)
+    if equal_cuts and band_cut == 0:
+        nnz = int(counts.sum())
+    else:
+        nonzero = np.not_equal(mags, 0, out=mask)
+        nnz = int(np.count_nonzero(nonzero)) + int(np.count_nonzero(nonzero[:, height:]))
+    mags[local, local] = 0
+    row_max = mags.max(axis=1).astype(np.float64)
+    row_max /= rows
+    error = max(float(row_max.max()), float(np.abs(diag_dev).max()))
+    if right.size and not equal_scales:
+        col_max = right.max(axis=0).astype(np.float64)
+        col_max /= scale[stop:]
+        error = max(error, float(col_max.max()))
+    return counts, nnz, error
+
+
+def _band_pass(a: FactoredMatrix, gamma: float) -> tuple[np.ndarray, int, float]:
+    """Column counts, nonzero count and max |A - I| of a lattice matrix with
+    R == sign(L)', whose integer Gram V = S S' is symmetric, from the
+    upper band of V only: rows start..stop times columns start..N, in bands
+    of ``_BAND_ENTRIES``.  S' is R's float32 copy, so the band's left
+    operand is the transpose of a slice of it and no second factor copy is
+    held.  The slice is copied (h x r entries), since numpy multiplies a
+    matrix by its own transpose with syrk and then mirrors the triangle
+    element by element, which doubled the time of the last, square band.
+    The pass holds R's float32 copy, that slice, one band of V and its bool
+    mask."""
     n = a.n_dim
+    scale = a._row_scale
+    signs = a.right.astype(np.float32)
+    cut = _integer_cut(gamma, scale)
+    equal_cuts = bool(cut.min() == cut.max())
+    equal_scales = bool(scale.min() == scale.max())
+    cut = cut.astype(np.float32)
+    bounds = _tile_bounds(n, _BAND_ENTRIES)
+    buf = np.empty(bounds[0][1] * n, dtype=np.float32)
     col_counts = np.zeros(n, dtype=np.int64)
     nnz = 0
     error = 0.0
-    for start, values, scale in _gram_tiles(a):
-        counts, tile_nnz, tile_error = _tile_stats(start, values, scale, gamma)
-        col_counts += counts
-        nnz += tile_nnz
-        error = max(error, tile_error)
+    for start, stop in bounds:
+        band = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+        values = np.matmul(signs[:, start:stop].copy().T, signs[:, start:], out=band)
+        counts, band_nnz, band_error = _band_stats(
+            start, values, scale, cut, equal_cuts, equal_scales
+        )
+        col_counts[start:] += counts
+        nnz += band_nnz
+        error = max(error, band_error)
+    return col_counts, nnz, error
+
+
+def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
+    """Fraction of ordered pairs (i, j) with |A[i, j]| strictly above gamma,
+    together with per-column densities, the exact nonzero fraction and
+    max |A - I|, from one pass at every N that neither reads nor builds the
+    dense form.  Where R == sign(L)' on the lattice (every library kind, its
+    slices and its files) the pass computes only the upper band of the
+    symmetric integer Gram (``_band_pass``); any other factors go through
+    the ``_gram_tiles`` row tiles."""
+    if gamma < 0:
+        raise ParameterError(f"gamma must be >= 0, got {gamma}")
+    n = a.n_dim
+    if a._row_scale is not None and a._right_is_signs:
+        col_counts, nnz, error = _band_pass(a, gamma)
+    else:
+        col_counts = np.zeros(n, dtype=np.int64)
+        nnz = 0
+        error = 0.0
+        for start, values, scale in _gram_tiles(a):
+            counts, tile_nnz, tile_error = _tile_stats(start, values, scale, gamma)
+            col_counts += counts
+            nnz += tile_nnz
+            error = max(error, tile_error)
     return DensityProfile(
         gamma=float(gamma),
         global_density=float(col_counts.sum()) / (n * n),

@@ -8,6 +8,13 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a deeper run for CI's density-pass step: --hypothesis-profile=deep
+settings.register_profile(
+    "deep",
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("fast")
 
 

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from irlm import (
@@ -18,6 +19,7 @@ from irlm import (
     submatrix,
 )
 from irlm import matrices
+from irlm.cli import resolve_gamma
 from irlm.errors import ConstructionError, ParameterError
 
 from oracles import (
@@ -339,41 +341,67 @@ def _build(kind, n_dim, rank, seed):
         return submatrix(parent, rng.choice(40, size=n_dim, replace=False))
     if kind == "lattice_factors":
         return from_factors(*_lattice_factors(n_dim, rank, seed)[:2])
+    if kind == "symmetric_lattice":
+        # R == sign(L)' with row scales w in 1..5: unlike block_sparse, whose
+        # cross-block entries are 0, nonzero entries join rows of different
+        # scale, so A[j, i] = V[i, j] / w_j differs from A[i, j]
+        signs = rng.integers(-1, 2, size=(n_dim, rank)).astype(np.float64)
+        row_scale = rng.integers(1, 6, size=n_dim)
+        return from_factors(signs / row_scale[:, None], signs.T)
     left = rng.standard_normal((n_dim, rank))
     left[rng.random(left.shape) < 0.3] = 0.0
     return from_factors(left, rng.standard_normal((rank, n_dim)))
 
 
+# kinds whose factors lie on the lattice with R == sign(L)', so that
+# distribution_function takes the band pass over the symmetric Gram
+SYMMETRIC_KINDS = ["identity", "random_sign", "slice", "identity_blocks", "mixed_blocks",
+                   "block_slice", "symmetric_lattice"]
+
+GAMMA_PICKS = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=64),
+    st.tuples(st.integers(min_value=0, max_value=64), st.sampled_from([-math.inf, math.inf])),
+    st.sampled_from([1.0, 1.25, 2.0, 7.0]),
+)
+
+
+def _gamma(gamma_pick, rank):
+    """An integer pick is the lattice point k/n, clipped into [0, 1]; a pair
+    (k, direction) is the float next to k/n in that direction."""
+    if isinstance(gamma_pick, int):
+        return min(gamma_pick, rank) / rank
+    if isinstance(gamma_pick, tuple):
+        k, toward = gamma_pick
+        return max(0.0, float(np.nextafter(min(k, rank) / rank, toward)))
+    return gamma_pick
+
+
+def _tile_rows(tile_rows, n_dim):
+    """Row tiles and row bands of `tile_rows` rows each."""
+    return mock.patch.multiple(matrices, _TILE_ENTRIES=tile_rows * n_dim,
+                               _BAND_ENTRIES=tile_rows * n_dim)
+
+
 @given(
-    kind=st.sampled_from(
-        ["identity", "random_sign", "slice", "identity_blocks", "mixed_blocks",
-         "block_slice", "lattice_factors", "float_factors"]
-    ),
+    kind=st.sampled_from(SYMMETRIC_KINDS + ["lattice_factors", "float_factors"]),
     n_dim=st.integers(min_value=1, max_value=24),
     rank=st.integers(min_value=1, max_value=16),
     seed=st.integers(min_value=0, max_value=2**32),
     tile_rows=st.sampled_from([1, 3, 7]),
-    gamma_pick=st.one_of(
-        st.just(0.0),
-        st.integers(min_value=0, max_value=64),
-        st.tuples(st.integers(min_value=0, max_value=64), st.sampled_from([-math.inf, math.inf])),
-        st.sampled_from([1.0, 1.25, 2.0, 7.0]),
-    ),
+    gamma_pick=GAMMA_PICKS,
 )
+# rows of scale 1 and 4 share a band; the mirror's counts and column
+# maxima differ from the band's own here
+@example(kind="symmetric_lattice", n_dim=6, rank=4, seed=0, tile_rows=3, gamma_pick=1)
 def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma_pick):
     rank = min(rank, n_dim)
-    # an integer pick is the lattice point k/n, clipped into [0, 1]; a pair
-    # (k, direction) is the float next to k/n in that direction
-    if isinstance(gamma_pick, int):
-        gamma = min(gamma_pick, rank) / rank
-    elif isinstance(gamma_pick, tuple):
-        k, toward = gamma_pick
-        gamma = max(0.0, float(np.nextafter(min(k, rank) / rank, toward)))
-    else:
-        gamma = gamma_pick
+    gamma = _gamma(gamma_pick, rank)
     reference = _build(kind, n_dim, rank, seed)
     a = _build(kind, n_dim, rank, seed)
-    with mock.patch.object(matrices, "_TILE_ENTRIES", tile_rows * a.n_dim):
+    if kind in SYMMETRIC_KINDS:
+        assert a._row_scale is not None and a._right_is_signs
+    with _tile_rows(tile_rows, a.n_dim):
         profile = distribution_function(a, gamma)
         mat = a.dense()
         error = approx_error(a)
@@ -391,9 +419,115 @@ def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma
         assert np.array_equal(mat, reference.dense())
         assert approx_error(reference) == profile.error
         cols = np.flatnonzero(np.random.default_rng(seed).random(a.n_dim) < 0.5)
-        with mock.patch.object(matrices, "_TILE_ENTRIES", tile_rows * a.n_dim):
+        with _tile_rows(tile_rows, a.n_dim):
             assert np.array_equal(a.dense(cols), mat[:, cols])
             assert np.array_equal(a.dense(cols[:0]), mat[:, :0])
+
+
+def _assert_same_profile(got, want):
+    assert got.gamma == want.gamma
+    assert got.global_density == want.global_density
+    assert np.array_equal(got.column_densities, want.column_densities)
+    assert got.nnz_fraction == want.nnz_fraction
+    assert got.error == want.error
+
+
+@given(
+    kind=st.sampled_from(SYMMETRIC_KINDS),
+    n_dim=st.integers(min_value=1, max_value=24),
+    rank=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+    tile_rows=st.sampled_from([1, 3, 7]),
+    gamma_pick=GAMMA_PICKS,
+)
+@example(kind="symmetric_lattice", n_dim=6, rank=4, seed=0, tile_rows=3, gamma_pick=1)
+def test_symmetric_band_pass_matches_the_general_loop(kind, n_dim, rank, seed, tile_rows,
+                                                      gamma_pick):
+    rank = min(rank, n_dim)
+    gamma = _gamma(gamma_pick, rank)
+    with _tile_rows(tile_rows, n_dim):
+        with mock.patch.object(matrices, "_band_pass", wraps=matrices._band_pass) as band:
+            profile = distribution_function(_build(kind, n_dim, rank, seed), gamma)
+        assert band.call_count == 1
+        # without R == sign(L)' the same factors take the row-tile loop
+        with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False), \
+                mock.patch.object(matrices, "_band_pass", side_effect=AssertionError):
+            general = distribution_function(_build(kind, n_dim, rank, seed), gamma)
+    _assert_same_profile(profile, general)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_random_sign(4096, 128, 1),
+    lambda: make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0),
+    lambda: _build("symmetric_lattice", 3000, 16, 5),
+    lambda: submatrix(make_random_sign(3000, 64, 2), np.arange(0, 3000, 2)),
+], ids=["sign-4096/128", "block-1024/500", "symmetric_lattice-3000/16", "sign-slice-1500/64"])
+def test_symmetric_band_pass_matches_the_general_loop_at_default_heights(build):
+    gammas = (0.0, 0.00195, 0.0123, 0.05, 0.1, 0.35, 2.0)
+    a = build()
+    assert a._row_scale is not None and a._right_is_signs
+    profiles = [distribution_function(a, gamma) for gamma in gammas]
+    with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False), \
+            mock.patch.object(matrices, "_band_pass", side_effect=AssertionError):
+        general = build()
+        for gamma, profile in zip(gammas, profiles):
+            _assert_same_profile(profile, distribution_function(general, gamma))
+
+
+@given(
+    n_dim=st.integers(min_value=1, max_value=24),
+    rank=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_symmetric_route_skips_lattice_factors_whose_right_is_not_the_signs(n_dim, rank, seed):
+    rank = min(rank, n_dim)
+    a = _build("lattice_factors", n_dim, rank, seed)
+    assert a._row_scale is not None
+    assume(not a._right_is_signs)
+    with mock.patch.object(matrices, "_band_pass", side_effect=AssertionError):
+        profile = distribution_function(a, 0.25)
+    density, columns, nnz = dense_scan_distribution(a.dense(), 0.25)
+    assert profile.global_density == density
+    assert np.array_equal(profile.column_densities, columns)
+    assert profile.nnz_fraction == nnz
+    assert profile.error == dense_scan_error(a.dense())
+
+
+def _counts_digest(profile, n_dim):
+    counts = np.rint(profile.column_densities * n_dim).astype(np.int64)
+    assert np.array_equal(counts / n_dim, profile.column_densities)
+    return hashlib.sha256(counts.tobytes()).hexdigest()[:16]
+
+
+# The two analyze_large inputs at seed 1, as the row-tile pass reported them
+# before the band pass existed.  Their theorem gamma (c = 0.25) lies below
+# one lattice step, so F* there equals the nonzero fraction and the counts
+# equal those at gamma = 0.
+@pytest.mark.parametrize(
+    "build, theorem_gamma, error, nnz, digest, digest_01, f_star_01",
+    [
+        (lambda: make_random_sign(4096, 128, 1), 0.001953125, 0.453125, 0.9297443628311157,
+         "d7cff4665b7e9fa7", "b6f4656510ddfa33", 0.2505621910095215),
+        (lambda: make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0), 0.0005,
+         0.7777777777777778, 0.0492706298828125, "b5015daf2bbfe1be", "a2c37c0b330d6514",
+         0.033863067626953125),
+    ],
+    ids=["sign-4096/128", "block_sparse-1024/500"],
+)
+def test_analyze_large_inputs_keep_their_profiles(build, theorem_gamma, error, nnz, digest,
+                                                  digest_01, f_star_01):
+    a = build()
+    assert resolve_gamma(("theorem", 0.25), a.n_dim, a.rank_budget) == theorem_gamma
+    for gamma in (0.0, theorem_gamma):
+        profile = distribution_function(a, gamma)
+        assert profile.error == error
+        assert profile.nnz_fraction == nnz
+        assert profile.global_density == nnz
+        assert _counts_digest(profile, a.n_dim) == digest
+    profile = distribution_function(a, 0.1)
+    assert (profile.error, profile.nnz_fraction) == (error, nnz)
+    assert profile.global_density == f_star_01
+    assert _counts_digest(profile, a.n_dim) == digest_01
 
 
 @given(
@@ -518,8 +652,10 @@ def test_distribution_function_streams_in_bounded_memory(n_dim, bound_mb):
 
 
 def test_distribution_function_tiles_stay_under_24_mb():
-    # one float32 Gram tile (8 MB), its bool mask (2 MB) and the float32
-    # right factor (2 MB) are the whole pass
+    # sign factors take the band pass: one float32 band of the Gram (4 MB),
+    # its bool mask (1 MB), the float32 right factor (2 MB) and the band's
+    # h x r slice of it (32 KB) are the whole pass; the row-tile loop of
+    # other factors holds one 8 MB tile and its 2 MB mask instead
     a = make_random_sign(8192, 64, 1)
     tracemalloc.start()
     try:
