@@ -99,9 +99,11 @@ class FactoredMatrix:
 # of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
 
-# Entries per row band of the symmetric statistics pass (4 MB of float32
-# Gram): half a tile, since the bands measured faster at this height.
-_BAND_ENTRIES = _TILE_ENTRIES // 2
+# Rows per band of the symmetric statistics pass, at most one tile of
+# entries.  Bands of 2^20 / N rows cover the whole matrix up to N = 1024,
+# where 256-row bands took 0.55-0.75 of the time; from N = 2048 to 8192,
+# 64 to 512 rows measured alike.
+_BAND_ROWS = 256
 
 # Largest rank * max |R| of a lattice: float32 holds every integer up to
 # 2^24, so every partial sum of the Gram is exact in any summation order.
@@ -465,7 +467,7 @@ def _band_pass(a: FactoredMatrix, gamma: float) -> tuple[np.ndarray, int, float]
     """Column counts, nonzero count and max |A - I| of a lattice matrix with
     R == sign(L)', whose integer Gram V = S S' is symmetric, from the
     upper band of V only: rows start..stop times columns start..N, in bands
-    of ``_BAND_ENTRIES``.  S' is R's float32 copy, so the band's left
+    of ``_BAND_ROWS`` rows.  S' is R's float32 copy, so the band's left
     operand is the transpose of a slice of it and no second factor copy is
     held.  The slice is copied (h x r entries), since numpy multiplies a
     matrix by its own transpose with syrk and then mirrors the triangle
@@ -479,7 +481,7 @@ def _band_pass(a: FactoredMatrix, gamma: float) -> tuple[np.ndarray, int, float]
     equal_cuts = bool(cut.min() == cut.max())
     equal_scales = bool(scale.min() == scale.max())
     cut = cut.astype(np.float32)
-    bounds = _tile_bounds(n, _BAND_ENTRIES)
+    bounds = _tile_bounds(n, min(_BAND_ROWS * n, _TILE_ENTRIES))
     buf = np.empty(bounds[0][1] * n, dtype=np.float32)
     col_counts = np.zeros(n, dtype=np.int64)
     nnz = 0

@@ -379,8 +379,7 @@ def _gamma(gamma_pick, rank):
 
 def _tile_rows(tile_rows, n_dim):
     """Row tiles and row bands of `tile_rows` rows each."""
-    return mock.patch.multiple(matrices, _TILE_ENTRIES=tile_rows * n_dim,
-                               _BAND_ENTRIES=tile_rows * n_dim)
+    return mock.patch.multiple(matrices, _TILE_ENTRIES=tile_rows * n_dim, _BAND_ROWS=tile_rows)
 
 
 @given(
@@ -652,10 +651,10 @@ def test_distribution_function_streams_in_bounded_memory(n_dim, bound_mb):
 
 
 def test_distribution_function_tiles_stay_under_24_mb():
-    # sign factors take the band pass: one float32 band of the Gram (4 MB),
-    # its bool mask (1 MB), the float32 right factor (2 MB) and the band's
-    # h x r slice of it (32 KB) are the whole pass; the row-tile loop of
-    # other factors holds one 8 MB tile and its 2 MB mask instead
+    # sign factors take the band pass: one float32 band of 256 rows of the
+    # Gram (8 MB), its bool mask (2 MB), the float32 right factor (2 MB)
+    # and the band's 256 x 64 slice of it (64 KB) are the whole pass; the
+    # row-tile loop of other factors holds one tile of the same size
     a = make_random_sign(8192, 64, 1)
     tracemalloc.start()
     try:
