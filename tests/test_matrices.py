@@ -444,9 +444,10 @@ def test_symmetric_band_pass_matches_the_general_loop(kind, n_dim, rank, seed, t
                                                       gamma_pick):
     rank = min(rank, n_dim)
     gamma = _gamma(gamma_pick, rank)
-    with _tile_rows(tile_rows, n_dim):
+    a = _build(kind, n_dim, rank, seed)
+    with _tile_rows(tile_rows, a.n_dim):
         with mock.patch.object(matrices, "_band_pass", wraps=matrices._band_pass) as band:
-            profile = distribution_function(_build(kind, n_dim, rank, seed), gamma)
+            profile = distribution_function(a, gamma)
         assert band.call_count == 1
         # without R == sign(L)' the same factors take the row-tile loop
         with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False), \
