@@ -98,10 +98,12 @@ def _design_leverages(points: np.ndarray, inv_u: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", points, inv_u, points)
 
 
+# Frank-Wolfe steps of mvee before it reports nonconvergence.
+_MAX_ITER = 200_000
+
+
 def mvee(
-    points: np.ndarray | Sequence[np.ndarray],
-    tol: float = 1e-7,
-    max_iter: int = 200_000,
+    points: np.ndarray | Sequence[np.ndarray], tol: float = 1e-7
 ) -> tuple[Ellipsoid, ContactSet]:
     """Minimum-volume origin-centered ellipsoid of conv(+-p_1, ..., +-p_m).
 
@@ -126,7 +128,7 @@ def mvee(
         raise DegenerateSpanError("points do not span the ambient dimension") from None
     g = _design_leverages(p, inv_u)
     refresh = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         j_add = int(np.argmax(g))
         add_gap = g[j_add] / n - 1.0
         support = u > 0
@@ -170,7 +172,7 @@ def mvee(
     else:
         gap = max(float(np.max(g)) / n - 1.0, 0.0)
         raise NonconvergenceError(
-            f"ellipsoid solver hit {max_iter} iterations at gap {gap:.3e}", gap=gap
+            f"ellipsoid solver hit {_MAX_ITER} iterations at gap {gap:.3e}", gap=gap
         )
     u = np.maximum(u, 0.0)
     u /= u.sum()
@@ -208,7 +210,6 @@ def _john_residual(points: np.ndarray, weights: np.ndarray, ell: Ellipsoid) -> f
 
 class L1LowerBound(NamedTuple):
     value: float
-    normalized: float  # value * sqrt(dim)
     certified: bool
     facets_examined: int
 
@@ -331,14 +332,14 @@ def l1_lower_constant(
     certified = method == "exact"
     inv = _contact_gram(x, ell)
     if inv is None:
-        return L1LowerBound(0.0, 0.0, certified, 0)
+        return L1LowerBound(0.0, certified, 0)
     if certified:
         best, count = _exact_maximum(inv), 1 << (k - 1)
     else:
         patterns = _sample_patterns(k, n_samples, seed, extra_patterns)
         best, count = _flip_ascent(inv, patterns)[1], len(patterns)
     mu = 1.0 / math.sqrt(best)
-    return L1LowerBound(mu, mu * math.sqrt(ell.dim), certified, count)
+    return L1LowerBound(mu, certified, count)
 
 
 # ---------------------------------------------------------------------------

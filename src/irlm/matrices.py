@@ -45,8 +45,8 @@ class FactoredMatrix:
     computed in float32, and w a per-row integer scale, so the diagonal is
     exactly 1 and values are identical across platforms and BLAS
     implementations.  Their right factor is also exactly sign(L)', so V is
-    symmetric and the statistics pass computes only its upper band (see
-    ``_band_pass``); ``dense`` always takes the row tiles.
+    symmetric and the statistics pass computes only its upper band, in band
+    tiles of the same loop; ``dense`` always takes full-row tiles.
     """
 
     n_dim: int
@@ -99,7 +99,7 @@ class FactoredMatrix:
 # of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
 
-# Rows per band of the symmetric statistics pass, at most one tile of
+# Rows per band tile of the symmetric statistics pass, at most one tile of
 # entries.  Bands of 2^20 / N rows cover the whole matrix up to N = 1024,
 # where 256-row bands took 0.55-0.75 of the time; from N = 2048 to 8192,
 # 64 to 512 rows measured alike.
@@ -142,47 +142,55 @@ def _lattice_scale(
     return scale if exact else None
 
 
-def _tile_bounds(n_dim: int, entries: int) -> list[tuple[int, int]]:
-    step = max(1, entries // n_dim)
-    return [(start, min(n_dim, start + step)) for start in range(0, n_dim, step)]
-
-
-def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None):
-    """Yield (start, V, w) over every row tile, with A[start:stop, cols] = V / w
+def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = False):
+    """Yield (start, V) over every row tile, with A[start:stop, cols] = V / w
     row by row (all columns when cols is None): the float32 integer Gram
     sign(L) @ R[:, cols] and the row scales on the lattice, the float64
-    product L @ R[:, cols] and None (w = 1) off it.  V is one reused buffer,
-    valid until the next tile, which the caller may overwrite.  The float32
+    product L @ R[:, cols] and w = 1 off it.  V is one reused buffer, valid
+    until the next tile, which the caller may overwrite.  The float32
     factors are made per pass, so a matrix holds no copy of its factors
-    between passes.  ``dense`` reads every matrix through these tiles, and
-    the statistics pass reads every matrix whose Gram is not symmetric
-    (R != sign(L)' or off the lattice); symmetric Grams take ``_band_pass``,
-    which computes each entry pair once."""
+    between passes.
+
+    With `band`, for all columns of a lattice matrix with R == sign(L)'
+    (V symmetric), each tile is the upper band V[start:stop, start:] of
+    ``_BAND_ROWS`` rows, so each entry pair is computed once.  Its left
+    operand is the transpose of a slice of R's float32 copy, so no second
+    factor copy is held.  The slice is copied (h x r entries), since numpy
+    multiplies a matrix by its own transpose with syrk and then mirrors the
+    triangle element by element, which doubled the time of the last,
+    square band."""
     scale = a._row_scale
     right = a.right if cols is None else a.right[:, cols]
     if scale is not None:
         right = right.astype(np.float32)
-    bounds = _tile_bounds(a.n_dim, _TILE_ENTRIES)
-    buf = np.empty((bounds[0][1], right.shape[1]), dtype=right.dtype)
-    for start, stop in bounds:
-        lead = a.left[start:stop]
-        if scale is not None:
-            lead = np.sign(lead).astype(np.float32)
-        values = np.matmul(lead, right, out=buf[: stop - start])
-        yield start, values, None if scale is None else scale[start:stop]
+    n, width = a.n_dim, right.shape[1]
+    # rows per tile: at most _TILE_ENTRIES entries, and at most _BAND_ROWS on bands
+    step = min(max(1, _TILE_ENTRIES // n), _BAND_ROWS if band else n)
+    buf = np.empty(min(step, n) * width, dtype=right.dtype)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        if band:
+            lead, tile = right[:, start:stop].copy().T, right[:, start:]
+        else:
+            lead, tile = a.left[start:stop], right
+            if scale is not None:
+                lead = np.sign(lead).astype(np.float32)
+        out = buf[: (stop - start) * tile.shape[1]].reshape(stop - start, tile.shape[1])
+        yield start, np.matmul(lead, tile, out=out)
 
 
 def _materialize(a: FactoredMatrix, cols: np.ndarray | None = None) -> np.ndarray:
-    # Assembled from the same row tiles the statistics pass computes, so
-    # both see identical values even where the float product depends on the
-    # tile height.
+    # Assembled from the same row tiles the statistics pass computes off the
+    # lattice, so both see identical values even where the float product
+    # depends on the tile height.
+    scale = a._row_scale
     mat = np.empty((a.n_dim, a.n_dim if cols is None else len(cols)))
-    for start, values, scale in _gram_tiles(a, cols):
-        rows = mat[start : start + values.shape[0]]
+    for start, values in _gram_tiles(a, cols):
+        stop = start + values.shape[0]
         if scale is None:
-            rows[...] = values
+            mat[start:stop] = values
         else:
-            np.divide(values, scale[:, None], out=rows)
+            np.divide(values, scale[start:stop, None], out=mat[start:stop])
     return mat
 
 
@@ -384,142 +392,90 @@ def _integer_cut(gamma: float, scale: np.ndarray) -> np.ndarray:
 
 
 def _tile_stats(
-    start: int, values: np.ndarray, scale: np.ndarray | None, gamma: float
-) -> tuple[np.ndarray, int, float]:
-    """Column counts of |A| > gamma, nonzero count and max |A - I| over the
-    row tile A = V / w that starts at row `start` (w None: A = V).  On the
-    lattice the counts compare |V| with the integer cut of each row and the
-    error divides one maximum per row, so the tile is never divided.  V is
-    overwritten.  A function of its own so that a tile's temporaries are
-    freed before the next tile is computed."""
-    local = np.arange(values.shape[0])
-    diag = (local, start + local)
-    diag_dev = values[diag].astype(np.float64)
-    if scale is None:
-        cut = gamma
-    else:
-        diag_dev /= scale
-        cut = _integer_cut(gamma, scale).astype(values.dtype)[:, None]
-    diag_dev -= 1.0
-    mags = np.abs(values, out=values)
-    mask = mags > cut
-    counts = mask.sum(axis=0, dtype=np.int32)
-    nnz = int(np.count_nonzero(np.not_equal(mags, 0, out=mask)))
-    mags[diag] = 0
-    row_max = mags.max(axis=1).astype(np.float64)
-    if scale is not None:
-        row_max /= scale
-    return counts, nnz, float(max(row_max.max(), np.abs(diag_dev).max()))
-
-
-def _band_stats(
     start: int,
     values: np.ndarray,
-    scale: np.ndarray,
-    cut: np.ndarray,
-    equal_cuts: bool,
-    equal_scales: bool,
+    scale: np.ndarray | float,
+    cut: np.ndarray | float,
+    band: bool,
 ) -> tuple[np.ndarray, int, float]:
-    """Column counts of |A| > gamma (for columns start..N), nonzero count
-    and max |A - I| that the band V[start:stop, start:] = S[start:stop] @
-    S[start:]' contributes, with S = sign(L), A = V / w and `cut` the
-    rows' integer cuts.  The band's left part (columns start..stop) holds
-    rows start..stop of A.  Its right part (columns stop..N) holds those
-    rows and, since V is symmetric, also the columns start..stop below
-    them: A[j, i] = V[i, j] / w_j.  So column i gains the j >= stop with
-    |V_ij| > cut_j, the right part's nonzeros count twice, and the error
-    also takes the right part's column maxima divided by w_j.  Where all
-    cuts are equal the mirror's mask is the band's own, where they are all
-    0 that mask is the nonzero mask, and where all scales are equal the row
-    maxima cover the mirror.  V is overwritten."""
+    """Column counts of |A| > gamma, nonzero count and max |A - I| over the
+    tile V of ``_gram_tiles`` that starts at row `start`, with A = V / w row
+    by row.  `scale` (w) and `cut` are one scalar where all rows share them,
+    else arrays over all N rows: off the lattice w = 1 and the cut is gamma,
+    on it the cuts are the rows' integer cuts, so |V| is compared without
+    dividing the tile and the error divides one maximum per row.
+
+    A band tile V[start:stop, start:] of a symmetric V has a left part
+    (columns start..stop) holding rows start..stop of A, and a right part
+    (columns stop..N) holding those rows and, mirrored, the columns
+    start..stop below them: A[j, i] = V[i, j] / w_j.  So column i gains the
+    j >= stop with |V_ij| > cut_j, the right part's nonzeros count twice,
+    and where scales differ the error also takes the right part's column
+    maxima divided by w_j.  Where the cut is 0 for every row, the counts
+    are the nonzeros.  V is overwritten.  A function of its own so that a
+    tile's temporaries are freed before the next tile is computed."""
     height = values.shape[0]
     stop = start + height
     local = np.arange(height)
-    rows = scale[start:stop]
-    diag_dev = values[local, local].astype(np.float64)
+    diag = (local, local if band else start + local)
+    rows = scale if np.ndim(scale) == 0 else scale[start:stop]
+    diag_dev = values[diag].astype(np.float64)
     diag_dev /= rows
     diag_dev -= 1.0
     mags = np.abs(values, out=values)
-    band_cut = cut[0] if equal_cuts else cut[start:stop, None]
-    mask = mags > band_cut
+    shared_cut = np.ndim(cut) == 0
+    mask = mags > (cut if shared_cut else cut[start:stop, None])
     counts = mask.sum(axis=0, dtype=np.int32)
     right = mags[:, height:]
-    if right.size:
-        mirror = mask[:, height:] if equal_cuts else right > cut[stop:]
+    if band:
+        mirror = mask[:, height:] if shared_cut else right > cut[stop:]
         counts[:height] += mirror.sum(axis=1, dtype=np.int32)
-    if equal_cuts and band_cut == 0:
+    if shared_cut and cut == 0:
         nnz = int(counts.sum())
     else:
         nonzero = np.not_equal(mags, 0, out=mask)
-        nnz = int(np.count_nonzero(nonzero)) + int(np.count_nonzero(nonzero[:, height:]))
-    mags[local, local] = 0
+        nnz = int(np.count_nonzero(nonzero))
+        if band:
+            nnz += int(np.count_nonzero(nonzero[:, height:]))
+    mags[diag] = 0
     row_max = mags.max(axis=1).astype(np.float64)
     row_max /= rows
     error = max(float(row_max.max()), float(np.abs(diag_dev).max()))
-    if right.size and not equal_scales:
+    if band and right.size and np.ndim(scale):
         col_max = right.max(axis=0).astype(np.float64)
         col_max /= scale[stop:]
         error = max(error, float(col_max.max()))
     return counts, nnz, error
 
 
-def _band_pass(a: FactoredMatrix, gamma: float) -> tuple[np.ndarray, int, float]:
-    """Column counts, nonzero count and max |A - I| of a lattice matrix with
-    R == sign(L)', whose integer Gram V = S S' is symmetric, from the
-    upper band of V only: rows start..stop times columns start..N, in bands
-    of ``_BAND_ROWS`` rows.  S' is R's float32 copy, so the band's left
-    operand is the transpose of a slice of it and no second factor copy is
-    held.  The slice is copied (h x r entries), since numpy multiplies a
-    matrix by its own transpose with syrk and then mirrors the triangle
-    element by element, which doubled the time of the last, square band.
-    The pass holds R's float32 copy, that slice, one band of V and its bool
-    mask."""
-    n = a.n_dim
-    scale = a._row_scale
-    signs = a.right.astype(np.float32)
-    cut = _integer_cut(gamma, scale)
-    equal_cuts = bool(cut.min() == cut.max())
-    equal_scales = bool(scale.min() == scale.max())
-    cut = cut.astype(np.float32)
-    bounds = _tile_bounds(n, min(_BAND_ROWS * n, _TILE_ENTRIES))
-    buf = np.empty(bounds[0][1] * n, dtype=np.float32)
-    col_counts = np.zeros(n, dtype=np.int64)
-    nnz = 0
-    error = 0.0
-    for start, stop in bounds:
-        band = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
-        values = np.matmul(signs[:, start:stop].copy().T, signs[:, start:], out=band)
-        counts, band_nnz, band_error = _band_stats(
-            start, values, scale, cut, equal_cuts, equal_scales
-        )
-        col_counts[start:] += counts
-        nnz += band_nnz
-        error = max(error, band_error)
-    return col_counts, nnz, error
-
-
 def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     """Fraction of ordered pairs (i, j) with |A[i, j]| strictly above gamma,
     together with per-column densities, the exact nonzero fraction and
-    max |A - I|, from one pass at every N that neither reads nor builds the
-    dense form.  Where R == sign(L)' on the lattice (every library kind, its
-    slices and its files) the pass computes only the upper band of the
-    symmetric integer Gram (``_band_pass``); any other factors go through
-    the ``_gram_tiles`` row tiles."""
-    if gamma < 0:
+    max |A - I|, from one pass of ``_gram_tiles`` at every N that neither
+    reads nor builds the dense form.  Where R == sign(L)' on the lattice
+    (every library kind, its slices and its files) the tiles are bands of
+    the symmetric integer Gram's upper half; any other factors take
+    full-row tiles."""
+    if not gamma >= 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     n = a.n_dim
-    if a._row_scale is not None and a._right_is_signs:
-        col_counts, nnz, error = _band_pass(a, gamma)
+    scale = a._row_scale
+    band = scale is not None and a._right_is_signs
+    if scale is None:
+        scale, cut = 1.0, gamma
     else:
-        col_counts = np.zeros(n, dtype=np.int64)
-        nnz = 0
-        error = 0.0
-        for start, values, scale in _gram_tiles(a):
-            counts, tile_nnz, tile_error = _tile_stats(start, values, scale, gamma)
-            col_counts += counts
-            nnz += tile_nnz
-            error = max(error, tile_error)
+        # one scalar where all rows share a cut or a scale
+        cut = _integer_cut(gamma, scale).astype(np.float32)
+        cut = cut[0] if cut.min() == cut.max() else cut
+        scale = scale[0] if scale.min() == scale.max() else scale
+    col_counts = np.zeros(n, dtype=np.int64)
+    nnz = 0
+    error = 0.0
+    for start, values in _gram_tiles(a, band=band):
+        counts, tile_nnz, tile_error = _tile_stats(start, values, scale, cut, band)
+        col_counts[start if band else 0 :] += counts
+        nnz += tile_nnz
+        error = max(error, tile_error)
     return DensityProfile(
         gamma=float(gamma),
         global_density=float(col_counts.sum()) / (n * n),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irlm import make_random_sign
+from irlm import geometry, make_random_sign
 from irlm.errors import DegenerateSpanError, NonconvergenceError, ParameterError
 from irlm.geometry import Ellipsoid, mvee, rank_factorize
 
@@ -58,10 +58,11 @@ def test_degenerate_span_raises(rng):
         mvee(rng.normal(size=(2, 3)), tol=1e-7)
 
 
-def test_iteration_cap_raises_with_gap(rng):
+def test_iteration_cap_raises_with_gap(rng, monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_ITER", 3)
     points = rng.normal(size=(40, 6))
     with pytest.raises(NonconvergenceError) as exc:
-        mvee(points, tol=1e-9, max_iter=3)
+        mvee(points, tol=1e-9)
     assert exc.value.gap is not None and exc.value.gap > 0
 
 

@@ -106,6 +106,16 @@ def test_distribution_rejects_negative_gamma():
         distribution_function(make_identity(4), -0.1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_random_sign(64, 16, 1),
+    lambda: from_factors(np.random.default_rng(3).standard_normal((8, 3)),
+                         np.random.default_rng(4).standard_normal((3, 8))),
+], ids=["sign-64/16", "gaussian-8/3"])
+def test_distribution_rejects_nan_gamma(build):
+    with pytest.raises(ParameterError):
+        distribution_function(build(), math.nan)
+
+
 def test_distribution_matches_binomial_tail():
     a = make_random_sign(1024, 64, 1)
     profile = distribution_function(a, 0.5 / math.sqrt(64))
@@ -354,7 +364,7 @@ def _build(kind, n_dim, rank, seed):
 
 
 # kinds whose factors lie on the lattice with R == sign(L)', so that
-# distribution_function takes the band pass over the symmetric Gram
+# distribution_function takes band tiles of the symmetric Gram
 SYMMETRIC_KINDS = ["identity", "random_sign", "slice", "identity_blocks", "mixed_blocks",
                    "block_slice", "symmetric_lattice"]
 
@@ -382,6 +392,14 @@ def _tile_rows(tile_rows, n_dim):
     return mock.patch.multiple(matrices, _TILE_ENTRIES=tile_rows * n_dim, _BAND_ROWS=tile_rows)
 
 
+def _profile_and_routes(a, gamma):
+    """distribution_function(a, gamma) and the `band` argument of every
+    _gram_tiles pass it made."""
+    with mock.patch.object(matrices, "_gram_tiles", wraps=matrices._gram_tiles) as tiles:
+        profile = distribution_function(a, gamma)
+    return profile, [call.kwargs.get("band", False) for call in tiles.call_args_list]
+
+
 @given(
     kind=st.sampled_from(SYMMETRIC_KINDS + ["lattice_factors", "float_factors"]),
     n_dim=st.integers(min_value=1, max_value=24),
@@ -398,12 +416,13 @@ def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma
     gamma = _gamma(gamma_pick, rank)
     reference = _build(kind, n_dim, rank, seed)
     a = _build(kind, n_dim, rank, seed)
-    if kind in SYMMETRIC_KINDS:
-        assert a._row_scale is not None and a._right_is_signs
+    symmetric = a._row_scale is not None and a._right_is_signs
+    assert symmetric or kind not in SYMMETRIC_KINDS
     with _tile_rows(tile_rows, a.n_dim):
-        profile = distribution_function(a, gamma)
+        profile, routes = _profile_and_routes(a, gamma)
         mat = a.dense()
         error = approx_error(a)
+    assert routes == [symmetric]
     density, columns, nnz = dense_scan_distribution(mat, gamma)
     assert profile.error == dense_scan_error(mat)
     assert profile.global_density == density
@@ -446,13 +465,12 @@ def test_symmetric_band_pass_matches_the_general_loop(kind, n_dim, rank, seed, t
     gamma = _gamma(gamma_pick, rank)
     a = _build(kind, n_dim, rank, seed)
     with _tile_rows(tile_rows, a.n_dim):
-        with mock.patch.object(matrices, "_band_pass", wraps=matrices._band_pass) as band:
-            profile = distribution_function(a, gamma)
-        assert band.call_count == 1
-        # without R == sign(L)' the same factors take the row-tile loop
-        with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False), \
-                mock.patch.object(matrices, "_band_pass", side_effect=AssertionError):
-            general = distribution_function(_build(kind, n_dim, rank, seed), gamma)
+        profile, routes = _profile_and_routes(a, gamma)
+        assert routes == [True]
+        # without R == sign(L)' the same factors take full-row tiles
+        with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False):
+            general, routes = _profile_and_routes(_build(kind, n_dim, rank, seed), gamma)
+        assert routes == [False]
     _assert_same_profile(profile, general)
 
 
@@ -466,12 +484,14 @@ def test_symmetric_band_pass_matches_the_general_loop_at_default_heights(build):
     gammas = (0.0, 0.00195, 0.0123, 0.05, 0.1, 0.35, 2.0)
     a = build()
     assert a._row_scale is not None and a._right_is_signs
-    profiles = [distribution_function(a, gamma) for gamma in gammas]
-    with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False), \
-            mock.patch.object(matrices, "_band_pass", side_effect=AssertionError):
+    profiles = [_profile_and_routes(a, gamma) for gamma in gammas]
+    assert all(routes == [True] for _, routes in profiles)
+    with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False):
         general = build()
-        for gamma, profile in zip(gammas, profiles):
-            _assert_same_profile(profile, distribution_function(general, gamma))
+        for gamma, (profile, _) in zip(gammas, profiles):
+            general_profile, routes = _profile_and_routes(general, gamma)
+            assert routes == [False]
+            _assert_same_profile(profile, general_profile)
 
 
 @given(
@@ -484,8 +504,8 @@ def test_symmetric_route_skips_lattice_factors_whose_right_is_not_the_signs(n_di
     a = _build("lattice_factors", n_dim, rank, seed)
     assert a._row_scale is not None
     assume(not a._right_is_signs)
-    with mock.patch.object(matrices, "_band_pass", side_effect=AssertionError):
-        profile = distribution_function(a, 0.25)
+    profile, routes = _profile_and_routes(a, 0.25)
+    assert routes == [False]
     density, columns, nnz = dense_scan_distribution(a.dense(), 0.25)
     assert profile.global_density == density
     assert np.array_equal(profile.column_densities, columns)
@@ -499,8 +519,8 @@ def _counts_digest(profile, n_dim):
     return hashlib.sha256(counts.tobytes()).hexdigest()[:16]
 
 
-# The two analyze_large inputs at seed 1, as the row-tile pass reported them
-# before the band pass existed.  Their theorem gamma (c = 0.25) lies below
+# The two analyze_large inputs at seed 1, as full-row tiles reported them
+# before band tiles existed.  Their theorem gamma (c = 0.25) lies below
 # one lattice step, so F* there equals the nonzero fraction and the counts
 # equal those at gamma = 0.
 @pytest.mark.parametrize(
@@ -652,10 +672,10 @@ def test_distribution_function_streams_in_bounded_memory(n_dim, bound_mb):
 
 
 def test_distribution_function_tiles_stay_under_24_mb():
-    # sign factors take the band pass: one float32 band of 256 rows of the
+    # sign factors take band tiles: one float32 band of 256 rows of the
     # Gram (8 MB), its bool mask (2 MB), the float32 right factor (2 MB)
     # and the band's 256 x 64 slice of it (64 KB) are the whole pass; the
-    # row-tile loop of other factors holds one tile of the same size
+    # full-row tiles of other factors are of the same size
     a = make_random_sign(8192, 64, 1)
     tracemalloc.start()
     try:
