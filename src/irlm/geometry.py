@@ -31,10 +31,9 @@ from .matrices import FactoredMatrix
 class Subspace:
     """Orthonormal frame for the column span plus coordinates of the columns."""
 
-    ambient_dim: int
     dim: int
-    basis: np.ndarray  # ambient_dim x dim, orthonormal columns
-    coords: np.ndarray  # dim x ambient_dim, basis @ coords reconstructs
+    basis: np.ndarray  # N x dim, orthonormal columns
+    coords: np.ndarray  # dim x N, basis @ coords reconstructs
 
 
 def rank_factorize(a: FactoredMatrix, tol: float) -> Subspace:
@@ -54,7 +53,7 @@ def rank_factorize(a: FactoredMatrix, tol: float) -> Subspace:
         dim = int(np.count_nonzero(s > tol * s[0]))
     basis = q @ u[:, :dim]
     coords = s[:dim, None] * vt[:dim]
-    return Subspace(a.n_dim, dim, basis, coords)
+    return Subspace(dim, basis, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +221,21 @@ _PIVOT_RTOL = 1e-14
 _PATTERN_CHUNK = 1 << 14
 
 
+def _dependent(z: np.ndarray, r: np.ndarray) -> bool:
+    """Whether the rows of z are dependent: there are more rows than columns,
+    or a pivot of the QR z' = Q r has a square at most _PIVOT_RTOL times its
+    row's squared norm."""
+    if z.shape[0] > z.shape[1]:
+        return True
+    return bool(np.any(np.diagonal(r) ** 2 <= _PIVOT_RTOL * np.einsum("ij,ij->i", z, z)))
+
+
 def _contact_gram(x: np.ndarray, ell: Ellipsoid) -> np.ndarray | None:
     """H = G^(-1) for the D-Gram G of the rows of x, through the Cholesky
-    factor of G, computed as the R of a QR of the whitened rows.  None when
-    a pivot fails the relative test, which means the rows are dependent."""
-    if x.shape[0] > ell.dim:
-        return None
+    factor of G, the R of a QR of the whitened rows; None if they are dependent."""
     z = x @ np.linalg.cholesky(ell.shape)  # z z' = G
     chol = np.linalg.qr(z.T, mode="r")  # G = chol' chol
-    if np.any(np.diagonal(chol) ** 2 <= _PIVOT_RTOL * np.einsum("ij,ij->i", z, z)):
+    if _dependent(z, chol):
         return None
     inv_chol = np.linalg.inv(chol)
     return inv_chol @ inv_chol.T
@@ -253,19 +258,13 @@ def _exact_maximum(inv: np.ndarray) -> float:
     return best
 
 
-def _sample_patterns(
-    k: int, n_samples: int, seed: int, extra_patterns: np.ndarray | None = None
-) -> np.ndarray:
-    """The all-plus facet, the signs of the extra patterns, then seeded
-    random patterns up to n_samples in all; each is turned to start with
-    +1 (antipodal facets are equivalent) and repeats are dropped, keeping
-    first occurrences in order."""
+def _sample_patterns(k: int, n_samples: int, seed: int) -> np.ndarray:
+    """The all-plus facet, then seeded random patterns up to n_samples in
+    all; each is turned to start with +1 (antipodal facets are equivalent)
+    and repeats are dropped, keeping first occurrences in order."""
     patterns = [np.ones(k)]
-    if extra_patterns is not None:
-        for row in np.atleast_2d(np.asarray(extra_patterns, dtype=np.float64)):
-            patterns.append(np.where(row < 0, -1.0, 1.0))
     stream = rng.SplitMix64(rng.derive_key(seed, k))
-    for _ in range(max(0, n_samples - len(patterns))):
+    for _ in range(max(0, n_samples - 1)):
         patterns.append(stream.next_signs(k))
     signs = np.array(patterns)
     signs *= np.where(signs[:, :1] < 0, -1.0, 1.0)
@@ -301,7 +300,6 @@ def l1_lower_constant(
     method: str = "exact",
     n_samples: int = 64,
     seed: int = 0,
-    extra_patterns: np.ndarray | None = None,
 ) -> L1LowerBound:
     """Smallest D-norm of a combination of the contact vectors with unit
     L1 coefficient norm: min |sum t_m x_m|_D over ||t||_1 = 1.
@@ -314,11 +312,10 @@ def l1_lower_constant(
     and the value is 0 with no facet examined.  The exact method takes the
     maximum over all 2^(k-1) patterns up to antipodes and is capped at
     k <= 20.  The sampled method takes the best of a pattern set (the
-    all-plus facet, caller-provided patterns, and seeded random ones) and
-    climbs from it by single sign flips; it ends on a facet that contains
-    its hyperplane foot, so its value is a true facet distance, an upper
-    estimate of the minimum flagged as not certified, and never above the
-    hyperplane distance of a provided pattern.
+    all-plus facet and seeded random ones) and climbs from it by single
+    sign flips; it ends on a facet that contains its hyperplane foot, so
+    its value is a true facet distance, an upper estimate of the minimum
+    flagged as not certified.
     """
     x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
     k = x.shape[0]
@@ -336,7 +333,7 @@ def l1_lower_constant(
     if certified:
         best, count = _exact_maximum(inv), 1 << (k - 1)
     else:
-        patterns = _sample_patterns(k, n_samples, seed, extra_patterns)
+        patterns = _sample_patterns(k, n_samples, seed)
         best, count = _flip_ascent(inv, patterns)[1], len(patterns)
     mu = 1.0 / math.sqrt(best)
     return L1LowerBound(mu, certified, count)
@@ -427,43 +424,31 @@ class Frame:
 
 
 def complete_frame(subset: np.ndarray, ell: Ellipsoid) -> Frame:
-    """Extend independent contact vectors to a basis by adjoining vectors
-    D-orthogonal to their span, D-orthonormalized."""
-    x = np.atleast_2d(np.asarray(subset, dtype=np.float64))
-    if x.shape[0] == 0:
-        x = x.reshape(0, ell.dim)
-    n = ell.dim
-    k = x.shape[0]
-    if k > n:
-        raise RankDeficiencyError(f"{k} contacts cannot be independent in dimension {n}")
-    if k == n:
-        comp = np.zeros((0, n))
-    else:
-        if k == 0:
-            null = np.eye(n)
-        else:
-            _, s, vt = np.linalg.svd(x @ ell.shape, full_matrices=True)
-            if s.size and s[-1] <= 1e-12 * s[0]:
-                raise RankDeficiencyError("contact vectors are not independent")
-            null = vt[k:].T  # n x (n - k), D-orthogonal to every contact
-            # one pass of D-reorthogonalization removes the SVD's rounding
-            proj = x @ ell.shape
-            null = null - x.T @ np.linalg.solve(proj @ x.T, proj @ null)
-        gram = null.T @ ell.shape @ null
-        chol = np.linalg.cholesky((gram + gram.T) / 2.0)
-        comp = np.linalg.solve(chol, null.T)  # rows are D-orthonormal
+    """Extend independent contact vectors to a basis by adjoining a D-orthonormal
+    basis of their D-orthogonal complement.  With M = L L', one complete QR of
+    the whitened contacts (x L)' tests their independence, and its trailing
+    columns Q2 give the complement (L'^(-1) Q2)'."""
+    x = np.atleast_2d(np.asarray(subset, dtype=np.float64)).reshape(-1, ell.dim)
+    chol = np.linalg.cholesky(ell.shape)
+    z = x @ chol
+    q, r = np.linalg.qr(z.T, mode="complete")
+    if _dependent(z, r):
+        raise RankDeficiencyError("contact vectors are not independent")
+    comp = np.linalg.solve(chol.T, q[:, x.shape[0] :]).T
     return Frame(contacts=x, complement=comp, ellipsoid=ell)
 
 
 def expand_coefficients(columns: np.ndarray, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (t, s) with columns = contacts' t + complement' s (dim x count).
 
-    The complement part is read off exactly as D-inner products; the contact
-    part solves the remaining system by least squares.
+    The complement C is D-orthogonal to the contacts X, so s = C D v and
+    t = (X D X')^(-1) X D v = R^(-1) Q' L' v for D = L L' and (X L)' = Q R.
     """
     v = np.asarray(columns, dtype=np.float64)
+    chol = np.linalg.cholesky(frame.ellipsoid.shape)
+    q, r = np.linalg.qr((frame.contacts @ chol).T)
+    t = np.linalg.solve(r, q.T @ (chol.T @ v))
     s = frame.complement @ frame.ellipsoid.shape @ v
-    t, *_ = np.linalg.lstsq(frame.contacts.T, v - frame.complement.T @ s, rcond=None)
     return t, s
 
 

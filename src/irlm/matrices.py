@@ -71,9 +71,13 @@ class FactoredMatrix:
                 f"right factor shape {right.shape} != ({self.rank_budget}, {self.n_dim})"
             )
         # min and max propagate NaN, so four reductions check every entry
-        # without an array-sized temporary
-        if not np.all(np.isfinite([left.min(), left.max(), right.min(), right.max()])):
+        # without an array-sized temporary.  A product entry sums r terms of
+        # at most max|L| max|R| each; that bound is taken in Python floats.
+        l_lo, l_hi, r_lo, r_hi = map(float, (left.min(), left.max(), right.min(), right.max()))
+        if not all(map(math.isfinite, (l_lo, l_hi, r_lo, r_hi))):
             raise ParameterError("factor entries must be finite")
+        if max(-l_lo, l_hi) * max(-r_lo, r_hi) * self.rank_budget > np.finfo(np.float64).max:
+            raise ParameterError("factor product may overflow float64")
         left.flags.writeable = False
         right.flags.writeable = False
         object.__setattr__(self, "left", left)

@@ -64,7 +64,7 @@ def read_matrix(path: str | Path) -> FactoredMatrix:
     provenance = Provenance(KIND_NAMES[code], int(seed))
     try:
         return FactoredMatrix(n_dim, rank, left, right, provenance)
-    except ParameterError as exc:  # the header is checked, so: non-finite entries
+    except ParameterError as exc:  # the header is checked, so: bad entries
         raise FormatError(f"{path}: {exc}") from exc
 
 

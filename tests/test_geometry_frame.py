@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from irlm import geometry
 from irlm.errors import RankDeficiencyError
 from irlm.geometry import (
     Ellipsoid,
+    Frame,
     _complete_pivot_init,
     _independent_prefix,
     auerbach_basis,
@@ -107,6 +108,14 @@ def test_full_contact_set_gives_empty_complement(rng):
     assert frame.complement.shape == (0, 5)
 
 
+def test_dependent_contacts_are_refused(rng):
+    base = rng.normal(size=(3, 5))
+    ell = Ellipsoid(5, np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), 0.0)
+    for x in (np.vstack([base, -base[1]]), np.vstack([base, base[0] + base[2]]), rng.normal(size=(6, 5))):
+        with pytest.raises(RankDeficiencyError):
+            complete_frame(x, ell)
+
+
 def test_empty_contact_set_gives_orthonormal_basis(rng):
     m = rng.normal(size=(4, 4))
     shape = m @ m.T + 4 * np.eye(4)
@@ -162,6 +171,49 @@ def test_expansion_reconstructs_all_columns(rng):
     norms = np.linalg.norm(cols, axis=0)
     rel = np.linalg.norm(recon - cols, axis=0) / norms
     assert rel.max() <= 1e-8
+
+
+def frame_instance(seed, dim, k, lemma_b):
+    """k contacts in dimension dim and an ellipsoid, from one seed; with
+    lemma_b, the trace's maxvol frame instead: a basis of random points,
+    the identity shape and no complement."""
+    g = np.random.default_rng(seed)
+    if lemma_b:
+        points = g.normal(size=(dim + 4, dim))
+        x = points[auerbach_basis(points, 0.01).indices]
+        ell = unit_ball(dim)
+    else:
+        root = g.normal(size=(dim, dim))
+        ell = Ellipsoid(dim, root @ root.T + dim * np.eye(dim), 0.0)
+        x = g.normal(size=(k, dim))
+    assume(x.shape[0] == 0 or np.linalg.cond(x @ ell.shape @ x.T) <= 1e4)
+    return x, ell, g
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 8), st.booleans())
+def test_qr_complement_spans_the_d_orthogonal_complement(seed, dim, k, lemma_b):
+    # C'C D is the D-orthogonal projector I - X'(X D X')^(-1) X D onto the
+    # complement of the contacts, so the complement spans the same space
+    x, ell, _ = frame_instance(seed, dim, min(k, dim), lemma_b)
+    comp = complete_frame(x, ell).complement
+    assert comp.shape == (dim - x.shape[0], dim)
+    proj = x @ ell.shape
+    want = np.eye(dim) - x.T @ np.linalg.solve(proj @ x.T, proj)
+    assert np.abs(comp.T @ comp @ ell.shape - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.booleans())
+def test_closed_form_expansion_matches_lstsq(seed, dim, k, lemma_b):
+    x, ell, g = frame_instance(seed, dim, min(k, dim), lemma_b)
+    if lemma_b:
+        frame = Frame(contacts=x, complement=np.zeros((0, dim)), ellipsoid=ell)
+    else:
+        frame = complete_frame(x, ell)
+    v = g.normal(size=(dim, 5))
+    t, s = expand_coefficients(v, frame)
+    basis = np.vstack([frame.contacts, frame.complement])
+    want = np.linalg.lstsq(basis.T, v, rcond=None)[0][: x.shape[0]]
+    assert np.abs(t - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- maxvol basis ----------------------------------------------------------------

@@ -633,6 +633,17 @@ def test_non_finite_factors_are_rejected(factor, bad):
         from_factors(left, right)
 
 
+def test_factors_whose_product_may_overflow_are_rejected():
+    # every entry is finite, but max|L| max|R| r = 8e400 exceeds the float64
+    # range; these factors gave an approximation error of inf
+    left = np.full((4, 8), 1e200)
+    right = np.where(np.arange(32).reshape(8, 4) % 2 == 0, 1e200, -1e200)
+    with pytest.raises(ParameterError, match="overflow"):
+        from_factors(left, right)
+    # 8e300 stays in range and is accepted
+    assert from_factors(left * 1e-50, right * 1e-50).rank_budget == 8
+
+
 @pytest.mark.parametrize(
     "left, right",
     [

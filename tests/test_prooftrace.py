@@ -390,15 +390,27 @@ def test_premise_satisfying_noisy_identity_passes_every_step():
 
 @pytest.mark.parametrize("n_dim, seed", [(160, 1), (256, 2)])
 def test_premise_holding_sign_traces_pass_every_step(n_dim, seed):
-    # full-rank sign fixtures where the premise holds; frame_completion's
-    # absolute 1e-10 orthogonality was missed here by rounding alone
-    # (1.5e-9 and 1.0e-10) before the complement was D-reorthogonalized
+    # full-rank sign fixtures where the premise holds; rounding alone once
+    # missed frame_completion's absolute 1e-10 orthogonality here (1.5e-9
+    # and 1.0e-10)
     gamma = gamma_threshold(n_dim, n_dim, 0.25)
     report = trace(make_random_sign(n_dim, n_dim, seed), TraceConfig(gamma=gamma))
     assert report.premise_ok
     failed = [s.name for s in report.steps if s.check is not None and not s.check.holds]
     assert failed == []
     assert report.step("frame_completion").check.lhs <= 1e-14
+
+
+@pytest.mark.parametrize("n_dim, seed", [(96, 1), (96, 2), (96, 3), (96, 4), (256, 1)])
+def test_l1_bound_facets_are_the_seeded_pattern_set(n_dim, seed):
+    # the facet count depends on k and the seed alone; the signs of the
+    # expansion's rounding-noise coefficients used to join the pattern set,
+    # which made it follow the BLAS (97 at 96/96 and 257 at 256/256 seed 1)
+    gamma = gamma_threshold(n_dim, n_dim, 0.25)
+    report = trace(make_random_sign(n_dim, n_dim, seed), TraceConfig(gamma=gamma))
+    k = report.measured_constants["k"]
+    patterns = geometry._sample_patterns(k, prooftrace.L1_SAMPLES, prooftrace.SAMPLE_SEED)
+    assert report.step("l1_bound").inputs["facets"] == len(patterns)
 
 
 def test_mvee_certificate_residual_is_at_rounding_on_sign_256_256():

@@ -108,6 +108,17 @@ def test_reader_rejects_non_finite_entries(tmp_path, offset, bad):
         read_matrix(path)
 
 
+def test_reader_rejects_factors_whose_product_may_overflow(tmp_path):
+    path = tmp_path / "of.irlm"
+    write_matrix(make_random_sign(16, 8, 1), path)
+    data = bytearray(path.read_bytes())
+    for offset in (0, 16 * 8):  # one entry of each factor
+        data[HEADER.size + 8 * offset : HEADER.size + 8 * offset + 8] = np.float64(1e200).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="overflow"):
+        read_matrix(path)
+
+
 def test_header_layout():
     assert HEADER.size == 40
     assert MAGIC == b"IRLM0001"
