@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import bounds as bnd
@@ -436,7 +437,10 @@ def _cmd_sweep(args) -> int:
 # parser and dispatch
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="irlm",
         description="Low-rank identity approximation toolkit",

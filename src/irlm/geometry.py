@@ -272,26 +272,68 @@ def _sample_patterns(k: int, n_samples: int, seed: int) -> np.ndarray:
     return signs[np.sort(first)]
 
 
-def _flip_ascent(inv: np.ndarray, patterns: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best pattern s by s' H s, then single-flip ascent: flipping s_i
-    raises s' H s by 4 (H_ii - s_i (Hs)_i), and the flip with the largest
-    gain is taken while it gains.  A flip counts only if the recomputed
-    s' H s rises, so rounding cannot make the ascent cycle.  At the end
-    every s_i (Hs)_i is positive, so the foot Hs / s'Hs of the facet
-    hyperplane lies in the facet.  Returns the final pattern and s' H s."""
-    s = patterns[int(np.argmax(_quadratic_forms(patterns, inv)))].copy()
-    diag = np.diagonal(inv)
-    hs = inv @ s
-    value = float(s @ hs)
-    while True:
-        i = int(np.argmax(diag - s * hs))
+def _ascend(
+    inv: np.ndarray, patterns: np.ndarray, drops: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-flip ascent of b problems at once on one k x k operator H.
+
+    Problem r starts from the best of its pattern stack patterns[r]
+    (p x k, first index on ties) by s' K s, where K = H, or with `drops`
+    the inverse H_-d-d - h h' / H_dd of H downdated at d = drops[r],
+    applied in place through s' K s = s' H s - ((Hs)_d)^2 / H_dd and
+    K s = H s - H[d] (Hs)_d / H_dd for patterns with s_d = 0; coordinate
+    d is never flipped.  Flipping s_i raises s' K s by 4 (K_ii - s_i (Ks)_i),
+    and each problem takes its flip with the largest gain while it gains.
+    A flip counts only if the recomputed s' K s rises, so rounding cannot
+    make the ascent cycle.  Every step is one product H @ S' for all active
+    problems; at b = 1 it is the matrix-vector product H @ s and the dot
+    s' (Hs), so one problem rounds as a loop over single vectors would.  At
+    the end every s_i (Ks)_i is positive, so the foot
+    Ks / s'Ks of the facet hyperplane lies in the facet.  Returns the final
+    patterns (b x k) and their values s' K s."""
+    b, p, k = patterns.shape
+    flat = patterns.reshape(b * p, k)
+    hs = flat @ inv
+    forms = np.einsum("ij,ij->i", hs, flat)
+    diag = np.broadcast_to(np.diagonal(inv), (b, k))
+    if drops is not None:
+        pivots = np.diagonal(inv)[drops]
+        at_drop = hs[np.arange(b * p), np.repeat(drops, p)]
+        forms -= at_drop * at_drop / np.repeat(pivots, p)
+        diag = diag - inv[drops] ** 2 / pivots[:, None]
+        diag[np.arange(b), drops] = -math.inf
+
+    def apply(s, active):
+        ks = (inv @ s.T).T
+        value = np.matmul(s[:, None, :], ks[:, :, None])[:, 0, 0]
+        if drops is not None:
+            d = drops[active]
+            at_drop = ks[np.arange(d.size), d]
+            value -= at_drop * at_drop / pivots[active]
+            ks -= (at_drop / pivots[active])[:, None] * inv[d]
+        return ks, value
+
+    s = patterns[np.arange(b), forms.reshape(b, p).argmax(axis=1)]
+    active = np.arange(b)
+    ks, value = apply(s, active)
+    final_s, final_value = np.empty((b, k)), np.empty(b)
+    while active.size:
+        i = (diag[active] - s * ks).argmax(axis=1)
         flipped = s.copy()
-        flipped[i] = -flipped[i]
-        flipped_hs = inv @ flipped
-        flipped_value = float(flipped @ flipped_hs)
-        if not flipped_value > value:
-            return s, value
-        s, hs, value = flipped, flipped_hs, flipped_value
+        flipped[np.arange(active.size), i] *= -1.0
+        flipped_ks, flipped_value = apply(flipped, active)
+        rises = flipped_value > value
+        final_s[active[~rises]] = s[~rises]
+        final_value[active[~rises]] = value[~rises]
+        active, s, ks, value = active[rises], flipped[rises], flipped_ks[rises], flipped_value[rises]
+    return final_s, final_value
+
+
+def _flip_ascent(inv: np.ndarray, patterns: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best pattern s by s' H s, then single-flip ascent (``_ascend`` on one
+    problem).  Returns the final pattern and s' H s."""
+    s, value = _ascend(inv, patterns[None])
+    return s[0], float(value[0])
 
 
 def l1_lower_constant(
@@ -367,6 +409,33 @@ def _independent_prefix(vectors: np.ndarray, ell: Ellipsoid) -> list[int]:
     return kept
 
 
+# Entries of the embedded pattern stacks of one block of selection
+# candidates (2 MB of float64); a round scores its candidates block by block.
+_SELECTION_BLOCK_ENTRIES = 1 << 18
+
+
+def _drop_one_values(inv: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """For every position d of the k x k inverse D-Gram H, s' H_d s at the end
+    of the single-flip ascent over the (k-1)-long `patterns`, where H_d is H
+    downdated at d: the inverse D-Gram of the set without vector d.  Each
+    candidate's patterns are embedded with a 0 at d, and a block of
+    candidates climbs together in ``_ascend``."""
+    k = inv.shape[0]
+    p = patterns.shape[0]
+    cols = np.arange(k)
+    block = max(1, _SELECTION_BLOCK_ENTRIES // (p * k))
+    values = []
+    for start in range(0, k, block):
+        drops = np.arange(start, min(k, start + block))
+        # column j of candidate d's patterns is column j - (j > d) of
+        # `patterns`, and column d is zeroed
+        src = np.minimum(cols - (cols > drops[:, None]), k - 2)
+        stack = np.ascontiguousarray(patterns[:, src].transpose(1, 0, 2))
+        stack[np.arange(drops.size), :, drops] = 0.0
+        values.append(_ascend(inv, stack, drops)[1])
+    return np.concatenate(values)
+
+
 def select_contact_subset(
     contacts: np.ndarray,
     ell: Ellipsoid,
@@ -382,10 +451,12 @@ def select_contact_subset(
     vector whose removal maximizes the sampled L1 lower constant of the
     remainder, until min(target_k, independent count) vectors are left.
     Each round factors the D-Gram G of the current set once, and every
-    candidate's inverse Gram is the downdate H_-i-i - h h' / H_ii of
-    H = G^(-1) (refactored per candidate when G has no inverse).
-    Candidates are scored in closed form, (max_s s' H s)^(-1/2) over the
-    round's one deduplicated pattern set and its single-flip ascent.
+    candidate's inverse Gram is H = G^(-1) downdated at its position,
+    applied without forming it (``_drop_one_values``; refactored per
+    candidate when G has no inverse).  Candidates are scored in closed
+    form, (max_s s' H s)^(-1/2) over the round's one deduplicated pattern
+    set and its single-flip ascent; the first candidate wins unless a later
+    one scores more than 1e-15 above the best so far.
     """
     x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
     if target_k < 1:
@@ -394,19 +465,17 @@ def select_contact_subset(
     while len(current) > target_k:
         inv = _contact_gram(x[current], ell)
         patterns = _sample_patterns(len(current) - 1, selection_samples, seed)
+        if inv is None:
+            mus = []
+            for pos in range(len(current)):
+                cand_inv = _contact_gram(x[current[:pos] + current[pos + 1 :]], ell)
+                value = math.inf if cand_inv is None else _flip_ascent(cand_inv, patterns)[1]
+                mus.append(1.0 / math.sqrt(value))
+        else:
+            mus = [1.0 / math.sqrt(v) for v in _drop_one_values(inv, patterns).tolist()]
         best_mu = -math.inf
         best_pos = 0
-        for pos in range(len(current)):
-            keep = np.delete(np.arange(len(current)), pos)
-            if inv is None:
-                cand_inv = _contact_gram(x[current][keep], ell)
-            else:
-                h = inv[keep, pos]
-                cand_inv = inv[np.ix_(keep, keep)] - np.outer(h, h) / inv[pos, pos]
-            if cand_inv is None:
-                mu = 0.0
-            else:
-                mu = 1.0 / math.sqrt(_flip_ascent(cand_inv, patterns)[1])
+        for pos, mu in enumerate(mus):
             if mu > best_mu + 1e-15:
                 best_mu = mu
                 best_pos = pos
@@ -478,26 +547,33 @@ def _pivot(tab: np.ndarray, r: int, c: int) -> None:
 def _complete_pivot_init(points: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Complete pivoting of the variables x points tableau on its largest free
     entry picks an independent, large-volume starting basis `selected`;
-    returns it with `coeff` such that points = coeff @ points[selected]."""
-    tab = points.T.copy()  # n x m, variables x points
-    n, m = tab.shape
-    scale = float(np.abs(tab).max()) or 1.0
-    row_free = np.ones(n, dtype=bool)
-    col_free = np.ones(m, dtype=bool)
-    pivot_rows: list[int] = []
+    returns it with `coeff` such that points = coeff @ points[selected].
+
+    A pivot on (r, c) changes each free entry to w_ij - w_ic (w_rj / w_rc)
+    and reads no other, so only the free rows x free columns are kept,
+    compacted in their original order (the argmax breaks ties as on the
+    whole tableau), and row r and column c leave after the pivot.  The
+    coefficients come from one solve on the basis."""
+    work = points.T.copy()  # free variables x free points
+    n, m = work.shape
+    scale = float(np.abs(work).max()) or 1.0
+    cols = np.arange(m)  # original index of each free point
     selected: list[int] = []
     for _ in range(n):
-        sub = np.abs(tab[np.ix_(row_free, col_free)])
-        if sub.max() <= 1e-12 * scale:
+        mags = np.abs(work)
+        r, c = np.unravel_index(int(np.argmax(mags)), mags.shape)
+        if mags[r, c] <= 1e-12 * scale:
             raise RankDeficiencyError("points do not span the ambient dimension")
-        ri, ci = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        r, c = int(np.flatnonzero(row_free)[ri]), int(np.flatnonzero(col_free)[ci])
-        _pivot(tab, r, c)
-        pivot_rows.append(r)
-        selected.append(c)
-        row_free[r] = False
-        col_free[c] = False
-    return selected, tab[pivot_rows].T
+        selected.append(int(cols[c]))
+        work -= np.multiply.outer(work[:, c], work[r] / work[r, c])
+        # drop row r and column c, keeping the order of the rest
+        rest = np.empty((work.shape[0] - 1, work.shape[1] - 1))
+        for kept, old in ((slice(None, r), slice(None, r)), (slice(r, None), slice(r + 1, None))):
+            rest[kept, :c] = work[old, :c]
+            rest[kept, c:] = work[old, c + 1 :]
+        work = rest
+        cols = np.delete(cols, c)
+    return selected, np.linalg.solve(points[selected].T, points.T).T
 
 
 def auerbach_basis(points: np.ndarray, delta: float = 0.01) -> AuerbachBasis:

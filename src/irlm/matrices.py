@@ -344,11 +344,17 @@ def from_factors(
 
 
 def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
-    """Principal submatrix on the given indices, still in factored form."""
+    """Principal submatrix on the given indices, still in factored form.
+
+    It keeps the rows of L and a column subset of R, so the lattice facts
+    the parent has established carry over: R == sign(L)' stays true, and
+    the row scales are the parent's at `indices`.  A fact the parent lacks
+    or has not computed is computed on the submatrix when needed, since a
+    slice of a matrix off the lattice may lie on it."""
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size == 0:
         raise ParameterError("submatrix needs at least one index")
-    return FactoredMatrix(
+    sub = FactoredMatrix(
         int(indices.size),
         a.rank_budget,
         a.left[indices],
@@ -357,6 +363,12 @@ def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
             "custom", a.provenance.seed, {"parent": a.provenance.kind, "size": int(indices.size)}
         ),
     )
+    known = vars(a)
+    if known.get("_right_is_signs") is True:
+        vars(sub)["_right_is_signs"] = True
+    if known.get("_row_scale") is not None:
+        vars(sub)["_row_scale"] = known["_row_scale"][indices]
+    return sub
 
 
 def approx_error(a: FactoredMatrix) -> float:
@@ -493,6 +505,56 @@ def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
 # holds (2 MB of float64).
 _PAIR_BLOCK_ENTRIES = 1 << 18
 
+# Entries of one row tile of min_pairwise_linf's pair bounds (512 KB).
+_BOUND_TILE_ENTRIES = 1 << 16
+
+
+def _pair_bounds(mat: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) for the rows i of
+    start..stop, and inf where j <= i."""
+    diag = np.diagonal(mat)
+    bounds = np.subtract(mat[start:stop], diag)
+    np.abs(bounds, out=bounds)
+    mirror = np.subtract(mat[:, start:stop].T, diag[start:stop, None])
+    np.abs(mirror, out=mirror)
+    np.maximum(bounds, mirror, out=bounds)
+    np.putmask(bounds, np.arange(mat.shape[0]) <= np.arange(start, stop)[:, None], math.inf)
+    return bounds
+
+
+def _min_distance(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Smallest ||m_i - m_j||_inf over the pairs (rows[p], cols[p]), sorted
+    by row, from one block of gathered rows: each row is one run of pairs."""
+    diff = mat[cols]
+    cuts = (np.flatnonzero(np.diff(rows)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, rows.size]):
+        diff[lo:hi] -= mat[rows[lo]]
+    return float(np.abs(diff, out=diff).max(axis=1).min())
+
+
+def _tile_search(mat: np.ndarray, start: int, stop: int, best: float) -> tuple[float, int]:
+    """min_pairwise_linf's search over the pairs of rows start..stop, from the
+    best distance found before them; returns the new best and the count of
+    pairs evaluated.  A function of its own so that the bound tile is freed
+    before the next one is computed."""
+    n = mat.shape[0]
+    flat = _pair_bounds(mat, start, stop).ravel()
+    most = min(max(1, _PAIR_BLOCK_ENTRIES // n), flat.size)
+    batch, evaluated = 1, 0
+    while True:
+        if batch == 1:
+            pairs = np.array([np.argmin(flat)])
+        else:
+            pairs = np.argpartition(flat, batch - 1)[:batch]
+        pairs = np.sort(pairs[flat[pairs] < best])
+        if not pairs.size:
+            return best, evaluated
+        flat[pairs] = math.inf
+        rows, cols = np.divmod(pairs, n)
+        best = min(best, _min_distance(mat, start + rows, cols))
+        evaluated += pairs.size
+        batch = min(2 * batch, most)
+
 
 def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
     """Smallest sup-norm distance between two rows of the square matrix
@@ -500,26 +562,20 @@ def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
 
     Columns i and j give every pair the lower bound
     L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) <= ||m_i - m_j||_inf, with
-    the same IEEE values the full distance takes its maximum over.  Row i is
-    compared, in blocks of rows, with exactly the j > i whose L is below the
-    best distance found before the block, so the result is the exact minimum
-    and the extra memory is one block.
+    the same IEEE values the full distance takes its maximum over.  L is
+    computed in row tiles of at most ``_BOUND_TILE_ENTRIES`` entries.  In
+    each tile the pair with the smallest bound is evaluated first, then the
+    smallest bounds in batches of 2, 4, ... up to ``_PAIR_BLOCK_ENTRIES // n``
+    pairs, until no bound of the tile is below the best distance found.  So
+    the result is the exact minimum, each pair is evaluated at most once,
+    and the extra memory is one tile and one block of candidate rows.
     """
     n = mat.shape[0]
-    diag = np.diagonal(mat)
-    block = max(1, _PAIR_BLOCK_ENTRIES // max(n, 1))
+    height = max(1, _BOUND_TILE_ENTRIES // max(n, 1))
     best, evaluated = math.inf, 0
-    for i in range(n - 1):
-        row, col = mat[i, i + 1 :] - diag[i + 1 :], mat[i + 1 :, i] - diag[i]
-        bound = np.maximum(np.abs(row), np.abs(col))
-        js = np.flatnonzero(bound < best)
-        while js.size:
-            head, js = js[:block], js[block:]
-            diff = mat[i + 1 + head]
-            diff -= mat[i]
-            best = min(best, float(np.abs(diff, out=diff).max(axis=1).min()))
-            evaluated += head.size
-            js = js[bound[js] < best]
+    for start in range(0, n - 1, height):
+        best, count = _tile_search(mat, start, min(n, start + height), best)
+        evaluated += count
     return best, evaluated
 
 

@@ -8,7 +8,7 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# a deeper run for CI's density-pass step: --hypothesis-profile=deep
+# a deeper run for CI's deep property steps: --hypothesis-profile=deep
 settings.register_profile(
     "deep",
     max_examples=300,

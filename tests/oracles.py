@@ -238,26 +238,28 @@ def brute_flip_l1(gram: np.ndarray, n_samples: int, seed: int) -> float:
     """Sampled L1 lower constant of a D-Gram by brute force: every pattern
     s (the all-plus facet and seeded random ones) is scored as s' c with
     G c = s, and from the best one every single-flip neighbour is scored
-    the same way; the best improving flip is taken until none improves."""
+    the same way; the best improving flip is taken until none improves.
+    The patterns of one step are solved together, as columns of one
+    right-hand side."""
     from irlm import rng
 
     k = gram.shape[0]
 
-    def value(s):
-        return float(s @ np.linalg.solve(gram, s))
+    def values(patterns):
+        return np.einsum("ij,ji->i", patterns, np.linalg.solve(gram, patterns.T))
 
     stream = rng.SplitMix64(rng.derive_key(seed, k))
-    patterns = [np.ones(k)] + [stream.next_signs(k) for _ in range(max(0, n_samples - 1))]
-    values = [value(s) for s in patterns]
-    s = patterns[int(np.argmax(values))].copy()
-    best = max(values)
+    patterns = np.array([np.ones(k)] + [stream.next_signs(k) for _ in range(max(0, n_samples - 1))])
+    scores = values(patterns)
+    s = patterns[int(np.argmax(scores))].copy()
+    best = float(scores.max())
     while True:
-        flips = [s * np.where(np.arange(k) == i, -1.0, 1.0) for i in range(k)]
-        flip_values = [value(f) for f in flips]
+        flips = s * np.where(np.eye(k, dtype=bool), -1.0, 1.0)
+        flip_values = values(flips)
         i = int(np.argmax(flip_values))
         if not flip_values[i] > best:
             return 1.0 / math.sqrt(best)
-        s, best = flips[i], flip_values[i]
+        s, best = flips[i], float(flip_values[i])
 
 
 def brute_drop_one_select(x, shape, current, target_k, samples, seed) -> np.ndarray:

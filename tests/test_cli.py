@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from irlm import cli
 from irlm.bounds import gamma_threshold
 from irlm.cli import main, parse_gamma_rule, resolve_gamma
 from irlm.errors import ParameterError
@@ -431,3 +432,24 @@ def test_sweep_non_finite_gamma_exits_2(capsys, tmp_path, gamma_rule):
 def test_usage_error_exit_code(capsys):
     assert main(["generate", "--kind", "bogus", "--N", "4", "--out", "x"]) == 2
     assert main([]) == 2
+
+
+def test_cached_parser_gives_the_output_of_a_fresh_parser(capsys, tmp_path, monkeypatch):
+    # one process: bounds, a usage error, then trace, through the parser
+    # built once and through a parser built afresh for every call
+    mat = tmp_path / "s.irlm"
+    assert run(capsys, "generate", "--kind", "random_sign", "--N", "64", "--n", "16",
+               "--seed", "1", "--out", str(mat))[0] == 0
+    calls = [
+        ("bounds", "--N", "1024", "--n", "64"),
+        ("trace", "--matrix", str(mat), "--basis", "lemmaX"),
+        ("trace", "--matrix", str(mat)),
+    ]
+    cli.build_parser.cache_clear()
+    cached = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [0, 2, 0]
+    assert "invalid choice: 'lemmaX'" in cached[1][2]

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from irlm import geometry
+from irlm import geometry, make_random_sign
+from irlm.bounds import gamma_threshold
 from irlm.errors import RankDeficiencyError
 from irlm.geometry import (
     Ellipsoid,
     Frame,
     _complete_pivot_init,
+    _drop_one_values,
+    _flip_ascent,
     _independent_prefix,
+    _sample_patterns,
     auerbach_basis,
     complete_frame,
     expand_coefficients,
@@ -17,6 +21,7 @@ from irlm.geometry import (
     mvee,
     select_contact_subset,
 )
+from irlm.prooftrace import TraceConfig, trace
 
 from oracles import (
     brute_drop_one_select,
@@ -28,6 +33,19 @@ from oracles import (
 
 def unit_ball(dim):
     return Ellipsoid(dim, np.eye(dim), 0.0)
+
+
+def trace_call(monkeypatch, name, n_dim, rank, seed, basis):
+    """The arguments of the one call of geometry.`name` in the trace of
+    sign n_dim/rank at `seed` with the given basis."""
+    seen = []
+    real = getattr(geometry, name)
+    monkeypatch.setattr(geometry, name, lambda *args: seen.append(args) or real(*args))
+    gamma = gamma_threshold(n_dim, rank, 0.25)
+    trace(make_random_sign(n_dim, rank, seed), TraceConfig(gamma=gamma, basis_mode=basis))
+    monkeypatch.undo()
+    (args,) = seen
+    return args
 
 
 # -- contact subset selection -------------------------------------------------
@@ -80,6 +98,39 @@ def test_drop_one_select_matches_kkt_oracle(data_seed, k, drops, samples, seed):
     got = select_contact_subset(x, ell, k - drops, samples, seed)
     want = brute_drop_one_select(x, ell.shape, current, k - drops, samples, seed)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_dim, seed", [(96, 1), (96, 2), (96, 3), (96, 4), (256, 1)])
+def test_drop_one_select_matches_the_oracle_on_trace_contacts(monkeypatch, n_dim, seed):
+    # the MVEE contacts the lemmaA trace of sign n_dim/n_dim selects from
+    x, ell, target_k, samples, sample_seed = trace_call(
+        monkeypatch, "select_contact_subset", n_dim, n_dim, seed, "lemmaA"
+    )
+    current = _independent_prefix(x, ell)
+    assert len(current) > target_k  # at least one drop-one round
+    got = select_contact_subset(x, ell, target_k, samples, sample_seed)
+    want = brute_drop_one_select(x, ell.shape, current, target_k, samples, sample_seed)
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(1, 6), st.integers(0, 3),
+       st.sampled_from([1, 2, None]))
+def test_drop_one_select_values_match_explicit_downdates(data_seed, k, samples, seed, block):
+    # every candidate's value against the ascent on its explicitly formed
+    # downdated inverse H_-d-d - h h' / H_dd; `block` candidates per stack
+    root = np.random.default_rng(data_seed).normal(size=(k, k))
+    inv = np.linalg.inv(root @ root.T + np.eye(k))
+    inv = (inv + inv.T) / 2.0
+    patterns = _sample_patterns(k - 1, samples, seed)
+    entries = geometry._SELECTION_BLOCK_ENTRIES if block is None else block * len(patterns) * k
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_SELECTION_BLOCK_ENTRIES", entries)
+        got = _drop_one_values(inv, patterns)
+    for d in range(k):
+        keep = np.delete(np.arange(k), d)
+        h = inv[keep, d]
+        want = _flip_ascent(inv[np.ix_(keep, keep)] - np.outer(h, h) / inv[d, d], patterns)[1]
+        assert abs(got[d] - want) <= 1e-12 * want
 
 
 def test_drop_one_select_gives_dependent_candidates_zero(monkeypatch):
@@ -240,8 +291,9 @@ def test_random_fixture_coefficient_bound(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
     basis = auerbach_basis(points, 0.01)
     monkeypatch.undo()
-    # the swaps pivot the tableau; only the reported bound takes a solve
-    assert basis.swaps > 0 and len(solves) == 1
+    # the swaps pivot the tableau; only the start and the reported bound
+    # take a solve
+    assert basis.swaps > 0 and len(solves) == 2
     assert basis.coefficient_bound <= 1.01 + 1e-9
     coeff = np.linalg.solve(points[basis.indices].T, points.T).T
     assert np.abs(coeff).max() <= 1.01 + 1e-9
@@ -288,6 +340,20 @@ def test_auerbach_basis_matches_per_swap_resolve(seed, dim, extra):
     assert basis.indices.tolist() == indices
     assert basis.swaps == swaps
     assert basis.coefficient_bound == bound
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_auerbach_basis_matches_per_swap_resolve_on_trace_points(monkeypatch, seed):
+    # the column points of the lemmaB trace of sign 384/64
+    points, delta = trace_call(monkeypatch, "auerbach_basis", 384, 64, seed, "lemmaB")
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    basis = auerbach_basis(points, delta)
+    monkeypatch.undo()
+    indices, swaps, bound = resolve_auerbach_basis(points, delta)
+    assert (basis.indices.tolist(), basis.swaps, basis.coefficient_bound) == (indices, swaps, bound)
+    # one solve for the start and one for the bound, however many swaps
+    assert swaps > 1 and len(solves) == 2
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 24))

@@ -513,6 +513,47 @@ def test_symmetric_route_skips_lattice_factors_whose_right_is_not_the_signs(n_di
     assert profile.error == dense_scan_error(a.dense())
 
 
+@pytest.mark.parametrize("kind", SYMMETRIC_KINDS + ["lattice_factors", "float_factors"])
+def test_submatrix_inherits_the_parents_lattice_facts(kind):
+    parent = _build(kind, 24, 8, 3)
+    parent_facts = (parent._right_is_signs, parent._row_scale)
+    idx = np.random.default_rng(5).choice(parent.n_dim, size=min(parent.n_dim, 13), replace=False)
+    sub = submatrix(parent, idx)
+    inherited = {name for name in ("_right_is_signs", "_row_scale") if name in vars(sub)}
+    # only facts that hold are carried over
+    assert ("_right_is_signs" in inherited) == (parent_facts[0] is True)
+    assert ("_row_scale" in inherited) == (parent_facts[1] is not None)
+    fresh = from_factors(sub.left, sub.right)
+    assert sub._right_is_signs == fresh._right_is_signs
+    if fresh._row_scale is None:
+        assert sub._row_scale is None
+    else:
+        assert np.array_equal(sub._row_scale, fresh._row_scale)
+    _assert_same_profile(distribution_function(sub, 0.25), distribution_function(fresh, 0.25))
+
+
+@pytest.mark.parametrize("spoil", ["left", "right"])
+def test_off_lattice_parent_slices_still_take_the_lattice_route(spoil):
+    # row 0 of L off the lattice (its scale is not an integer), or column 0
+    # of R not sign(L)': the parent lacks the fact, the slice without index
+    # 0 has it and computes it itself
+    a = make_random_sign(40, 12, 2)
+    left, right = a.left.copy(), a.right.copy()
+    if spoil == "left":
+        left[0] *= 1.3
+    else:
+        right[0, 0] = 2.0
+    parent = from_factors(left, right)
+    assert parent._row_scale is None if spoil == "left" else not parent._right_is_signs
+    idx = np.arange(1, 40)
+    sub = submatrix(parent, idx)
+    assert "_row_scale" not in vars(sub) if spoil == "left" else "_right_is_signs" not in vars(sub)
+    profile, routes = _profile_and_routes(sub, 0.25)
+    assert sub._right_is_signs and sub._row_scale is not None
+    assert routes == [True]
+    _assert_same_profile(profile, distribution_function(submatrix(a, idx), 0.25))
+
+
 def _counts_digest(profile, n_dim):
     counts = np.rint(profile.column_densities * n_dim).astype(np.int64)
     assert np.array_equal(counts / n_dim, profile.column_densities)

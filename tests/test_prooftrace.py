@@ -176,6 +176,51 @@ def test_min_pairwise_linf_equals_blocked_scan(mat, block_rows):
         assert dist == 0.0
 
 
+@given(square_matrices(), st.sampled_from([1, 3]), st.sampled_from([1, 3, None]))
+def test_min_pairwise_linf_equals_blocked_scan_in_short_bound_tiles(mat, tile_rows, block_rows):
+    # tile_rows: rows per tile of pair bounds; block_rows as above
+    n = mat.shape[0]
+    entries = matrices._PAIR_BLOCK_ENTRIES if block_rows is None else block_rows * max(n, 1)
+    with mock.patch.multiple(
+        matrices, _BOUND_TILE_ENTRIES=tile_rows * max(n, 1), _PAIR_BLOCK_ENTRIES=entries
+    ):
+        dist, evaluated = min_pairwise_linf(mat)
+    assert dist == blocked_min_pairwise_linf(mat)
+    assert 0 <= evaluated <= n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("tile_rows", [1, 3])
+def test_min_pairwise_linf_evaluates_every_pair_once_in_short_bound_tiles(tile_rows):
+    gen = np.random.default_rng(7)
+    mat = np.where(gen.random((48, 48)) < 0.5, -1.0, 1.0)
+    np.fill_diagonal(mat, 0.0)
+    with mock.patch.object(matrices, "_BOUND_TILE_ENTRIES", tile_rows * 48):
+        dist, evaluated = min_pairwise_linf(mat)
+    assert dist == 2.0
+    assert evaluated == 48 * 47 // 2
+
+
+@pytest.mark.parametrize("kind", ["far", "sign"])
+def test_min_pairwise_linf_holds_one_bound_tile_and_one_block(kind):
+    # 384 rows: +-1 off a zero diagonal, where every pair is evaluated and
+    # the blocks are full, and the columns of sign 384/384 seed 1.  Beyond
+    # the input, one tile of bounds and one block of candidate rows may be
+    # held, plus the index arrays of one block's pairs (128 KiB)
+    if kind == "far":
+        mat = np.where(np.random.default_rng(7).random((384, 384)) < 0.5, -1.0, 1.0)
+        np.fill_diagonal(mat, 0.0)
+    else:
+        mat = np.ascontiguousarray(make_random_sign(384, 384, 1).dense().T)
+    tracemalloc.start()
+    try:
+        dist, _ = min_pairwise_linf(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist == blocked_min_pairwise_linf(mat)
+    assert peak <= 8 * (matrices._BOUND_TILE_ENTRIES + matrices._PAIR_BLOCK_ENTRIES) + (1 << 17)
+
+
 def test_min_pairwise_linf_evaluates_every_pair_when_bounds_are_loose():
     # every bound is 1 and every distance 2: nothing can be pruned
     gen = np.random.default_rng(7)
