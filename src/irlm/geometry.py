@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,11 +69,11 @@ class Ellipsoid:
     shape: np.ndarray
     log_det: float
 
-    def norm(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return float(np.sqrt(max(x @ self.shape @ x, 0.0)))
-        return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", x, self.shape, x), 0.0))
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor L of M = L L', factored once: x L whitens
+        rows, so D-inner products become Euclidean ones."""
+        return np.linalg.cholesky(self.shape)
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,9 @@ class ContactSet:
         return int(self.indices.size)
 
 
-def _design_leverages(points: np.ndarray, inv_u: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", points, inv_u, points)
+def _quadratic_forms(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x_i' M x_i for every row x_i of x, through one matrix product."""
+    return np.einsum("ij,ij->i", x @ m, x)
 
 
 # Frank-Wolfe steps of mvee before it reports nonconvergence.
@@ -125,7 +127,7 @@ def mvee(
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise DegenerateSpanError("points do not span the ambient dimension") from None
-    g = _design_leverages(p, inv_u)
+    g = _quadratic_forms(p, inv_u)
     refresh = 0
     for _ in range(_MAX_ITER):
         j_add = int(np.argmax(g))
@@ -167,7 +169,7 @@ def mvee(
             u /= u.sum()
             u_mat = (p * u[:, None]).T @ p
             inv_u = np.linalg.inv(u_mat)
-            g = _design_leverages(p, inv_u)
+            g = _quadratic_forms(p, inv_u)
     else:
         gap = max(float(np.max(g)) / n - 1.0, 0.0)
         raise NonconvergenceError(
@@ -183,7 +185,7 @@ def mvee(
     if sign <= 0:
         raise DegenerateSpanError("ellipsoid shape matrix is not positive definite")
     ell = Ellipsoid(n, shape, float(log_det))
-    g = _design_leverages(p, inv_u)
+    g = _quadratic_forms(p, inv_u)
     members = np.flatnonzero(g / n >= 1.0 - 2.0 * tol)
     weights = n * u[members]
     residual = _john_residual(p[members], weights, ell)
@@ -198,7 +200,7 @@ def mvee(
 
 def _john_residual(points: np.ndarray, weights: np.ndarray, ell: Ellipsoid) -> float:
     # sum w p p' = M^(-1) exactly when sum w (L'p)(L'p)' = I
-    v = points @ np.linalg.cholesky(ell.shape)
+    v = points @ ell.chol
     total = (v * weights[:, None]).T @ v if len(points) else np.zeros((ell.dim, ell.dim))
     return float(np.linalg.norm(total - np.eye(ell.dim)))
 
@@ -233,16 +235,12 @@ def _dependent(z: np.ndarray, r: np.ndarray) -> bool:
 def _contact_gram(x: np.ndarray, ell: Ellipsoid) -> np.ndarray | None:
     """H = G^(-1) for the D-Gram G of the rows of x, through the Cholesky
     factor of G, the R of a QR of the whitened rows; None if they are dependent."""
-    z = x @ np.linalg.cholesky(ell.shape)  # z z' = G
+    z = x @ ell.chol  # z z' = G
     chol = np.linalg.qr(z.T, mode="r")  # G = chol' chol
     if _dependent(z, chol):
         return None
     inv_chol = np.linalg.inv(chol)
     return inv_chol @ inv_chol.T
-
-
-def _quadratic_forms(patterns: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", patterns @ inv, patterns)
 
 
 def _exact_maximum(inv: np.ndarray) -> float:
@@ -262,11 +260,9 @@ def _sample_patterns(k: int, n_samples: int, seed: int) -> np.ndarray:
     """The all-plus facet, then seeded random patterns up to n_samples in
     all; each is turned to start with +1 (antipodal facets are equivalent)
     and repeats are dropped, keeping first occurrences in order."""
-    patterns = [np.ones(k)]
     stream = rng.SplitMix64(rng.derive_key(seed, k))
-    for _ in range(max(0, n_samples - 1)):
-        patterns.append(stream.next_signs(k))
-    signs = np.array(patterns)
+    drawn = stream.next_signs(k * max(0, n_samples - 1)).reshape(-1, k)
+    signs = np.vstack([np.ones(k), drawn])
     signs *= np.where(signs[:, :1] < 0, -1.0, 1.0)
     _, first = np.unique(signs, axis=0, return_index=True)
     return signs[np.sort(first)]
@@ -393,7 +389,7 @@ def _independent_prefix(vectors: np.ndarray, ell: Ellipsoid) -> list[int]:
     _PIVOT_RTOL times its squared D-norm (this also collapses antipodal
     duplicates).
     """
-    z = np.atleast_2d(vectors) @ np.linalg.cholesky(ell.shape)
+    z = np.atleast_2d(vectors) @ ell.chol
     basis = np.zeros((ell.dim, ell.dim))  # D-orthonormalized kept vectors
     kept: list[int] = []
     for j, v in enumerate(z):
@@ -498,12 +494,11 @@ def complete_frame(subset: np.ndarray, ell: Ellipsoid) -> Frame:
     the whitened contacts (x L)' tests their independence, and its trailing
     columns Q2 give the complement (L'^(-1) Q2)'."""
     x = np.atleast_2d(np.asarray(subset, dtype=np.float64)).reshape(-1, ell.dim)
-    chol = np.linalg.cholesky(ell.shape)
-    z = x @ chol
+    z = x @ ell.chol
     q, r = np.linalg.qr(z.T, mode="complete")
     if _dependent(z, r):
         raise RankDeficiencyError("contact vectors are not independent")
-    comp = np.linalg.solve(chol.T, q[:, x.shape[0] :]).T
+    comp = np.linalg.solve(ell.chol.T, q[:, x.shape[0] :]).T
     return Frame(contacts=x, complement=comp, ellipsoid=ell)
 
 
@@ -514,7 +509,7 @@ def expand_coefficients(columns: np.ndarray, frame: Frame) -> tuple[np.ndarray, 
     t = (X D X')^(-1) X D v = R^(-1) Q' L' v for D = L L' and (X L)' = Q R.
     """
     v = np.asarray(columns, dtype=np.float64)
-    chol = np.linalg.cholesky(frame.ellipsoid.shape)
+    chol = frame.ellipsoid.chol
     q, r = np.linalg.qr((frame.contacts @ chol).T)
     t = np.linalg.solve(r, q.T @ (chol.T @ v))
     s = frame.complement @ frame.ellipsoid.shape @ v

@@ -567,8 +567,7 @@ def _lemma_a_frame(points, dim, eps, cfg, steps):
         ell, contacts = geometry.mvee(points, tol=cfg.mvee_tol)
     except (DegenerateSpanError, NonconvergenceError) as exc:
         raise TraceAborted("mvee", exc)
-    leverages = np.einsum("ij,jk,ik->i", points, ell.shape, points)
-    max_lev = float(leverages.max())
+    max_lev = float(geometry._quadratic_forms(points, ell.shape).max())
     steps.append(
         TraceStep(
             name="mvee",

@@ -11,6 +11,7 @@ from irlm.geometry import (
     Ellipsoid,
     _contact_gram,
     _flip_ascent,
+    _quadratic_forms,
     _sample_patterns,
     l1_lower_constant,
     mvee,
@@ -67,7 +68,7 @@ def test_exact_below_every_coordinate_norm(rng):
     ell, contacts = mvee(points, tol=1e-7)
     vectors = points[contacts.indices][:6]
     bound = l1_lower_constant(vectors, ell, method="exact")
-    norms = ell.norm(vectors)
+    norms = np.sqrt(_quadratic_forms(vectors, ell.shape))
     assert bound.value <= norms.min() + 1e-12
 
 
@@ -105,7 +106,7 @@ def test_exact_constant_bounds_realized_combinations(rng):
     sampled = l1_lower_constant(x, ball, method="sampled", n_samples=4, seed=0).value
     assert sampled >= exact - 1e-12
     for t in rng.normal(size=(50, 6)):
-        assert exact * np.abs(t).sum() <= ball.norm(t @ x) + 1e-9
+        assert exact * np.abs(t).sum() <= np.linalg.norm(t @ x) + 1e-9
 
 
 def random_ellipsoid(g, dim):
@@ -230,6 +231,24 @@ def test_facet_qp_matches_kkt_oracle_with_many_zero_coordinates(rng):
         assert 1.0 / _flip_ascent(inv, s[None, :])[1] <= plane * (1.0 + 1e-12)
         many_zeros += zeros >= 5
     assert many_zeros >= 5
+
+
+@pytest.mark.parametrize("k", [1, 5, 95])
+@pytest.mark.parametrize("n_samples", [1, 4, 64])
+def test_sample_patterns_match_row_by_row_draws(k, n_samples):
+    # one draw of k * (n_samples - 1) signs reshaped to rows is the same
+    # sequential stream as n_samples - 1 draws of k signs
+    from irlm import rng
+
+    for seed in range(4):
+        stream = rng.SplitMix64(rng.derive_key(seed, k))
+        rows = np.array([np.ones(k)] + [stream.next_signs(k) for _ in range(n_samples - 1)])
+        rows *= np.where(rows[:, :1] < 0, -1.0, 1.0)
+        _, first = np.unique(rows, axis=0, return_index=True)
+        expected = rows[np.sort(first)]
+        patterns = _sample_patterns(k, n_samples, seed)
+        assert patterns.shape == expected.shape
+        assert np.array_equal(patterns, expected)
 
 
 @given(contact_instances(max_k=12), st.integers(1, 8), st.integers(0, 3))

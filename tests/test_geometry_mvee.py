@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,20 @@ def test_cross_polytope_unit_ball():
 def test_scaled_cross_polytope():
     ell, _ = mvee(2.0 * np.eye(4), tol=1e-9)
     assert np.allclose(ell.shape, np.eye(4) / 4.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cube_vertices_with_repeats(n):
+    # the symmetric hull of the +-1 cube has the ball of radius sqrt(n) as
+    # its John ellipsoid, M = I / n; repeating three vertices five more times
+    # makes the uniform start non-uniform over the distinct vertices
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    points = np.vstack([cube] + [cube[:3]] * 5)
+    ell, contacts = mvee(points, tol=1e-9)
+    assert np.abs(ell.shape - np.eye(n) / n).max() <= 1e-8
+    assert abs(ell.log_det + n * math.log(n)) <= 1e-12
+    assert abs(contacts.weights.sum() - n) <= 1e-12
+    assert contacts.residual <= 1e-12
 
 
 def test_random_fixture_against_multiplicative_oracle(rng):

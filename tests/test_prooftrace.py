@@ -306,6 +306,31 @@ def test_contact_selection_reaches_target_on_sign_512_48(monkeypatch):
     assert report.step("frame_completion").outputs["complement"] == 2
 
 
+@pytest.mark.parametrize("n_dim, rank", [(96, 96), (256, 32)])
+def test_lemma_a_trace_factors_the_ellipsoid_shape_once(monkeypatch, n_dim, rank):
+    # mvee's certificate, contact selection, frame completion and the
+    # expansion all whiten with the one Cholesky factor of the ellipsoid
+    shapes = []
+    factored = []
+    mvee, cholesky = geometry.mvee, np.linalg.cholesky
+
+    def mvee_spy(points, tol):
+        ell, contacts = mvee(points, tol)
+        shapes.append(ell.shape)
+        return ell, contacts
+
+    def cholesky_spy(a):
+        factored.append(np.array(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(geometry, "mvee", mvee_spy)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    gamma = gamma_threshold(n_dim, rank, 0.25)
+    trace(make_random_sign(n_dim, rank, 1), TraceConfig(gamma=gamma))
+    (shape,) = shapes
+    assert sum(np.array_equal(a, shape) for a in factored) == 1
+
+
 # -- canonical serialization -------------------------------------------------------
 
 
