@@ -125,7 +125,8 @@ def volume_argument_verify(a: FactoredMatrix) -> VolumeArgumentReport:
     at least 1/3 and at most 5/3 apart in sup norm, and rank at least
     ceil(log_6 N).  A premise violation yields a report, not an error.
 
-    The minimum distance is the exact search over column pairs.  The
+    The minimum distance is the exact search over column pairs, run on the
+    transposed view of the dense form (the same values, no second copy).  The
     maximum is closed form: the largest |A[r, i] - A[r, j]| of a row is its
     max minus its min, and rounding is monotone, so this is the value a
     pairwise scan would take."""
@@ -135,7 +136,7 @@ def volume_argument_verify(a: FactoredMatrix) -> VolumeArgumentReport:
     min_d = max_d = math.nan
     if premise_ok:
         mat = a.dense()
-        min_d = min_pairwise_linf(np.ascontiguousarray(mat.T))[0]
+        min_d = min_pairwise_linf(mat.T)[0]
         max_d = float((mat.max(axis=1) - mat.min(axis=1)).max())
     return VolumeArgumentReport(
         premise_ok=premise_ok,

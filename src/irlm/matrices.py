@@ -198,6 +198,23 @@ def _materialize(a: FactoredMatrix, cols: np.ndarray | None = None) -> np.ndarra
     return mat
 
 
+def _max_abs_product(left: np.ndarray, right: np.ndarray) -> float:
+    """max |left @ right| (0 for an empty product), from row tiles of at
+    most ``_TILE_ENTRIES`` entries, without forming the product."""
+    n, width = left.shape[0], right.shape[1]
+    if not n * width:
+        return 0.0
+    step = max(1, _TILE_ENTRIES // width)
+    buf = np.empty(min(step, n) * width)
+    peak = 0.0
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        out = buf[: (stop - start) * width].reshape(stop - start, width)
+        tile = np.matmul(left[start:stop], right, out=out)
+        peak = max(peak, float(np.abs(tile, out=tile).max()))
+    return peak
+
+
 def make_identity(n_dim: int) -> FactoredMatrix:
     if n_dim < 1:
         raise ParameterError(f"N must be >= 1, got {n_dim}")
@@ -509,72 +526,133 @@ _PAIR_BLOCK_ENTRIES = 1 << 18
 _BOUND_TILE_ENTRIES = 1 << 16
 
 
-def _pair_bounds(mat: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) for the rows i of
+def _pair_bounds(
+    mat: np.ndarray | FactoredMatrix, diag: np.ndarray, margin: float, start: int, stop: int
+) -> np.ndarray:
+    """L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) - margin for the rows i of
     start..stop, and inf where j <= i."""
-    diag = np.diagonal(mat)
-    bounds = np.subtract(mat[start:stop], diag)
+    if isinstance(mat, FactoredMatrix):
+        rows = mat.left[start:stop] @ mat.right
+        cols = mat.right[:, start:stop].T @ mat.left.T
+    else:
+        rows, cols = mat[start:stop], mat[:, start:stop].T
+    bounds = np.subtract(rows, diag)
     np.abs(bounds, out=bounds)
-    mirror = np.subtract(mat[:, start:stop].T, diag[start:stop, None])
+    mirror = np.subtract(cols, diag[start:stop, None])
     np.abs(mirror, out=mirror)
     np.maximum(bounds, mirror, out=bounds)
-    np.putmask(bounds, np.arange(mat.shape[0]) <= np.arange(start, stop)[:, None], math.inf)
+    if margin:
+        bounds -= margin
+    np.putmask(bounds, np.arange(diag.size) <= np.arange(start, stop)[:, None], math.inf)
     return bounds
 
 
-def _min_distance(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+def _min_distance(mat: np.ndarray | FactoredMatrix, rows: np.ndarray, cols: np.ndarray) -> float:
     """Smallest ||m_i - m_j||_inf over the pairs (rows[p], cols[p]), sorted
     by row, from one block of gathered rows: each row is one run of pairs."""
-    diff = mat[cols]
     cuts = (np.flatnonzero(np.diff(rows)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, rows.size]):
-        diff[lo:hi] -= mat[rows[lo]]
+    runs = list(zip([0, *cuts], [*cuts, rows.size]))
+    if isinstance(mat, FactoredMatrix):
+        # both rows of every pair from one GEMM of the gathered rows
+        block = mat.left[np.concatenate((rows[[0, *cuts]], cols))] @ mat.right
+        own, diff = block[: len(runs)], block[len(runs) :]
+    else:
+        own, diff = (mat[rows[lo]] for lo, _ in runs), mat[cols]
+    for row, (lo, hi) in zip(own, runs):
+        diff[lo:hi] -= row
     return float(np.abs(diff, out=diff).max(axis=1).min())
 
 
-def _tile_search(mat: np.ndarray, start: int, stop: int, best: float) -> tuple[float, int]:
+def _tile_search(
+    mat: np.ndarray | FactoredMatrix,
+    diag: np.ndarray,
+    margin: float,
+    start: int,
+    stop: int,
+    best: float,
+) -> tuple[float, int]:
     """min_pairwise_linf's search over the pairs of rows start..stop, from the
     best distance found before them; returns the new best and the count of
     pairs evaluated.  A function of its own so that the bound tile is freed
     before the next one is computed."""
-    n = mat.shape[0]
-    flat = _pair_bounds(mat, start, stop).ravel()
+    n = diag.size
+    flat = _pair_bounds(mat, diag, margin, start, stop).ravel()
     most = min(max(1, _PAIR_BLOCK_ENTRIES // n), flat.size)
-    batch, evaluated = 1, 0
-    while True:
-        if batch == 1:
-            pairs = np.array([np.argmin(flat)])
-        else:
-            pairs = np.argpartition(flat, batch - 1)[:batch]
+    evaluated = 0
+
+    def take(pairs: np.ndarray) -> bool:
+        # evaluate the pairs whose bound is still below the best distance
+        nonlocal best, evaluated
         pairs = np.sort(pairs[flat[pairs] < best])
         if not pairs.size:
-            return best, evaluated
+            return False
         flat[pairs] = math.inf
         rows, cols = np.divmod(pairs, n)
         best = min(best, _min_distance(mat, start + rows, cols))
         evaluated += pairs.size
-        batch = min(2 * batch, most)
+        return True
+
+    # the smallest bound, then the next smallest in batches of 2, 4, ...
+    # from one sorted partition of one block of the tile
+    if not take(np.array([np.argmin(flat)])) or not flat.min() < best:
+        return best, evaluated
+    if most > 1:
+        order = np.argpartition(flat, most - 1)[:most]
+        order = order[np.argsort(flat[order], kind="stable")]
+        lo, batch = 0, 2
+        while lo < most:
+            if not take(order[lo : lo + batch]):
+                return best, evaluated
+            lo, batch = lo + batch, 2 * batch
+    # then every bound still below the best, one block of the tile at a time
+    for lo in range(0, flat.size, most):
+        take(lo + np.flatnonzero(flat[lo : lo + most] < best))
+    return best, evaluated
 
 
-def min_pairwise_linf(mat: np.ndarray) -> tuple[float, int]:
+def min_pairwise_linf(mat: np.ndarray | FactoredMatrix) -> tuple[float, int]:
     """Smallest sup-norm distance between two rows of the square matrix
     `mat` (inf below two rows), and the number of row pairs evaluated.
 
     Columns i and j give every pair the lower bound
-    L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) <= ||m_i - m_j||_inf, with
-    the same IEEE values the full distance takes its maximum over.  L is
+    L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) <= ||m_i - m_j||_inf.  L is
     computed in row tiles of at most ``_BOUND_TILE_ENTRIES`` entries.  In
     each tile the pair with the smallest bound is evaluated first, then the
-    smallest bounds in batches of 2, 4, ... up to ``_PAIR_BLOCK_ENTRIES // n``
-    pairs, until no bound of the tile is below the best distance found.  So
-    the result is the exact minimum, each pair is evaluated at most once,
-    and the extra memory is one tile and one block of candidate rows.
+    next smallest bounds in batches of 2, 4, ... from one sorted partition
+    of ``_PAIR_BLOCK_ENTRIES // n`` pairs, and then every bound still below
+    the best distance found, scanning the tile in blocks of that many
+    entries.  So the result is the exact minimum, each pair is evaluated at
+    most once, and the extra memory is one tile and one block of candidate
+    rows.
+
+    A dense array gives the bound and the distance the same IEEE values.
+    A ``FactoredMatrix`` is read as its float64 product L @ R and never
+    formed: a bound tile from one GEMM of its rows and one of its columns,
+    the diagonal from one dot per row, and both rows of every candidate
+    pair from one GEMM of the block's gathered rows.  These compute an
+    entry in different orders, each within gamma_r * rho of the exact
+    product for rank r and rho = max ||L_i||_2 * max ||R_:j||_2 (Higham,
+    Accuracy and Stability, Thm 3.1, and Cauchy-Schwarz).  So the bound
+    carries the rounding margin 4 (r + 2) eps rho, plus 8 r subnormal steps
+    for underflow: it covers two such roundings of each entry the bound
+    reads and the roundings of the differences, so a pair is skipped only
+    where no computation of its distance could fall below the best.  Where
+    the factors' products are exact (small integers times powers of two),
+    so is the result.
     """
-    n = mat.shape[0]
+    if isinstance(mat, FactoredMatrix):
+        left, right, fp = mat.left, mat.right, np.finfo(np.float64)
+        diag = np.einsum("ij,ji->i", left, right)
+        rho = float(np.linalg.norm(left, axis=1).max() * np.linalg.norm(right, axis=0).max())
+        rank = mat.rank_budget
+        margin = 4 * (rank + 2) * fp.eps * rho + 8 * rank * fp.smallest_subnormal
+    else:
+        diag, margin = np.diagonal(mat), 0.0
+    n = diag.size
     height = max(1, _BOUND_TILE_ENTRIES // max(n, 1))
     best, evaluated = math.inf, 0
     for start in range(0, n - 1, height):
-        best, count = _tile_search(mat, start, min(n, start + height), best)
+        best, count = _tile_search(mat, diag, margin, start, min(n, start + height), best)
         evaluated += count
     return best, evaluated
 

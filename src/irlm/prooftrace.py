@@ -26,7 +26,10 @@ from .errors import (
 from .matrices import (
     DensityProfile,
     FactoredMatrix,
+    _max_abs_product,
+    approx_error,
     distribution_function,
+    from_factors,
     min_pairwise_linf,
     submatrix,
 )
@@ -462,8 +465,8 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
 
     # large/small split of the selected rows
     w_rows, z_rows = large_small_split(x_rows[row_set], gamma)
-    drop = z_rows @ t_coef  # |I| x n_kept inner products with the small parts
-    max_drop = float(np.abs(drop).max()) if drop.size else 0.0
+    # the |I| x n_kept inner products with the small parts, in row tiles
+    max_drop = _max_abs_product(z_rows, t_coef)
     drop_cap = min(max_l1 * gamma, 1.0 / 15.0) if gate_holds else max_l1 * gamma
     steps.append(
         TraceStep(
@@ -475,11 +478,14 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
         )
     )
 
-    # matrix B on the selected rows, against the identity
+    # matrix B on the selected rows, against the identity: B = P @ Q with
+    # P = [w_rows | y_rows] and Q = [t; s] on the same rows, kept factored
+    # and read in row tiles
     y_rows = space.basis[row_set] @ frame.complement.T
-    b_sub = w_rows @ t_coef[:, row_set] + y_rows @ s_coef[:, row_set]
-    delta = np.eye(row_set.size)
-    b_dev = float(np.abs(b_sub - delta).max())
+    b_sub = from_factors(
+        np.hstack((w_rows, y_rows)), np.vstack((t_coef[:, row_set], s_coef[:, row_set]))
+    )
+    b_dev = approx_error(b_sub)
     steps.append(
         TraceStep(
             name="matrix_B",

@@ -246,9 +246,103 @@ def test_min_pairwise_linf_memory_stays_linear_per_row():
     assert peak < 6e6
 
 
-def test_separation_search_prunes_on_sign_384_64(monkeypatch):
-    # the B matrix of the lemmaB trace of sign 384/64 seed 1: the exact
-    # minimum comes out after at most 1% of the pairs
+def test_min_pairwise_linf_partitions_each_bound_tile_once(monkeypatch):
+    # 384 x 384 +-1 off a zero diagonal: every pair is evaluated.  Each tile
+    # partitions its bounds once; the remaining pairs are scanned in blocks
+    # instead of re-partitioning the tile for every block
+    mat = np.where(np.random.default_rng(7).random((384, 384)) < 0.5, -1.0, 1.0)
+    np.fill_diagonal(mat, 0.0)
+    calls, per_tile = [], []
+    argpartition, tile_search = np.argpartition, matrices._tile_search
+
+    def partition_spy(*args, **kwargs):
+        calls.append(1)
+        return argpartition(*args, **kwargs)
+
+    def tile_spy(*args):
+        before = len(calls)
+        result = tile_search(*args)
+        per_tile.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(np, "argpartition", partition_spy)
+    monkeypatch.setattr(matrices, "_tile_search", tile_spy)
+    dist, evaluated = min_pairwise_linf(mat)
+    assert (dist, evaluated) == (2.0, 384 * 383 // 2)
+    assert per_tile == [1, 1, 1]
+
+
+@st.composite
+def exact_factors(draw):
+    """Factors L (n x r) and R (r x n) of small integers times powers of two,
+    so that every entry of L @ R is exact in any summation order: random
+    lattice factors, the same with a repeated row of L (distance 0), and
+    the identity plus lattice noise at r = n."""
+    n = draw(st.integers(min_value=1, max_value=48))
+    kind = draw(st.sampled_from(["lattice", "repeated", "near_identity"]))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    r = n if kind == "near_identity" else draw(st.integers(min_value=1, max_value=8))
+    left = gen.integers(-4, 5, (n, r)) / 4.0
+    right = gen.integers(-4, 5, (r, n)) / 2.0
+    if kind == "near_identity":
+        left = np.eye(n) + left / 16.0
+        right = np.eye(n) + right / 16.0
+    if kind == "repeated" and n >= 2:
+        src, dst = gen.choice(n, size=2, replace=False)
+        left[dst] = left[src]
+    return left, right
+
+
+@settings(max_examples=300)
+@given(exact_factors(), st.sampled_from([None, 1, 3]), st.sampled_from([None, 1, 3]))
+def test_min_pairwise_linf_of_factors_equals_blocked_scan_of_their_product(
+    factors, tile_rows, block_rows
+):
+    # tile_rows: rows per tile of pair bounds; block_rows: candidate rows per
+    # comparison block (None: the defaults)
+    left, right = factors
+    n = left.shape[0]
+    tile = matrices._BOUND_TILE_ENTRIES if tile_rows is None else tile_rows * n
+    block = matrices._PAIR_BLOCK_ENTRIES if block_rows is None else block_rows * n
+    with mock.patch.multiple(matrices, _BOUND_TILE_ENTRIES=tile, _PAIR_BLOCK_ENTRIES=block):
+        dist, evaluated = min_pairwise_linf(from_factors(left, right))
+    assert dist == blocked_min_pairwise_linf(left @ right)
+    assert 0 <= evaluated <= n * (n - 1) // 2
+
+
+def _search_margin(left, right):
+    # the rounding margin min_pairwise_linf's docstring states
+    rank = left.shape[1]
+    rho = np.linalg.norm(left, axis=1).max() * np.linalg.norm(right, axis=0).max()
+    return 4 * (rank + 2) * np.finfo(np.float64).eps * rho
+
+
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.sampled_from([None, 1, 3]),
+)
+def test_min_pairwise_linf_of_float_factors_is_within_its_margin(n, rank, seed, repeat, tile_rows):
+    # float factors: the tiles, the diagonal and the gathered rows compute
+    # the product's entries in different orders, so the result may differ
+    # from the dense scan of one GEMM, but by no more than the stated margin
+    gen = np.random.default_rng(seed)
+    left = gen.uniform(-2.0, 2.0, (n, rank))
+    right = gen.uniform(-2.0, 2.0, (rank, n))
+    if repeat:
+        left[1] = left[0]
+    tile = matrices._BOUND_TILE_ENTRIES if tile_rows is None else tile_rows * n
+    with mock.patch.multiple(matrices, _BOUND_TILE_ENTRIES=tile, _PAIR_BLOCK_ENTRIES=tile):
+        dist, evaluated = min_pairwise_linf(from_factors(left, right))
+    assert abs(dist - blocked_min_pairwise_linf(left @ right)) <= _search_margin(left, right)
+    assert 0 < evaluated <= n * (n - 1) // 2
+
+
+def test_min_pairwise_linf_of_factored_b_prunes_on_sign_384_64(monkeypatch):
+    # the factored B of the lemmaB trace of sign 384/64 seed 1: the search
+    # equals the dense scan of P @ Q after at most 1% of the pairs
     seen = []
 
     def spy(mat):
@@ -260,10 +354,36 @@ def test_separation_search_prunes_on_sign_384_64(monkeypatch):
     gamma = gamma_threshold(384, 64, 0.25)
     report = trace(make_random_sign(384, 64, 1), TraceConfig(gamma=gamma, basis_mode="lemmaB"))
     ((b_sub, (dist, evaluated)),) = seen
-    n = b_sub.shape[0]
-    assert dist == blocked_min_pairwise_linf(b_sub)
+    assert isinstance(b_sub, matrices.FactoredMatrix)
+    n = b_sub.n_dim
+    assert dist == blocked_min_pairwise_linf(b_sub.left @ b_sub.right)
     assert report.step("separation").outputs["min_pairwise_distance"] == dist
     assert evaluated <= 0.01 * n * (n - 1) / 2
+
+
+def test_min_pairwise_linf_trace_tail_holds_no_square_array(monkeypatch):
+    # lemmaB on sign 4096/64 keeps all 4096 rows (|I| x |I| float64 is
+    # 128 MB).  From the large/small split on, B and the small parts' inner
+    # products are read in row tiles, so the peak, including what the trace
+    # already holds, stays below one |I| x |I| array (about 40 MB here)
+    split = prooftrace.large_small_split
+
+    def split_spy(x, gamma):
+        tracemalloc.reset_peak()
+        return split(x, gamma)
+
+    monkeypatch.setattr(prooftrace, "large_small_split", split_spy)
+    gamma = gamma_threshold(4096, 64, 0.25)
+    a = make_random_sign(4096, 64, 1)
+    tracemalloc.start()
+    try:
+        report = trace(a, TraceConfig(gamma=gamma, basis_mode="lemmaB"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = report.step("row_selection").outputs["I"]
+    assert rows == 4096
+    assert peak < 8 * rows * rows
 
 
 @pytest.mark.parametrize("n_dim, rank, basis", [(96, 96, "lemmaA"), (384, 64, "lemmaB")])
