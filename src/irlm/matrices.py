@@ -46,7 +46,10 @@ class FactoredMatrix:
     exactly 1 and values are identical across platforms and BLAS
     implementations.  Their right factor is also exactly sign(L)', so V is
     symmetric and the statistics pass computes only its upper band, in band
-    tiles of the same loop; ``dense`` always takes full-row tiles.
+    tiles of the same loop; ``dense`` always takes full-row tiles.  The
+    library constructors record both facts (R == sign(L)' and w) on the
+    instance; for other factors, files read back included, they are
+    detected from the factors on first use.
     """
 
     n_dim: int
@@ -162,7 +165,10 @@ def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = 
     factor copy is held.  The slice is copied (h x r entries), since numpy
     multiplies a matrix by its own transpose with syrk and then mirrors the
     triangle element by element, which doubled the time of the last,
-    square band."""
+    square band.  A band multiplies only over the rank indices that some of
+    its rows use (nonzero in R[:, start:stop]): the terms it skips are exact
+    zeros, so V is the same, and block-diagonal factors skip most of the
+    inner dimension.  Sign factors use every index and take all of R."""
     scale = a._row_scale
     right = a.right if cols is None else a.right[:, cols]
     if scale is not None:
@@ -174,7 +180,9 @@ def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = 
     for start in range(0, n, step):
         stop = min(n, start + step)
         if band:
-            lead, tile = right[:, start:stop].copy().T, right[:, start:]
+            used = np.flatnonzero(right[:, start:stop].any(axis=1))
+            inner = slice(None) if used.size == right.shape[0] else used
+            lead, tile = right[inner, start:stop].copy().T, right[inner, start:]
         else:
             lead, tile = a.left[start:stop], right
             if scale is not None:
@@ -215,11 +223,21 @@ def _max_abs_product(left: np.ndarray, right: np.ndarray) -> float:
     return peak
 
 
+def _on_the_lattice(a: FactoredMatrix, scale: np.ndarray) -> FactoredMatrix:
+    """Record on `a` the lattice facts its constructor knows: R == sign(L)'
+    and the row scales w, so that no pass re-derives them from the factors
+    (as ``submatrix`` carries its parent's facts over)."""
+    vars(a)["_right_is_signs"] = True
+    vars(a)["_row_scale"] = scale
+    return a
+
+
 def make_identity(n_dim: int) -> FactoredMatrix:
     if n_dim < 1:
         raise ParameterError(f"N must be >= 1, got {n_dim}")
     eye = np.eye(n_dim)
-    return FactoredMatrix(n_dim, n_dim, eye, eye.copy(), Provenance("identity", 0))
+    a = FactoredMatrix(n_dim, n_dim, eye, eye.copy(), Provenance("identity", 0))
+    return _on_the_lattice(a, np.ones(n_dim))
 
 
 def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
@@ -232,13 +250,8 @@ def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
     x = rng.sign_matrix(n_dim, rank, seed, KIND_RANDOM_SIGN)
-    return FactoredMatrix(
-        n_dim,
-        rank,
-        x / rank,
-        x.T.copy(),
-        Provenance("random_sign", int(seed)),
-    )
+    a = FactoredMatrix(n_dim, rank, x / rank, x.T.copy(), Provenance("random_sign", int(seed)))
+    return _on_the_lattice(a, np.full(n_dim, float(rank)))
 
 
 # Draws of one random block of make_block_sparse before the first is kept.
@@ -251,6 +264,32 @@ def _block_seed(master: int, block: int, attempt: int) -> int:
     if block == 0 and attempt == 0:
         return int(master)
     return rng.derive_key(master, KIND_BLOCK_SPARSE, block, attempt)
+
+
+def _draw_block(size: int, rank: int, master: int, block: int) -> tuple[np.ndarray, float, int]:
+    """(signs, error, attempt) of the kept draw of one random block: the
+    first attempt whose error is at most 1/3, else attempt 0.  Attempt 0 is
+    drawn alone; the others in batches of at most ``_TILE_ENTRIES`` Gram
+    entries, each from one ``rng.sign_matrix`` call and one batched Gram."""
+    batch = max(1, _TILE_ENTRIES // size**2)
+    spans = [(0, 1), *((lo, min(_BLOCK_ATTEMPTS, lo + batch))
+                       for lo in range(1, _BLOCK_ATTEMPTS, batch))]
+    diag = np.arange(size)
+    for lo, hi in spans:
+        seeds = [_block_seed(master, block, attempt) for attempt in range(lo, hi)]
+        x = rng.sign_matrix(size, rank, seeds, KIND_RANDOM_SIGN)
+        # x x^T is an exact integer Gram and division is monotone, so one
+        # division of its off-diagonal maximum is the error
+        gram = np.matmul(x, x.transpose(0, 2, 1))
+        gram[:, diag, diag] = 0.0
+        errors = np.abs(gram, out=gram).max(axis=(1, 2)) / rank
+        if lo == 0:
+            first = (x[0], float(errors[0]), 0)
+        passing = np.flatnonzero(errors <= 1.0 / 3.0)
+        if passing.size:
+            k = int(passing[0])
+            return x[k], float(errors[k]), lo + k
+    return first
 
 
 def make_block_sparse(
@@ -270,7 +309,10 @@ def make_block_sparse(
     precondition n >= beta * ln(N+1)).  Each random block is drawn up to
     _BLOCK_ATTEMPTS times looking for block error <= 1/3; if no attempt
     reaches that, the first attempt is kept and the shortfall is recorded
-    in the provenance.
+    in the provenance.  Attempt 0 is drawn alone and the later ones in
+    batches (``_draw_block``), which keeps the same draw as trying them one
+    by one.  The row scales are r_b on random-block rows and 1 on identity
+    rows.
     """
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
@@ -300,6 +342,7 @@ def make_block_sparse(
 
     left = np.zeros((n_dim, rank))
     right = np.zeros((rank, n_dim))
+    scale = np.ones(n_dim)
     blocks = []
     attempts_used = []
     block_errors = []
@@ -313,24 +356,12 @@ def make_block_sparse(
             attempts_used.append(0)
             block_errors.append(0.0)
         else:
-            chosen = None
-            for attempt in range(_BLOCK_ATTEMPTS):
-                x = rng.sign_matrix(size, r_b, _block_seed(seed, b, attempt), KIND_RANDOM_SIGN)
-                # x x^T is an exact integer Gram and division is monotone,
-                # so one division of its off-diagonal maximum is the error
-                gram = x @ x.T
-                np.fill_diagonal(gram, 0.0)
-                err = float(np.abs(gram).max()) / r_b
-                if chosen is None:
-                    chosen = (x, err, attempt)
-                if err <= 1.0 / 3.0:
-                    chosen = (x, err, attempt)
-                    break
-            x, err, attempt = chosen
+            x, err, attempt = _draw_block(size, r_b, seed, b)
             left[row : row + size, col : col + r_b] = x / r_b
             right[col : col + r_b, row : row + size] = x.T
+            scale[row : row + size] = r_b
             attempts_used.append(attempt)
-            block_errors.append(float(err))
+            block_errors.append(err)
         blocks.append((row, size, r_b, col, exact))
         row += size
         col += r_b
@@ -343,7 +374,8 @@ def make_block_sparse(
         "attempts": tuple(attempts_used),
         "block_errors": tuple(block_errors),
     }
-    return FactoredMatrix(n_dim, rank, left, right, Provenance("block_sparse", int(seed), params))
+    a = FactoredMatrix(n_dim, rank, left, right, Provenance("block_sparse", int(seed), params))
+    return _on_the_lattice(a, scale)
 
 
 def from_factors(
@@ -657,15 +689,16 @@ def min_pairwise_linf(mat: np.ndarray | FactoredMatrix) -> tuple[float, int]:
     return best, evaluated
 
 
-# Relative floor of the full-rank certificate: a factor passes when its
-# Gram is proved to have lambda_min >= (tau / 2) * trace.
+# Relative floor of the full-rank certificate: a Gram passes when it is
+# proved to have lambda_min >= (tau / 2) * trace.
 _RANK_TAU = 1e-6
 
 
 def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
     """Whether one Cholesky proves lambda_min(G) >= (tau / 2) * tr(G) for the
-    exact Gram G = F'F of a factor F with `length` rows, given `gram`, its
-    float64 product.  Overwrites `gram` with gram - tau * trace(gram) * I.
+    Gram G = F'F of a factor F with `length` rows, given `gram`, its float64
+    product (exact for the integer factors ``numerical_rank`` passes).
+    Overwrites `gram` with gram - tau * trace(gram) * I.
 
     Rounding in the Gram, in the shift and in a Cholesky that completes
     (Demmel 1989; Higham, Accuracy and Stability, Thm 10.5) moves the
@@ -687,34 +720,39 @@ def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
 def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     """Count of singular values of A = L @ R above tol times the largest one.
 
-    Certificate first.  When 4 * tol < tau and both L'L and R R' pass
-    ``_gram_floor_certified``, then sigma_min(F) >= sqrt(tau / 2) sigma_max(F)
-    for F = L and F = R', so sigma_r(A) >= sigma_min(L) sigma_min(R) >=
-    (tau / 2) sigma_max(L) sigma_max(R) >= (tau / 2) sigma_1(A) >
-    2 tol sigma_1(A), and the count is exactly r = rank_budget.  The factor 2
-    covers the SVD below, whose values err by about 1e-13 sigma_1, so both
-    routes give the same count wherever the certificate clears.  It costs
-    two r x r Grams and two Choleskys and needs no eigenvalue (an eigenvalue
-    of a Gram would square the condition number).
+    Certificate first, on the sign lattice with R == sign(L)' = S' (every
+    library kind): there A = W^-1 S S' with W = diag(w), so
+    sigma_r(A) >= lambda_min(S'S) / w_max and sigma_1(A) <= lambda_max(S'S)
+    / w_min.  When ``_gram_floor_certified`` passes the exact integer Gram
+    R R' = S'S, lambda_min >= (tau / 2) tr >= (tau / 2) lambda_max, so
+    sigma_r(A) >= (tau / 2) (w_min / w_max) sigma_1(A) > 2 tol sigma_1(A)
+    wherever 4 tol (w_max / w_min) < tau, and the count is exactly
+    r = rank_budget.  The factor 2 covers the SVD below, whose values err by
+    about 1e-13 sigma_1, so both routes give the same count wherever the
+    certificate clears.  It costs one r x r Gram and one Cholesky and needs
+    no eigenvalue (an eigenvalue of a Gram would square the condition
+    number).
 
-    The certificate is tried only when r < N.  At r > N, F'F is singular
+    The certificate is tried only when r < N.  At r > N, S'S is singular
     and it cannot clear.  A random N x N sign factor has lambda_min / tr(G)
     near 1 / N^3, so it clears on about half the seeds at N = 64 and on
     none from N = 96 on.  One failed Gram and Cholesky cost an eighth to a
     sixth of the fallback's own time, so square factors go straight to it.
 
-    Fallback, wherever a Cholesky fails (rank-deficient or ill-conditioned
-    factors), the guard refuses or r >= N: the singular values of the thin
-    core R_L @ right with L = Q R_L, Q never formed."""
+    Fallback, wherever the factors are off the lattice, the Cholesky fails
+    (rank-deficient or ill-conditioned S), the guard refuses or r >= N: the
+    singular values of the thin core R_L @ right with L = Q R_L, Q never
+    formed."""
     if not 0 < tol < 1:
         raise ParameterError(f"tol must be in (0, 1), got {tol}")
-    if (
-        4 * tol < _RANK_TAU
-        and a.rank_budget < a.n_dim
-        and _gram_floor_certified(a.left.T @ a.left, a.n_dim)
-        and _gram_floor_certified(a.right @ a.right.T, a.n_dim)
-    ):
-        return a.rank_budget
+    if a.rank_budget < a.n_dim and a._right_is_signs:
+        scale = a._row_scale
+        if (
+            scale is not None
+            and 4 * tol * float(scale.max() / scale.min()) < _RANK_TAU
+            and _gram_floor_certified(a.right @ a.right.T, a.n_dim)
+        ):
+            return a.rank_budget
     s = np.linalg.svd(np.linalg.qr(a.left, mode="r") @ a.right, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0

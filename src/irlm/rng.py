@@ -8,6 +8,8 @@ index).  Parallel evaluation order therefore cannot change any output.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -50,31 +52,59 @@ class SplitMix64:
         """The next `count` signs of next_sign, computed in one vector pass."""
         steps = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            words = _mix64_np(np.uint64(self._state) + steps * np.uint64(GOLDEN))
-        self._state = (self._state + steps.size * GOLDEN) & MASK64
-        return 1.0 - 2.0 * (words >> np.uint64(63)).astype(np.float64)
+            steps *= np.uint64(GOLDEN)
+            steps += np.uint64(self._state)
+        self._state = (self._state + count * GOLDEN) & MASK64
+        return _top_bit_signs(steps, np.empty_like(steps))
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray, scratch: np.ndarray, final: bool = True) -> None:
+    """mix64 on every word of `z` in place, with `scratch` (same shape) as
+    the one temporary.  Without `final` the last xor-shift is skipped: it
+    leaves the top bit as it is, so a caller that reads only that bit may
+    skip it."""
+    with np.errstate(over="ignore"):
+        for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+            np.right_shift(z, np.uint64(shift), out=scratch)
+            z ^= scratch
+            z *= np.uint64(mult)
+    if final:
+        np.right_shift(z, np.uint64(31), out=scratch)
+        z ^= scratch
 
 
-def sign_matrix(n_rows: int, n_cols: int, seed: int, kind_code: int) -> np.ndarray:
+def _top_bit_signs(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """+1.0 where the top bit of mix64(z) is clear, -1.0 where it is set;
+    overwrites `z` and `scratch`."""
+    _mix64_np(z, scratch, final=False)
+    z >>= np.uint64(63)
+    return _SIGNS.take(z.view(np.int64))
+
+
+_SIGNS = np.array([1.0, -1.0])
+
+
+def sign_matrix(
+    n_rows: int, n_cols: int, seed: int | Sequence[int], kind_code: int
+) -> np.ndarray:
     """Matrix of +-1 floats, entry (i, j) keyed by mix(seed, kind, i*n_cols + j).
 
     The sign is the high bit of the first stream output under that key,
-    mapped set -> -1, clear -> +1.
+    mapped set -> -1, clear -> +1.  Given a sequence of seeds, it returns
+    the stack of their matrices (len(seed) x n_rows x n_cols), each equal to
+    the matrix of its seed alone, from one vector pass.
     """
-    base = derive_key(seed, kind_code)
-    idx = np.arange(n_rows * n_cols, dtype=np.uint64)
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    bases = np.array([derive_key(s, kind_code) for s in seeds], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        keys = _mix64_np(np.uint64(base) + np.uint64(GOLDEN) + idx)
-        out = _mix64_np(keys + np.uint64(GOLDEN))
-    bits = (out >> np.uint64(63)).astype(np.int64)
-    signs = 1.0 - 2.0 * bits
-    return signs.reshape(n_rows, n_cols)
+        # entry idx under base b is keyed by mix64(b + GOLDEN + idx)
+        z = (bases + np.uint64(GOLDEN))[:, None] + np.arange(n_rows * n_cols, dtype=np.uint64)
+        scratch = np.empty_like(z)
+        _mix64_np(z, scratch)
+        z += np.uint64(GOLDEN)
+    signs = _top_bit_signs(z, scratch)
+    return signs.reshape((n_rows, n_cols) if single else (len(seeds), n_rows, n_cols))
 
 
 def entry_sign(seed: int, kind_code: int, flat_index: int) -> int:

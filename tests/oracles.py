@@ -6,7 +6,8 @@ design optimization, brute-force subset enumeration, exhaustive pair
 scans, a fresh KKT solve per facet, a linear solve per sign pattern and
 per drop-one candidate, column-at-a-time elimination, a fresh solve per
 maxvol swap, whole-matrix scans of the dense form, a per-block integer
-Gram, and an SVD of the dense form.
+Gram, an SVD of the dense form, and a redraw of block_sparse's blocks one
+attempt at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize
+
+from irlm import matrices, rng
 
 
 def binomial_two_sided_tail(n: int, k: int) -> float:
@@ -361,3 +364,30 @@ def dense_numerical_rank(a, tol: float) -> int:
     largest one."""
     s = np.linalg.svd(a.dense(), compute_uv=False)
     return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+
+
+def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
+    """(signs, error, attempt) of every block of a make_block_sparse matrix,
+    redrawn from its recorded layout one attempt at a time: one
+    rng.sign_matrix call and one Gram per attempt, in attempt order, up to
+    the first attempt with error <= 1/3, else attempt 0.  An exact identity
+    block gives (None, 0.0, 0)."""
+    draws = []
+    for b, (_, size, rank, _, exact) in enumerate(a.provenance.params["blocks"]):
+        if exact:
+            draws.append((None, 0.0, 0))
+            continue
+        chosen = None
+        for attempt in range(matrices._BLOCK_ATTEMPTS):
+            seed = matrices._block_seed(a.provenance.seed, b, attempt)
+            x = rng.sign_matrix(size, rank, seed, matrices.KIND_RANDOM_SIGN)
+            gram = x @ x.T
+            np.fill_diagonal(gram, 0.0)
+            err = float(np.abs(gram).max()) / rank
+            if chosen is None:
+                chosen = (x, err, attempt)
+            if err <= 1.0 / 3.0:
+                chosen = (x, err, attempt)
+                break
+        draws.append(chosen)
+    return draws

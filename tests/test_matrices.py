@@ -24,6 +24,7 @@ from irlm.errors import ConstructionError, ParameterError
 
 from oracles import (
     binomial_two_sided_tail,
+    block_draws_one_at_a_time,
     block_gram_dense,
     dense_numerical_rank,
     dense_scan_distribution,
@@ -240,8 +241,8 @@ def test_numerical_rank_square_and_wide_factors_skip_the_certificate(monkeypatch
     assert numerical_rank(a, 1e-10) == dense_numerical_rank(a, 1e-10) == expected
 
 
-def test_numerical_rank_ill_conditioned_factors_reach_the_svd(monkeypatch):
-    a = _spectrum_factors(200, 24, 1e-8)
+def _svd_calls(monkeypatch) -> list:
+    """The shapes of every SVD numerical_rank computes from here on."""
     calls = []
     svd = np.linalg.svd
 
@@ -250,6 +251,12 @@ def test_numerical_rank_ill_conditioned_factors_reach_the_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(matrices.np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_numerical_rank_ill_conditioned_factors_reach_the_svd(monkeypatch):
+    a = _spectrum_factors(200, 24, 1e-8)
+    calls = _svd_calls(monkeypatch)
     assert numerical_rank(a, 1e-10) == 24
     assert calls == [(24, 200)]
     # a tolerance that the certificate's floor cannot separate from also
@@ -264,6 +271,47 @@ def test_numerical_rank_tol_validation():
         numerical_rank(make_identity(3), 0.0)
     with pytest.raises(ParameterError):
         numerical_rank(make_identity(3), 1.0)
+
+
+def test_numerical_rank_lattice_with_a_repeated_column_reaches_the_svd(monkeypatch):
+    # S'S is singular, so its Cholesky fails and the SVD counts r - 1
+    signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(200, 24))
+    signs[:, -1] = signs[:, 0]
+    a = from_factors(signs / 24, signs.T)
+    assert a._right_is_signs and a._row_scale is not None
+    expected = dense_numerical_rank(a, 1e-10)
+    calls = _svd_calls(monkeypatch)
+    assert numerical_rank(a, 1e-10) == expected == 23
+    assert calls == [(24, 200)]
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((40, 36, 1), dict(alpha=1.2, beta=2.0)),
+    ((8, 6, 1), dict(alpha=1.0, beta=1.0)),
+], ids=["block-40/36", "block-8/6-short-identity"])
+def test_numerical_rank_certificate_clears_blocks_with_identity_rows(monkeypatch, args, kwargs):
+    # identity rows have scale 1 and random-block rows r_b, so the bound
+    # carries the spread w_max / w_min = r_b
+    a = make_block_sparse(*args, **kwargs)
+    params = a.provenance.params
+    ranks = {rank for _, _, rank, _, exact in params["blocks"] if not exact}
+    assert any(exact for *_, exact in params["blocks"]) and len(ranks) == 1
+    assert a._row_scale.max() / a._row_scale.min() == ranks.pop()
+    expected = dense_numerical_rank(a, 1e-10)
+    calls = _svd_calls(monkeypatch)
+    assert numerical_rank(a, 1e-10) == expected == a.rank_budget
+    assert calls == []
+
+
+# (1e-8 is in test_numerical_rank_ill_conditioned_factors_reach_the_svd)
+@pytest.mark.parametrize("ratio, expected", [(1.0, 24), (1e-12, 23)])
+def test_numerical_rank_off_lattice_factors_take_the_svd(monkeypatch, ratio, expected):
+    a = _spectrum_factors(200, 24, ratio)
+    assert not a._right_is_signs
+    want = dense_numerical_rank(a, 1e-10)
+    calls = _svd_calls(monkeypatch)
+    assert numerical_rank(a, 1e-10) == want == expected
+    assert calls == [(24, 200)]
 
 
 # -- block sparse --------------------------------------------------------------
@@ -306,6 +354,89 @@ def test_block_sparse_infeasible_sizing_raises_with_named_constraint():
 def test_block_sparse_rank_within_budget():
     a = make_block_sparse(40, 36, 5, alpha=1.2, beta=2.0)
     assert numerical_rank(a, 1e-10) <= a.rank_budget
+
+
+def _assert_one_at_a_time_draws(a):
+    """The factors, attempts and block errors of a make_block_sparse matrix
+    are those of drawing its blocks one attempt at a time."""
+    params = a.provenance.params
+    draws = block_draws_one_at_a_time(a)
+    assert params["attempts"] == tuple(attempt for _, _, attempt in draws)
+    assert params["block_errors"] == tuple(err for _, err, _ in draws)
+    nonzero = 0
+    for (start, size, rank, col, _), (x, _, _) in zip(params["blocks"], draws):
+        # an identity block's rows have scale 1, a random block's its rank
+        signs, scale = (np.eye(size), 1) if x is None else (x, rank)
+        rows, cols = slice(start, start + size), slice(col, col + rank)
+        assert np.array_equal(a.left[rows, cols], signs / scale)
+        assert np.array_equal(a.right[cols, rows], signs.T)
+        nonzero += np.count_nonzero(signs)
+    # and nothing outside the blocks
+    assert np.count_nonzero(a.left) == np.count_nonzero(a.right) == nonzero
+
+
+def test_block_retries_keep_the_one_at_a_time_draws_on_late_passes():
+    # blocks 8 and 15 pass on attempts 5 and 12; every other block fails
+    # all 16 attempts and keeps attempt 0
+    a = make_block_sparse(160, 116, 2, alpha=1.0, beta=2.0)
+    attempts = a.provenance.params["attempts"]
+    errors = a.provenance.params["block_errors"]
+    assert {b: t for b, t in enumerate(attempts) if t} == {8: 5, 15: 12}
+    assert all((e <= 1 / 3) == (b in (8, 15)) for b, e in enumerate(errors))
+    _assert_one_at_a_time_draws(a)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    *(((1024, 500, seed), dict(alpha=4.0, beta=2.0)) for seed in (1, 2, 3, 4)),
+    ((4096, 2048, 1), dict(alpha=32.0)),
+], ids=["block-1024/500-s1", "block-1024/500-s2", "block-1024/500-s3", "block-1024/500-s4",
+        "block-4096/2048"])
+def test_block_retries_keep_the_one_at_a_time_draws(args, kwargs):
+    _assert_one_at_a_time_draws(make_block_sparse(*args, **kwargs))
+
+
+@given(
+    n_dim=st.integers(min_value=2, max_value=48),
+    rank=st.integers(min_value=1, max_value=48),
+    seed=st.integers(min_value=0, max_value=2**32),
+    alpha=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    tile_entries=st.integers(min_value=1, max_value=400),
+)
+def test_block_retries_in_batches_keep_the_one_at_a_time_draws(n_dim, rank, seed, alpha,
+                                                               tile_entries):
+    # small tiles give batches of 1 to 16 attempts, and a short last batch
+    rank = min(rank, n_dim)
+    with mock.patch.object(matrices, "_TILE_ENTRIES", tile_entries):
+        try:
+            a = make_block_sparse(n_dim, rank, seed, alpha=alpha, beta=0.5)
+        except ConstructionError:
+            assume(False)
+    _assert_one_at_a_time_draws(a)
+
+
+# sha256 of the left then the right factor's bytes of the analyze_large
+# inputs, recorded before the block retries were batched
+@pytest.mark.parametrize("build, digest", [
+    (lambda: make_random_sign(4096, 128, 1),
+     "7fc2d3ab32da4cac410f8faad2af3f0ee1dbbb956531497493bb32efb53844ff"),
+    (lambda: make_random_sign(4096, 128, 2),
+     "270f1ca6f33fdee06732e4ccc1693337327d99485fa455536d7409eb1cf25dd1"),
+    (lambda: make_random_sign(4096, 128, 3),
+     "f9f1037bf148796c9345c5b35c96a6100d66555fac5ea4e58253658d3e0cd0c8"),
+    (lambda: make_random_sign(4096, 128, 4),
+     "74177b608e772f490290591cc09e4ca27d2c8d37b27f2cbaf720808b17c9200d"),
+    (lambda: make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0),
+     "78737f81bac89846324c43f7985db50b1655506d1d0013e90e0284c2ac4c60bd"),
+    (lambda: make_block_sparse(1024, 500, 2, alpha=4.0, beta=2.0),
+     "99a7c7cde87f9885d3adb6258f070926f92e85343e91cb0ebf7c8f949785000e"),
+    (lambda: make_block_sparse(1024, 500, 3, alpha=4.0, beta=2.0),
+     "eaf4f47e612dd82b4c64af739e05b35fe9f3c2a4a1952d05b817588fd4636e5a"),
+    (lambda: make_block_sparse(1024, 500, 4, alpha=4.0, beta=2.0),
+     "2cec01736bdc247dd5d12a4ae93eff4f42226d433ba8f7ebfcbf4c6067115335"),
+], ids=[f"{kind}-s{seed}" for kind in ("sign-4096/128", "block-1024/500") for seed in (1, 2, 3, 4)])
+def test_analyze_large_inputs_keep_their_factor_bytes(build, digest):
+    a = build()
+    assert hashlib.sha256(a.left.tobytes() + a.right.tobytes()).hexdigest() == digest
 
 
 # -- submatrix ----------------------------------------------------------------
@@ -467,9 +598,10 @@ def test_symmetric_band_pass_matches_the_general_loop(kind, n_dim, rank, seed, t
     with _tile_rows(tile_rows, a.n_dim):
         profile, routes = _profile_and_routes(a, gamma)
         assert routes == [True]
-        # without R == sign(L)' the same factors take full-row tiles
+        # without R == sign(L)' the same factors take full-row tiles; a fresh
+        # matrix of them, since a constructor's recorded facts shadow the mock
         with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False):
-            general, routes = _profile_and_routes(_build(kind, n_dim, rank, seed), gamma)
+            general, routes = _profile_and_routes(from_factors(a.left, a.right), gamma)
         assert routes == [False]
     _assert_same_profile(profile, general)
 
@@ -487,7 +619,7 @@ def test_symmetric_band_pass_matches_the_general_loop_at_default_heights(build):
     profiles = [_profile_and_routes(a, gamma) for gamma in gammas]
     assert all(routes == [True] for _, routes in profiles)
     with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False):
-        general = build()
+        general = from_factors(a.left, a.right)
         for gamma, (profile, _) in zip(gammas, profiles):
             general_profile, routes = _profile_and_routes(general, gamma)
             assert routes == [False]
@@ -530,6 +662,22 @@ def test_submatrix_inherits_the_parents_lattice_facts(kind):
     else:
         assert np.array_equal(sub._row_scale, fresh._row_scale)
     _assert_same_profile(distribution_function(sub, 0.25), distribution_function(fresh, 0.25))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_identity(9),
+    lambda: make_random_sign(50, 12, 3),
+    lambda: make_block_sparse(6, 6, 0, alpha=1.5),
+    lambda: make_block_sparse(8, 6, 1, alpha=1.0, beta=1.0),
+    lambda: make_block_sparse(40, 36, 5, alpha=1.2, beta=2.0),
+], ids=["identity", "sign", "identity_blocks", "mixed_blocks-short-last", "mixed_blocks"])
+def test_constructors_record_the_lattice_facts_a_fresh_matrix_detects(build):
+    a = build()
+    assert {"_right_is_signs", "_row_scale"} <= set(vars(a))
+    fresh = from_factors(a.left, a.right)
+    assert a._right_is_signs is True and fresh._right_is_signs
+    assert a._row_scale.dtype == fresh._row_scale.dtype
+    assert np.array_equal(a._row_scale, fresh._row_scale)
 
 
 @pytest.mark.parametrize("spoil", ["left", "right"])

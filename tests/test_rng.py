@@ -54,3 +54,19 @@ def test_next_signs_matches_scalar_stream(key, count):
     assert signs.dtype == np.float64 and signs.shape == (count,)
     assert signs.tolist() == [float(scalar.next_sign()) for _ in range(count)]
     assert vector.next_u64() == scalar.next_u64()
+
+
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=5),
+    n_rows=st.integers(min_value=0, max_value=6),
+    n_cols=st.integers(min_value=0, max_value=6),
+    kind_code=st.integers(min_value=0, max_value=3),
+)
+def test_sign_matrix_seed_sequence_stacks_the_per_seed_draws(seeds, n_rows, n_cols, kind_code):
+    stack = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
+    assert stack.dtype == np.float64 and stack.shape == (len(seeds), n_rows, n_cols)
+    for seed, mat in zip(seeds, stack):
+        assert np.array_equal(mat, rng.sign_matrix(n_rows, n_cols, seed, kind_code))
+        assert mat.ravel().tolist() == [
+            float(rng.entry_sign(seed, kind_code, i)) for i in range(n_rows * n_cols)
+        ]
