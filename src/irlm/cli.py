@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from . import bounds as bnd
-from . import geometry
+from . import geometry, rng
 from .errors import (
     ConstructionError,
     DegenerateSpanError,
@@ -97,6 +97,9 @@ def _construct(kind: str, n_dim: int, rank: int | None, seed: int, **sizing) -> 
 
 
 def _cmd_generate(args) -> int:
+    # the file header stores the seed as a u64
+    if not 0 <= args.seed <= rng.MASK64:
+        raise ParameterError(f"--seed must be in 0..2^64-1, got {args.seed}")
     mat = _construct(args.kind, args.N, args.n, args.seed, alpha=args.alpha, beta=args.beta)
     write_matrix(mat, args.out)
     profile = distribution_function(mat, 0.0)

@@ -40,16 +40,16 @@ class FactoredMatrix:
     The materialized product has rank at most r by construction.  Instances
     are immutable and their factors finite; no dense copy is kept, and
     ``dense`` computes the columns asked for on each call.  Every matrix is
-    computed in row tiles as V / w (see ``_gram_tiles``).  For the library
-    kinds and the files they are written to, V is an exact integer Gram,
-    computed in float32, and w a per-row integer scale, so the diagonal is
-    exactly 1 and values are identical across platforms and BLAS
-    implementations.  Their right factor is also exactly sign(L)', so V is
-    symmetric and the statistics pass computes only its upper band, in band
-    tiles of the same loop; ``dense`` always takes full-row tiles.  The
-    library constructors record both facts (R == sign(L)' and w) on the
-    instance; for other factors, files read back included, they are
-    detected from the factors on first use.
+    computed in row tiles as V / w (see ``_gram_tiles``).  The library
+    kinds, their slices and the files they are written to lie on the sign
+    lattice L = S / w[:, None], R = S' (see ``_lattice_scale``): V is then
+    the symmetric integer Gram S S', exact in float32, and w a per-row
+    integer scale, so the diagonal is exactly 1 and values are identical
+    across platforms and BLAS implementations.  The statistics pass
+    computes only V's upper band, in band tiles of the same loop; ``dense``
+    always takes full-row tiles.  The library constructors record w on the
+    instance; for other factors, files read back included, it is detected
+    from the factors on first use.
     """
 
     n_dim: int
@@ -87,14 +87,8 @@ class FactoredMatrix:
         object.__setattr__(self, "right", right)
 
     @cached_property
-    def _right_is_signs(self) -> bool:
-        """Whether R == sign(L)' exactly: on the lattice, the integer Gram
-        V = sign(L) @ R is then symmetric."""
-        return np.array_equal(np.sign(self.left), self.right.T)
-
-    @cached_property
     def _row_scale(self) -> np.ndarray | None:
-        return _lattice_scale(self.left, self.right, self._right_is_signs)
+        return _lattice_scale(self.left, self.right)
 
     def dense(self, cols: np.ndarray | None = None) -> np.ndarray:
         """A[:, cols] (all of A by default), row-major, computed from the row
@@ -112,29 +106,24 @@ _TILE_ENTRIES = 1 << 21
 # 64 to 512 rows measured alike.
 _BAND_ROWS = 256
 
-# Largest rank * max |R| of a lattice: float32 holds every integer up to
-# 2^24, so every partial sum of the Gram is exact in any summation order.
+# Largest rank of a lattice: float32 holds every integer up to 2^24, so
+# every partial sum of the Gram is exact in any summation order.
 _LATTICE_BOUND = 2.0**24
 
 
-def _lattice_scale(
-    left: np.ndarray, right: np.ndarray, right_is_signs: bool = False
-) -> np.ndarray | None:
-    """Row scales w when the factors lie on an exact sign lattice, else None.
+def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """Row scales w when the factors lie on the sign lattice, else None.
 
-    The lattice: every row of L is sign(L[i]) / w_i for an integer w_i >= 1,
-    and R is integer-valued with rank * max |R| <= 2^24.  Then
-    A = (sign(L) @ R) / w[:, None], where sign(L) @ R is an integer Gram,
+    The lattice: L = S / w[:, None] and R = S' for a sign matrix S with
+    entries in {-1, 0, 1}, integer row scales w_i >= 1 and rank <= 2^24.
+    Then A = (S S') / w[:, None], where S S' is a symmetric integer Gram,
     exact in float32 in any summation order, and every entry is one
-    correctly rounded float64 division.  `right_is_signs` says R == sign(L)'
-    is known, so R's half of the test holds wherever rank <= 2^24.
+    correctly rounded float64 division.  S = sign(L), so the test is one
+    comparison R == sign(L)' and one test of the row scales.
     """
-    rank = left.shape[1]
-    # R first, so that its temporaries are freed before |L| is allocated
-    if not (right_is_signs and rank <= _LATTICE_BOUND) and not (
-        np.array_equal(right, np.rint(right))
-        and float(np.abs(right).max()) * rank <= _LATTICE_BOUND
-    ):
+    # the sign test first, so that its temporaries are freed before |L| is
+    # allocated
+    if left.shape[1] > _LATTICE_BOUND or not np.array_equal(np.sign(left), right.T):
         return None
     mags = np.abs(left)
     peak = mags.max(axis=1)
@@ -152,15 +141,14 @@ def _lattice_scale(
 def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = False):
     """Yield (start, V) over every row tile, with A[start:stop, cols] = V / w
     row by row (all columns when cols is None): the float32 integer Gram
-    sign(L) @ R[:, cols] and the row scales on the lattice, the float64
-    product L @ R[:, cols] and w = 1 off it.  V is one reused buffer, valid
-    until the next tile, which the caller may overwrite.  The float32
-    factors are made per pass, so a matrix holds no copy of its factors
-    between passes.
+    S @ S'[:, cols] and the row scales on the lattice, the float64 product
+    L @ R[:, cols] and w = 1 off it.  V is one reused buffer, valid until
+    the next tile, which the caller may overwrite.  The float32 factors are
+    made per pass, so a matrix holds no copy of its factors between passes.
 
-    With `band`, for all columns of a lattice matrix with R == sign(L)'
-    (V symmetric), each tile is the upper band V[start:stop, start:] of
-    ``_BAND_ROWS`` rows, so each entry pair is computed once.  Its left
+    With `band`, for all columns of a lattice matrix (V symmetric), each
+    tile is the upper band V[start:stop, start:] of ``_BAND_ROWS`` rows, so
+    each entry pair is computed once.  Its left
     operand is the transpose of a slice of R's float32 copy, so no second
     factor copy is held.  The slice is copied (h x r entries), since numpy
     multiplies a matrix by its own transpose with syrk and then mirrors the
@@ -224,10 +212,9 @@ def _max_abs_product(left: np.ndarray, right: np.ndarray) -> float:
 
 
 def _on_the_lattice(a: FactoredMatrix, scale: np.ndarray) -> FactoredMatrix:
-    """Record on `a` the lattice facts its constructor knows: R == sign(L)'
-    and the row scales w, so that no pass re-derives them from the factors
-    (as ``submatrix`` carries its parent's facts over)."""
-    vars(a)["_right_is_signs"] = True
+    """Record on `a` the row scales w its constructor knows, so that no pass
+    re-derives them from the factors (as ``submatrix`` carries its
+    parent's over)."""
     vars(a)["_row_scale"] = scale
     return a
 
@@ -395,11 +382,11 @@ def from_factors(
 def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
     """Principal submatrix on the given indices, still in factored form.
 
-    It keeps the rows of L and a column subset of R, so the lattice facts
-    the parent has established carry over: R == sign(L)' stays true, and
-    the row scales are the parent's at `indices`.  A fact the parent lacks
-    or has not computed is computed on the submatrix when needed, since a
-    slice of a matrix off the lattice may lie on it."""
+    It keeps the rows of L and the same columns of R, so a parent on the
+    lattice gives a slice on it, with the parent's row scales at `indices`.
+    Where the parent is off the lattice or has not detected it, the slice
+    detects it when needed, since a slice of a matrix off the lattice may
+    lie on it."""
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size == 0:
         raise ParameterError("submatrix needs at least one index")
@@ -412,12 +399,8 @@ def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
             "custom", a.provenance.seed, {"parent": a.provenance.kind, "size": int(indices.size)}
         ),
     )
-    known = vars(a)
-    if known.get("_right_is_signs") is True:
-        vars(sub)["_right_is_signs"] = True
-    if known.get("_row_scale") is not None:
-        vars(sub)["_row_scale"] = known["_row_scale"][indices]
-    return sub
+    scale = vars(a).get("_row_scale")
+    return sub if scale is None else _on_the_lattice(sub, scale[indices])
 
 
 def approx_error(a: FactoredMatrix) -> float:
@@ -517,15 +500,14 @@ def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     """Fraction of ordered pairs (i, j) with |A[i, j]| strictly above gamma,
     together with per-column densities, the exact nonzero fraction and
     max |A - I|, from one pass of ``_gram_tiles`` at every N that neither
-    reads nor builds the dense form.  Where R == sign(L)' on the lattice
-    (every library kind, its slices and its files) the tiles are bands of
-    the symmetric integer Gram's upper half; any other factors take
-    full-row tiles."""
+    reads nor builds the dense form.  On the lattice (every library kind,
+    its slices and its files) the tiles are bands of the symmetric integer
+    Gram's upper half; any other factors take full-row tiles."""
     if not gamma >= 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     n = a.n_dim
     scale = a._row_scale
-    band = scale is not None and a._right_is_signs
+    band = scale is not None
     if scale is None:
         scale, cut = 1.0, gamma
     else:
@@ -720,7 +702,7 @@ def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
 def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     """Count of singular values of A = L @ R above tol times the largest one.
 
-    Certificate first, on the sign lattice with R == sign(L)' = S' (every
+    Certificate first, on the sign lattice L = S / w[:, None], R = S' (every
     library kind): there A = W^-1 S S' with W = diag(w), so
     sigma_r(A) >= lambda_min(S'S) / w_max and sigma_1(A) <= lambda_max(S'S)
     / w_min.  When ``_gram_floor_certified`` passes the exact integer Gram
@@ -745,14 +727,14 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     formed."""
     if not 0 < tol < 1:
         raise ParameterError(f"tol must be in (0, 1), got {tol}")
-    if a.rank_budget < a.n_dim and a._right_is_signs:
-        scale = a._row_scale
-        if (
-            scale is not None
-            and 4 * tol * float(scale.max() / scale.min()) < _RANK_TAU
-            and _gram_floor_certified(a.right @ a.right.T, a.n_dim)
-        ):
-            return a.rank_budget
+    # r < N first, so that a factor with r >= N is never probed for the lattice
+    if (
+        a.rank_budget < a.n_dim
+        and (scale := a._row_scale) is not None
+        and 4 * tol * float(scale.max() / scale.min()) < _RANK_TAU
+        and _gram_floor_certified(a.right @ a.right.T, a.n_dim)
+    ):
+        return a.rank_budget
     s = np.linalg.svd(np.linalg.qr(a.left, mode="r") @ a.right, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0

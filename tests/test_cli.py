@@ -88,6 +88,32 @@ def test_generate_requires_rank_for_random_sign(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_generate_refuses_a_seed_the_header_cannot_hold(capsys, tmp_path, monkeypatch, seed):
+    # refused before the matrix is built: the file header's u64 would only
+    # fail in write_matrix, after the whole construction
+    built = []
+    monkeypatch.setattr(cli, "_construct", lambda *args, **kwargs: built.append(args))
+    out = tmp_path / "x.irlm"
+    rc, stdout, err = run(
+        capsys, "generate", "--kind", "random_sign", "--N", "8", "--n", "4",
+        "--seed", seed, "--out", str(out),
+    )
+    assert rc == 2
+    assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    assert built == [] and not out.exists()
+
+
+def test_generate_keeps_the_largest_seed_in_the_header(capsys, tmp_path):
+    out = tmp_path / "x.irlm"
+    rc, stdout, _ = run(
+        capsys, "generate", "--kind", "random_sign", "--N", "8", "--n", "4",
+        "--seed", str(2**64 - 1), "--out", str(out),
+    )
+    assert rc == 0 and json.loads(stdout)["seed"] == 2**64 - 1
+    assert struct.unpack_from("<Q", out.read_bytes(), 32)[0] == 2**64 - 1
+
+
 def test_analyze_identity(capsys, tmp_path):
     mat = tmp_path / "id.irlm"
     run(capsys, "generate", "--kind", "identity", "--N", "16", "--out", str(mat))

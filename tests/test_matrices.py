@@ -21,6 +21,7 @@ from irlm import (
 from irlm import matrices
 from irlm.cli import resolve_gamma
 from irlm.errors import ConstructionError, ParameterError
+from irlm.storage import read_matrix, write_matrix
 
 from oracles import (
     binomial_two_sided_tail,
@@ -278,7 +279,7 @@ def test_numerical_rank_lattice_with_a_repeated_column_reaches_the_svd(monkeypat
     signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(200, 24))
     signs[:, -1] = signs[:, 0]
     a = from_factors(signs / 24, signs.T)
-    assert a._right_is_signs and a._row_scale is not None
+    assert a._row_scale is not None
     expected = dense_numerical_rank(a, 1e-10)
     calls = _svd_calls(monkeypatch)
     assert numerical_rank(a, 1e-10) == expected == 23
@@ -307,7 +308,7 @@ def test_numerical_rank_certificate_clears_blocks_with_identity_rows(monkeypatch
 @pytest.mark.parametrize("ratio, expected", [(1.0, 24), (1e-12, 23)])
 def test_numerical_rank_off_lattice_factors_take_the_svd(monkeypatch, ratio, expected):
     a = _spectrum_factors(200, 24, ratio)
-    assert not a._right_is_signs
+    assert a._row_scale is None
     want = dense_numerical_rank(a, 1e-10)
     calls = _svd_calls(monkeypatch)
     assert numerical_rank(a, 1e-10) == want == expected
@@ -454,9 +455,10 @@ def test_submatrix_matches_dense_slice():
 
 
 def _lattice_factors(n_dim, rank, seed):
-    """Factors on an exact sign lattice: row i of the left factor is signs
-    (zeros included) over an integer scale w_i in 1..5, and the right factor
-    holds small integers.  Also returns the row scales."""
+    """Row i of the left factor is signs (zeros included) over an integer
+    scale w_i in 1..5, as on the lattice, but the right factor holds small
+    integers, not sign(L)', so the factors are off it.  Also returns the
+    row scales."""
     rng = np.random.default_rng(seed)
     row_scale = rng.integers(1, 6, size=n_dim).astype(np.float64)
     left = rng.integers(-1, 2, size=(n_dim, rank)) / row_scale[:, None]
@@ -494,8 +496,8 @@ def _build(kind, n_dim, rank, seed):
     return from_factors(left, rng.standard_normal((rank, n_dim)))
 
 
-# kinds whose factors lie on the lattice with R == sign(L)', so that
-# distribution_function takes band tiles of the symmetric Gram
+# kinds whose factors lie on the lattice, so that distribution_function
+# takes band tiles of the symmetric Gram
 SYMMETRIC_KINDS = ["identity", "random_sign", "slice", "identity_blocks", "mixed_blocks",
                    "block_slice", "symmetric_lattice"]
 
@@ -547,7 +549,7 @@ def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma
     gamma = _gamma(gamma_pick, rank)
     reference = _build(kind, n_dim, rank, seed)
     a = _build(kind, n_dim, rank, seed)
-    symmetric = a._row_scale is not None and a._right_is_signs
+    symmetric = a._row_scale is not None
     assert symmetric or kind not in SYMMETRIC_KINDS
     with _tile_rows(tile_rows, a.n_dim):
         profile, routes = _profile_and_routes(a, gamma)
@@ -562,7 +564,7 @@ def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma
     # the float product may move by an ulp with the tile height, so the
     # error is compared at the same height for every kind
     assert error == profile.error
-    if kind != "float_factors":
+    if symmetric:
         # lattice kinds are exact, so the tile height cannot move a bit, nor
         # can reading only some of the columns
         assert np.array_equal(mat, reference.dense())
@@ -571,6 +573,14 @@ def test_tiled_pass_matches_dense_scan(kind, n_dim, rank, seed, tile_rows, gamma
         with _tile_rows(tile_rows, a.n_dim):
             assert np.array_equal(a.dense(cols), mat[:, cols])
             assert np.array_equal(a.dense(cols[:0]), mat[:, :0])
+
+
+def _assert_dense_scan_profile(profile, mat):
+    density, columns, nnz = dense_scan_distribution(mat, profile.gamma)
+    assert profile.global_density == density
+    assert np.array_equal(profile.column_densities, columns)
+    assert profile.nnz_fraction == nnz
+    assert profile.error == dense_scan_error(mat)
 
 
 def _assert_same_profile(got, want):
@@ -592,18 +602,15 @@ def _assert_same_profile(got, want):
 @example(kind="symmetric_lattice", n_dim=6, rank=4, seed=0, tile_rows=3, gamma_pick=1)
 def test_symmetric_band_pass_matches_the_general_loop(kind, n_dim, rank, seed, tile_rows,
                                                       gamma_pick):
+    # the general loop: the dense scan of the full-row tiles' dense form
     rank = min(rank, n_dim)
     gamma = _gamma(gamma_pick, rank)
     a = _build(kind, n_dim, rank, seed)
     with _tile_rows(tile_rows, a.n_dim):
         profile, routes = _profile_and_routes(a, gamma)
-        assert routes == [True]
-        # without R == sign(L)' the same factors take full-row tiles; a fresh
-        # matrix of them, since a constructor's recorded facts shadow the mock
-        with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False):
-            general, routes = _profile_and_routes(from_factors(a.left, a.right), gamma)
-        assert routes == [False]
-    _assert_same_profile(profile, general)
+        mat = a.dense()
+    assert routes == [True]
+    _assert_dense_scan_profile(profile, mat)
 
 
 @pytest.mark.parametrize("build", [
@@ -615,15 +622,12 @@ def test_symmetric_band_pass_matches_the_general_loop(kind, n_dim, rank, seed, t
 def test_symmetric_band_pass_matches_the_general_loop_at_default_heights(build):
     gammas = (0.0, 0.00195, 0.0123, 0.05, 0.1, 0.35, 2.0)
     a = build()
-    assert a._row_scale is not None and a._right_is_signs
-    profiles = [_profile_and_routes(a, gamma) for gamma in gammas]
-    assert all(routes == [True] for _, routes in profiles)
-    with mock.patch.object(matrices.FactoredMatrix, "_right_is_signs", False):
-        general = from_factors(a.left, a.right)
-        for gamma, (profile, _) in zip(gammas, profiles):
-            general_profile, routes = _profile_and_routes(general, gamma)
-            assert routes == [False]
-            _assert_same_profile(profile, general_profile)
+    assert a._row_scale is not None
+    mat = a.dense()
+    for gamma in gammas:
+        profile, routes = _profile_and_routes(a, gamma)
+        assert routes == [True]
+        _assert_dense_scan_profile(profile, mat)
 
 
 @given(
@@ -632,31 +636,25 @@ def test_symmetric_band_pass_matches_the_general_loop_at_default_heights(build):
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_symmetric_route_skips_lattice_factors_whose_right_is_not_the_signs(n_dim, rank, seed):
+    # their rows are signs over integer scales, but they are off the lattice
     rank = min(rank, n_dim)
     a = _build("lattice_factors", n_dim, rank, seed)
-    assert a._row_scale is not None
-    assume(not a._right_is_signs)
+    assume(not np.array_equal(np.sign(a.left), a.right.T))
+    assert a._row_scale is None
     profile, routes = _profile_and_routes(a, 0.25)
     assert routes == [False]
-    density, columns, nnz = dense_scan_distribution(a.dense(), 0.25)
-    assert profile.global_density == density
-    assert np.array_equal(profile.column_densities, columns)
-    assert profile.nnz_fraction == nnz
-    assert profile.error == dense_scan_error(a.dense())
+    _assert_dense_scan_profile(profile, a.dense())
 
 
 @pytest.mark.parametrize("kind", SYMMETRIC_KINDS + ["lattice_factors", "float_factors"])
 def test_submatrix_inherits_the_parents_lattice_facts(kind):
     parent = _build(kind, 24, 8, 3)
-    parent_facts = (parent._right_is_signs, parent._row_scale)
+    on_lattice = parent._row_scale is not None
     idx = np.random.default_rng(5).choice(parent.n_dim, size=min(parent.n_dim, 13), replace=False)
     sub = submatrix(parent, idx)
-    inherited = {name for name in ("_right_is_signs", "_row_scale") if name in vars(sub)}
-    # only facts that hold are carried over
-    assert ("_right_is_signs" in inherited) == (parent_facts[0] is True)
-    assert ("_row_scale" in inherited) == (parent_facts[1] is not None)
+    # only row scales that hold are carried over
+    assert ("_row_scale" in vars(sub)) == on_lattice
     fresh = from_factors(sub.left, sub.right)
-    assert sub._right_is_signs == fresh._right_is_signs
     if fresh._row_scale is None:
         assert sub._row_scale is None
     else:
@@ -671,20 +669,22 @@ def test_submatrix_inherits_the_parents_lattice_facts(kind):
     lambda: make_block_sparse(8, 6, 1, alpha=1.0, beta=1.0),
     lambda: make_block_sparse(40, 36, 5, alpha=1.2, beta=2.0),
 ], ids=["identity", "sign", "identity_blocks", "mixed_blocks-short-last", "mixed_blocks"])
-def test_constructors_record_the_lattice_facts_a_fresh_matrix_detects(build):
+def test_constructors_record_the_lattice_facts_a_fresh_matrix_detects(build, tmp_path):
+    # analyze and trace detect the row scales of every file they read
     a = build()
-    assert {"_right_is_signs", "_row_scale"} <= set(vars(a))
-    fresh = from_factors(a.left, a.right)
-    assert a._right_is_signs is True and fresh._right_is_signs
-    assert a._row_scale.dtype == fresh._row_scale.dtype
-    assert np.array_equal(a._row_scale, fresh._row_scale)
+    assert "_row_scale" in vars(a)
+    write_matrix(a, tmp_path / "a.irlm")
+    for fresh in (from_factors(a.left, a.right), read_matrix(tmp_path / "a.irlm")):
+        assert "_row_scale" not in vars(fresh)
+        assert a._row_scale.dtype == fresh._row_scale.dtype
+        assert np.array_equal(a._row_scale, fresh._row_scale)
 
 
 @pytest.mark.parametrize("spoil", ["left", "right"])
 def test_off_lattice_parent_slices_still_take_the_lattice_route(spoil):
     # row 0 of L off the lattice (its scale is not an integer), or column 0
-    # of R not sign(L)': the parent lacks the fact, the slice without index
-    # 0 has it and computes it itself
+    # of R not sign(L)': the parent is off the lattice, the slice without
+    # index 0 is on it and detects its row scales itself
     a = make_random_sign(40, 12, 2)
     left, right = a.left.copy(), a.right.copy()
     if spoil == "left":
@@ -692,12 +692,12 @@ def test_off_lattice_parent_slices_still_take_the_lattice_route(spoil):
     else:
         right[0, 0] = 2.0
     parent = from_factors(left, right)
-    assert parent._row_scale is None if spoil == "left" else not parent._right_is_signs
+    assert parent._row_scale is None
     idx = np.arange(1, 40)
     sub = submatrix(parent, idx)
-    assert "_row_scale" not in vars(sub) if spoil == "left" else "_right_is_signs" not in vars(sub)
+    assert "_row_scale" not in vars(sub)
     profile, routes = _profile_and_routes(sub, 0.25)
-    assert sub._right_is_signs and sub._row_scale is not None
+    assert sub._row_scale is not None
     assert routes == [True]
     _assert_same_profile(profile, distribution_function(submatrix(a, idx), 0.25))
 
@@ -739,17 +739,6 @@ def test_analyze_large_inputs_keep_their_profiles(build, theorem_gamma, error, n
     assert _counts_digest(profile, a.n_dim) == digest_01
 
 
-@given(
-    n_dim=st.integers(min_value=1, max_value=24),
-    rank=st.integers(min_value=1, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_lattice_factors_materialize_as_exact_integer_gram(n_dim, rank, seed):
-    left, right, row_scale = _lattice_factors(n_dim, rank, seed)
-    gram = np.sign(left).astype(np.int64) @ right.astype(np.int64)
-    assert np.array_equal(from_factors(left, right).dense(), gram / row_scale[:, None])
-
-
 def test_lattice_factors_are_exact_where_the_float_product_rounds():
     left = np.full((1, 10), 0.1)
     right = np.ones((10, 1))
@@ -759,11 +748,11 @@ def test_lattice_factors_are_exact_where_the_float_product_rounds():
     assert approx_error(a) == 0.0
 
 
-@pytest.mark.parametrize("peak, on_lattice", [(2**22, True), (2**22 + 1, False)])
-def test_lattice_bound_is_rank_times_peak_at_most_2_to_the_24(peak, on_lattice):
-    # rank 4: column 0 of row 0 sums four entries of `peak`, so at 2^22 the
-    # Gram reaches the bound 2^24 exactly (still the lattice, checked against
-    # the int64 Gram); one more puts rank * max |R| past it (float product)
+def _integer_right_factors(peak):
+    """Sign rows over the scale 3 against an integer right factor that
+    reaches `peak`: column 0 of row 0 sums four entries of `peak`.  Also
+    returns the exact quotient of their int64 Gram, which the float product
+    misses."""
     gen = np.random.default_rng(3)
     signs = gen.choice([-1.0, 1.0], size=(8, 4))
     signs[0] = 1.0
@@ -772,6 +761,14 @@ def test_lattice_bound_is_rank_times_peak_at_most_2_to_the_24(peak, on_lattice):
     scale = np.full(8, 3.0)
     left = signs / scale[:, None]
     exact = (signs.astype(np.int64) @ right.astype(np.int64)) / scale[:, None]
+    return left, right, exact
+
+
+@pytest.mark.parametrize("peak, on_lattice", [(2**22 + 1, False)])
+def test_lattice_bound_is_rank_times_peak_at_most_2_to_the_24(peak, on_lattice):
+    # an integer right factor other than sign(L)' is off the lattice at any
+    # peak, one whose Gram exceeds 2^24 included
+    left, right, exact = _integer_right_factors(peak)
     assert not np.array_equal(left @ right, exact)
     dense = from_factors(left, right).dense()
     assert np.array_equal(dense, exact if on_lattice else left @ right)
@@ -844,12 +841,18 @@ def test_factors_whose_product_may_overflow_are_rejected():
         (np.array([[1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)]]), np.ones((2, 1))),
         # row 0 mixes 1/3 and 1/6, whose scales 3 and 6 differ
         (np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 3.0, 0.0]]), np.array([[1.0, 2.0], [3.0, -1.0]])),
+        # sign rows over integer scales against small integers, not sign(L)'
+        *(_lattice_factors(24, 16, seed)[:2] for seed in (1, 2)),
+        # an integer right factor whose Gram reaches 2^24
+        _integer_right_factors(2**22)[:2],
     ],
-    ids=["mixed_row_scales", "non_integer_right", "one_ulp_off", "thirds_and_sixths"],
+    ids=["mixed_row_scales", "non_integer_right", "one_ulp_off", "thirds_and_sixths",
+         "integer_right-s1", "integer_right-s2", "integer_right_peak_2_to_the_22"],
 )
 def test_off_lattice_factors_materialize_as_the_float_product(left, right):
-    assert matrices._lattice_scale(left, right) is None
-    assert np.array_equal(from_factors(left, right).dense(), left @ right)
+    a = from_factors(left, right)
+    assert matrices._lattice_scale(left, right) is None and a._row_scale is None
+    assert np.array_equal(a.dense(), left @ right)
 
 
 def test_block_sparse_dense_is_the_per_block_integer_gram():
