@@ -109,7 +109,8 @@ def _cmd_generate(args) -> int:
             "N": mat.n_dim,
             "n": mat.rank_budget,
             "kind": args.kind,
-            "seed": args.seed,
+            # the seed the file header holds: identity records 0
+            "seed": mat.provenance.seed,
             "error": profile.error,
             "nnz_fraction": profile.nnz_fraction,
             "numerical_rank": numerical_rank(mat, 1e-10),

@@ -100,6 +100,10 @@ class FactoredMatrix:
 # of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
 
+# Entries per row tile of the factor scans (256 KB of float64, which stays
+# in a core's L2 cache through a tile's passes).
+_SCAN_ENTRIES = 1 << 15
+
 # Rows per band tile of the symmetric statistics pass, at most one tile of
 # entries.  Bands of 2^20 / N rows cover the whole matrix up to N = 1024,
 # where 256-row bands took 0.55-0.75 of the time; from N = 2048 to 8192,
@@ -119,23 +123,33 @@ def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     Then A = (S S') / w[:, None], where S S' is a symmetric integer Gram,
     exact in float32 in any summation order, and every entry is one
     correctly rounded float64 division.  S = sign(L), so the test is one
-    comparison R == sign(L)' and one test of the row scales.
+    comparison R == sign(L)' and one test of the row scales, made on row
+    tiles of L (and the matching columns of R) of at most ``_SCAN_ENTRIES``
+    entries, so that each tile's temporaries stay in cache; the first tile
+    off the lattice ends the scan.
     """
-    # the sign test first, so that its temporaries are freed before |L| is
-    # allocated
-    if left.shape[1] > _LATTICE_BOUND or not np.array_equal(np.sign(left), right.T):
+    n, rank = left.shape
+    if rank > _LATTICE_BOUND:
         return None
-    mags = np.abs(left)
-    peak = mags.max(axis=1)
-    with np.errstate(divide="ignore"):
-        scale = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
-    # fl(1/w) > 0 and -1/w rounds to -fl(1/w), so a row is sign(L[i]) / w_i
-    # exactly when each of its nonzero magnitudes equals fl(1/w_i)
-    exact = (
-        bool(np.all(np.isfinite(scale) & (scale >= 1.0)))
-        and np.count_nonzero(mags == (1.0 / scale)[:, None]) == np.count_nonzero(mags)
-    )
-    return scale if exact else None
+    scale = np.empty(n)
+    step = max(1, _SCAN_ENTRIES // rank)
+    for start in range(0, n, step):
+        rows = left[start : start + step]
+        signs = np.sign(rows)
+        if not np.array_equal(signs, right[:, start : start + step].T):
+            return None
+        peak = np.abs(rows).max(axis=1)
+        with np.errstate(divide="ignore"):
+            tile = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
+        # fl(1/w) > 0 and -1/w rounds to -fl(1/w), so a row is sign(L[i]) / w_i
+        # exactly when it equals sign(L[i]) * fl(1/w_i)
+        if not (
+            bool(np.all(np.isfinite(tile) & (tile >= 1.0)))
+            and np.array_equal(rows, signs * (1.0 / tile)[:, None])
+        ):
+            return None
+        scale[start : start + step] = tile
+    return scale
 
 
 def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = False):
@@ -219,6 +233,17 @@ def _on_the_lattice(a: FactoredMatrix, scale: np.ndarray) -> FactoredMatrix:
     return a
 
 
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of x.T, copied in row tiles of x of at most
+    ``_SCAN_ENTRIES`` entries: a whole-array copy of x.T reads x down its
+    columns, a cache line per entry."""
+    out = np.empty(x.shape[::-1])
+    step = max(1, _SCAN_ENTRIES // max(1, x.shape[1]))
+    for start in range(0, x.shape[0], step):
+        out[:, start : start + step] = x[start : start + step].T
+    return out
+
+
 def make_identity(n_dim: int) -> FactoredMatrix:
     if n_dim < 1:
         raise ParameterError(f"N must be >= 1, got {n_dim}")
@@ -237,7 +262,9 @@ def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
     x = rng.sign_matrix(n_dim, rank, seed, KIND_RANDOM_SIGN)
-    a = FactoredMatrix(n_dim, rank, x / rank, x.T.copy(), Provenance("random_sign", int(seed)))
+    right = _transposed(x)
+    x /= rank
+    a = FactoredMatrix(n_dim, rank, x, right, Provenance("random_sign", int(seed)))
     return _on_the_lattice(a, np.full(n_dim, float(rank)))
 
 
@@ -451,7 +478,8 @@ def _tile_stats(
     by row.  `scale` (w) and `cut` are one scalar where all rows share them,
     else arrays over all N rows: off the lattice w = 1 and the cut is gamma,
     on it the cuts are the rows' integer cuts, so |V| is compared without
-    dividing the tile and the error divides one maximum per row.
+    dividing the tile.  Division is monotone, so the error divides one
+    maximum per row, or one maximum of the tile where all rows share w.
 
     A band tile V[start:stop, start:] of a symmetric V has a left part
     (columns start..stop) holding rows start..stop of A, and a right part
@@ -460,24 +488,30 @@ def _tile_stats(
     j >= stop with |V_ij| > cut_j, the right part's nonzeros count twice,
     and where scales differ the error also takes the right part's column
     maxima divided by w_j.  Where the cut is 0 for every row, the counts
-    are the nonzeros.  V is overwritten.  A function of its own so that a
-    tile's temporaries are freed before the next tile is computed."""
+    are the nonzeros.  The mask of |V| > cut is summed through its uint8
+    view: a tile has fewer than 2^16 rows, so the column sums fit uint16
+    (a band's row sums do where it has fewer than 2^16 columns).  V is
+    overwritten.  A function of its own so that a tile's temporaries are
+    freed before the next tile is computed."""
     height = values.shape[0]
     stop = start + height
     local = np.arange(height)
     diag = (local, local if band else start + local)
-    rows = scale if np.ndim(scale) == 0 else scale[start:stop]
+    shared_scale = np.ndim(scale) == 0
+    rows = scale if shared_scale else scale[start:stop]
     diag_dev = values[diag].astype(np.float64)
     diag_dev /= rows
     diag_dev -= 1.0
     mags = np.abs(values, out=values)
     shared_cut = np.ndim(cut) == 0
     mask = mags > (cut if shared_cut else cut[start:stop, None])
-    counts = mask.sum(axis=0, dtype=np.int32)
+    hits = mask.view(np.uint8)
+    counts = hits.sum(axis=0, dtype=np.uint16).astype(np.int64)
     right = mags[:, height:]
     if band:
-        mirror = mask[:, height:] if shared_cut else right > cut[stop:]
-        counts[:height] += mirror.sum(axis=1, dtype=np.int32)
+        mirror = hits[:, height:] if shared_cut else (right > cut[stop:]).view(np.uint8)
+        wide = mirror.shape[1] >= 1 << 16
+        counts[:height] += mirror.sum(axis=1, dtype=np.int64 if wide else np.uint16)
     if shared_cut and cut == 0:
         nnz = int(counts.sum())
     else:
@@ -486,14 +520,17 @@ def _tile_stats(
         if band:
             nnz += int(np.count_nonzero(nonzero[:, height:]))
     mags[diag] = 0
-    row_max = mags.max(axis=1).astype(np.float64)
-    row_max /= rows
-    error = max(float(row_max.max()), float(np.abs(diag_dev).max()))
-    if band and right.size and np.ndim(scale):
-        col_max = right.max(axis=0).astype(np.float64)
-        col_max /= scale[stop:]
-        error = max(error, float(col_max.max()))
-    return counts, nnz, error
+    if shared_scale:
+        error = float(np.float64(mags.max()) / scale)
+    else:
+        row_max = mags.max(axis=1).astype(np.float64)
+        row_max /= rows
+        error = float(row_max.max())
+        if band and right.size:
+            col_max = right.max(axis=0).astype(np.float64)
+            col_max /= scale[stop:]
+            error = max(error, float(col_max.max()))
+    return counts, nnz, max(error, float(np.abs(diag_dev).max()))
 
 
 def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
@@ -699,6 +736,37 @@ def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
     return True
 
 
+def _sign_gram(right: np.ndarray) -> np.ndarray:
+    """R R' in float64 for a lattice factor R = S' (entries -1, 0 and 1),
+    summed over column tiles of R (row tiles of S).  Like a band of
+    ``_gram_tiles``, a tile of ``_BAND_ROWS`` columns multiplies only the
+    rank indices that its columns use: the terms it skips are exact zeros.
+    A tile whose columns use every index (all of a sign factor) widens to
+    at most ``_TILE_ENTRIES`` entries.  A tile's product is exact in
+    float32, since its entries are integers of at most 2^21 < 2^24 in
+    magnitude, and the float64 sum of the tiles is exact up to 2^53
+    columns, so the result equals the float64 product right @ right.T."""
+    r, n = right.shape
+    gram = np.zeros((r, r))
+    widest = max(_BAND_ROWS, _TILE_ENTRIES // r)
+    start = 0
+    while start < n:
+        stop = min(n, start + _BAND_ROWS)
+        used = np.flatnonzero(right[:, start:stop].any(axis=1))
+        if used.size == r:
+            stop = min(n, start + widest)
+            used = inner = slice(None)
+        else:
+            inner = np.ix_(used, used)
+        tile = right[used, start:stop].astype(np.float32)
+        # multiplied by a copy: numpy multiplies a matrix by its own
+        # transpose with SYRK, a BLAS routine no other pass calls, whose
+        # first call raised peak RSS by about 0.6 MB
+        gram[inner] += tile @ tile.copy().T
+        start = stop
+    return gram
+
+
 def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     """Count of singular values of A = L @ R above tol times the largest one.
 
@@ -711,9 +779,11 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     wherever 4 tol (w_max / w_min) < tau, and the count is exactly
     r = rank_budget.  The factor 2 covers the SVD below, whose values err by
     about 1e-13 sigma_1, so both routes give the same count wherever the
-    certificate clears.  It costs one r x r Gram and one Cholesky and needs
-    no eigenvalue (an eigenvalue of a Gram would square the condition
-    number).
+    certificate clears.  It costs one r x r Gram, summed exactly from
+    column tiles of R that multiply only the rank indices they use
+    (``_sign_gram``: a block-diagonal factor skips the off-block products),
+    and one Cholesky, and needs no eigenvalue (an eigenvalue of a Gram
+    would square the condition number).
 
     The certificate is tried only when r < N.  At r > N, S'S is singular
     and it cannot clear.  A random N x N sign factor has lambda_min / tr(G)
@@ -732,7 +802,7 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
         a.rank_budget < a.n_dim
         and (scale := a._row_scale) is not None
         and 4 * tol * float(scale.max() / scale.min()) < _RANK_TAU
-        and _gram_floor_certified(a.right @ a.right.T, a.n_dim)
+        and _gram_floor_certified(_sign_gram(a.right), a.n_dim)
     ):
         return a.rank_budget
     s = np.linalg.svd(np.linalg.qr(a.left, mode="r") @ a.right, compute_uv=False)

@@ -62,26 +62,36 @@ def _mix64_np(z: np.ndarray, scratch: np.ndarray, final: bool = True) -> None:
     """mix64 on every word of `z` in place, with `scratch` (same shape) as
     the one temporary.  Without `final` the last xor-shift is skipped: it
     leaves the top bit as it is, so a caller that reads only that bit may
-    skip it."""
-    with np.errstate(over="ignore"):
-        for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
-            np.right_shift(z, np.uint64(shift), out=scratch)
-            z ^= scratch
-            z *= np.uint64(mult)
+    skip it.  Array arithmetic wraps mod 2^64 without an overflow check,
+    which numpy makes only on scalars."""
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mult)
     if final:
         np.right_shift(z, np.uint64(31), out=scratch)
         z ^= scratch
 
 
+# The bits of the float64 1.0 and of the sign bit: a word holding the sign
+# bit of its own and the rest of 1.0 is +1.0 or -1.0.
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+_TOP_BIT = np.uint64(1 << 63)
+
+
 def _top_bit_signs(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """+1.0 where the top bit of mix64(z) is clear, -1.0 where it is set;
-    overwrites `z` and `scratch`."""
+    """+1.0 where the top bit of mix64(z) is clear, -1.0 where it is set,
+    written over `z` and returned as its float64 view; overwrites
+    `scratch`."""
     _mix64_np(z, scratch, final=False)
-    z >>= np.uint64(63)
-    return _SIGNS.take(z.view(np.int64))
+    z &= _TOP_BIT
+    z |= _ONE_BITS
+    return z.view(np.float64)
 
 
-_SIGNS = np.array([1.0, -1.0])
+# Words mixed at once by sign_matrix (256 KB of uint64, which stays in a
+# core's L2 cache through the mixing steps).
+_DRAW_CHUNK = 1 << 15
 
 
 def sign_matrix(
@@ -92,19 +102,38 @@ def sign_matrix(
     The sign is the high bit of the first stream output under that key,
     mapped set -> -1, clear -> +1.  Given a sequence of seeds, it returns
     the stack of their matrices (len(seed) x n_rows x n_cols), each equal to
-    the matrix of its seed alone, from one vector pass.
+    the matrix of its seed alone.  The keys are mixed in chunks of at most
+    ``_DRAW_CHUNK`` words, in place in the float64 output, so the only
+    temporary is one chunk of scratch: whole seeds share a chunk where they
+    fit, and a larger seed's entries are split over several.  Every entry
+    is keyed on its own, so the chunking cannot change a sign.
     """
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    bases = np.array([derive_key(s, kind_code) for s in seeds], dtype=np.uint64)
-    with np.errstate(over="ignore"):
+    count = n_rows * n_cols
+    out = np.empty((len(seeds), count))
+    if out.size:
         # entry idx under base b is keyed by mix64(b + GOLDEN + idx)
-        z = (bases + np.uint64(GOLDEN))[:, None] + np.arange(n_rows * n_cols, dtype=np.uint64)
-        scratch = np.empty_like(z)
-        _mix64_np(z, scratch)
-        z += np.uint64(GOLDEN)
-    signs = _top_bit_signs(z, scratch)
-    return signs.reshape((n_rows, n_cols) if single else (len(seeds), n_rows, n_cols))
+        keys = np.array([derive_key(s, kind_code) for s in seeds], dtype=np.uint64)
+        keys += np.uint64(GOLDEN)
+        width = min(count, _DRAW_CHUNK)
+        group = min(len(seeds), max(1, _DRAW_CHUNK // count))
+        offsets = np.arange(width, dtype=np.uint64)
+        scratch = np.empty(group * width, dtype=np.uint64)
+        # either a chunk holds whole seeds or it lies within one seed, so
+        # each chunk of the output is contiguous
+        words = out.view(np.uint64)
+        for lo in range(0, len(seeds), group):
+            hi = min(len(seeds), lo + group)
+            for first in range(0, count, width):
+                last = min(count, first + width)
+                z = words[lo:hi, first:last]
+                tmp = scratch[: z.size].reshape(z.shape)
+                np.add(keys[lo:hi, None] + np.uint64(first), offsets[: last - first], out=z)
+                _mix64_np(z, tmp)
+                z += np.uint64(GOLDEN)
+                _top_bit_signs(z, tmp)
+    return out.reshape((n_rows, n_cols) if single else (len(seeds), n_rows, n_cols))
 
 
 def entry_sign(seed: int, kind_code: int, flat_index: int) -> int:

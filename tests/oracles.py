@@ -391,3 +391,20 @@ def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
                 break
         draws.append(chosen)
     return draws
+
+
+def whole_lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """Row scales w of factors on the sign lattice (L = S / w, R = S'),
+    else None, from whole-array passes: sign(L) against R', then each
+    row's nonzero magnitudes against fl(1 / w) for w = rint(1 / max|L_i|)."""
+    if left.shape[1] > 2**24 or not np.array_equal(np.sign(left), right.T):
+        return None
+    mags = np.abs(left)
+    peak = mags.max(axis=1)
+    with np.errstate(divide="ignore"):
+        scale = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
+    if not np.all(np.isfinite(scale) & (scale >= 1.0)):
+        return None
+    want = np.broadcast_to(1.0 / scale[:, None], mags.shape)
+    nonzero = mags != 0
+    return scale if np.array_equal(mags[nonzero], want[nonzero]) else None

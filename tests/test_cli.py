@@ -114,6 +114,25 @@ def test_generate_keeps_the_largest_seed_in_the_header(capsys, tmp_path):
     assert struct.unpack_from("<Q", out.read_bytes(), 32)[0] == 2**64 - 1
 
 
+@pytest.mark.parametrize("kind, sizing", [
+    ("identity", []),
+    ("random_sign", ["--n", "4"]),
+    ("block_sparse", ["--n", "6", "--alpha", "1", "--beta", "1"]),
+])
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_generate_prints_the_seed_the_header_holds(capsys, tmp_path, kind, sizing, seed):
+    # identity has no random draw and records seed 0 whatever --seed says
+    out = tmp_path / "x.irlm"
+    rc, stdout, _ = run(
+        capsys, "generate", "--kind", kind, "--N", "8", *sizing, "--seed", seed,
+        "--out", str(out),
+    )
+    assert rc == 0
+    header_seed = struct.unpack_from("<Q", out.read_bytes(), 32)[0]
+    assert json.loads(stdout)["seed"] == header_seed
+    assert header_seed == (0 if kind == "identity" else int(seed))
+
+
 def test_analyze_identity(capsys, tmp_path):
     mat = tmp_path / "id.irlm"
     run(capsys, "generate", "--kind", "identity", "--N", "16", "--out", str(mat))

@@ -171,10 +171,22 @@ def test_exact_matches_facet_enumeration_oracle(instance):
     )
     bound = l1_lower_constant(x, ell, method="exact")
     assert bound.facets_examined == 2 ** (k - 1)
-    # each side solves a k x k system in G, with relative rounding up to
-    # about k * eps * cond(G); the two sides together give twice that
-    tol = 2.0 * k * np.finfo(np.float64).eps * cond
-    assert abs(bound.value**2 - oracle) <= tol * oracle
+    assert abs(bound.value**2 - oracle) <= _two_solve_tolerance(k, cond) * oracle
+
+
+def _two_solve_tolerance(k, cond):
+    """Relative tolerance between a facet value from the KKT oracle and the
+    same value as 1 / s'Hs.  Each side solves a k x k system in the D-Gram
+    G (the oracle its bordered KKT system, the library a triangular solve
+    for H = G^(-1)); a backward-stable solve of a k x k system has relative
+    forward error up to about k * u * cond(G) (Higham, Accuracy and
+    Stability, Thm 7.2, with u = eps / 2), and the two sides together
+    differ by at most twice that, below 2 k eps cond(G) with eps for u.  At
+    the k <= 12 and cond(G) <= 1e6 the tests admit this is at most 5.3e-9;
+    near cond(G) = 1e6 the sides differed by up to 1.1e-10 relative, above
+    the fixed 1e-10 the tests used before.  Over 40 hypothesis seeds the
+    largest difference measured was 0.81 k eps cond(G)."""
+    return 2.0 * k * np.finfo(np.float64).eps * cond
 
 
 def foot_weights(inv, s):
@@ -191,22 +203,23 @@ def test_facet_qp_matches_kkt_oracle(instance, signs):
     # ascent from the facet ends on such a facet with a larger s'Hs
     x, ell = instance
     gram = d_gram(x, ell)
-    # both sides carry rounding of about eps * cond(G)
-    assume(np.linalg.cond(gram) <= 1e6)
+    cond = np.linalg.cond(gram)
+    assume(cond <= 1e6)
+    tol = _two_solve_tolerance(x.shape[0], cond)
     inv = _contact_gram(x, ell)
     s = np.array(signs[: x.shape[0]])
     r_kkt, val_kkt, _ = kkt_solve_facet_qp(gram * np.outer(s, s))
     quad = float(s @ inv @ s)
     plane = 1.0 / quad
-    assert plane <= val_kkt * (1.0 + 1e-10)
+    assert plane <= val_kkt * (1.0 + tol)
     foot = foot_weights(inv, s)
     if foot.min() >= 0.0:
-        assert abs(plane - val_kkt) <= 1e-10 * val_kkt
+        assert abs(plane - val_kkt) <= tol * val_kkt
         assert np.abs(r_kkt - foot).max() <= 1e-6
     s_end, value = _flip_ascent(inv, s[None, :])
     assert value >= quad * (1.0 - 1e-12)
     r_end, val_end, _ = kkt_solve_facet_qp(gram * np.outer(s_end, s_end))
-    assert abs(val_end - 1.0 / value) <= 1e-10 * val_end
+    assert abs(val_end - 1.0 / value) <= tol * val_end
     assert np.abs(r_end - foot_weights(inv, s_end)).max() <= 1e-6
 
 
@@ -257,13 +270,15 @@ def test_sampled_ascent_ends_on_a_facet_at_mu(instance, n_samples, seed):
     # hyperplane foot lies inside the facet, so mu is a true facet distance
     x, ell = instance
     gram = d_gram(x, ell)
-    assume(np.linalg.cond(gram) <= 1e6)
+    cond = np.linalg.cond(gram)
+    assume(cond <= 1e6)
     k = x.shape[0]
     patterns = _sample_patterns(k, n_samples, seed)
     s, _ = _flip_ascent(_contact_gram(x, ell), patterns)
     bound = l1_lower_constant(x, ell, method="sampled", n_samples=n_samples, seed=seed)
     assert bound.facets_examined == len(patterns)
-    assert abs(facet_value(gram, s) - bound.value**2) <= 1e-10 * bound.value**2
+    tol = _two_solve_tolerance(k, cond)
+    assert abs(facet_value(gram, s) - bound.value**2) <= tol * bound.value**2
 
 
 def test_dependent_contacts_give_zero(rng):

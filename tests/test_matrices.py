@@ -30,6 +30,7 @@ from oracles import (
     dense_numerical_rank,
     dense_scan_distribution,
     dense_scan_error,
+    whole_lattice_scale,
 )
 
 
@@ -700,6 +701,141 @@ def test_off_lattice_parent_slices_still_take_the_lattice_route(spoil):
     assert sub._row_scale is not None
     assert routes == [True]
     _assert_same_profile(profile, distribution_function(submatrix(a, idx), 0.25))
+
+
+def _zero_rows_lattice(n_dim, rank, seed):
+    """Factors on the lattice whose sign matrix has zero rows (rows of L of
+    scale 1, columns of R) and zero columns (rank indices no row uses)."""
+    gen = np.random.default_rng(seed)
+    signs = gen.integers(-1, 2, size=(n_dim, rank)).astype(np.float64)
+    signs[gen.random(n_dim) < 0.3] = 0.0
+    signs[:, gen.random(rank) < 0.3] = 0.0
+    return from_factors(signs / gen.integers(1, 6, size=n_dim)[:, None], signs.T)
+
+
+LATTICE_KINDS = SYMMETRIC_KINDS + ["zero_rows"]
+
+
+def _build_lattice(kind, n_dim, rank, seed):
+    if kind == "zero_rows":
+        return _zero_rows_lattice(n_dim, rank, seed)
+    return _build(kind, n_dim, rank, seed)
+
+
+@given(
+    kind=st.sampled_from(LATTICE_KINDS),
+    n_dim=st.integers(min_value=1, max_value=40),
+    rank=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+    tile_rows=st.sampled_from([1, 3, 7, 256]),
+)
+def test_sign_gram_tiles_match_the_float64_product(kind, n_dim, rank, seed, tile_rows):
+    # column tiles of 1, 3, 7 and 256 (and, where every index is used,
+    # tile_rows * N entries) must give the float64 product bit for bit
+    a = _build_lattice(kind, n_dim, min(rank, n_dim), seed)
+    assert a._row_scale is not None
+    with _tile_rows(tile_rows, a.n_dim):
+        gram = matrices._sign_gram(a.right)
+    want = a.right @ a.right.T
+    assert gram.dtype == want.dtype and gram.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_identity(300),
+    lambda: make_random_sign(4096, 128, 1),
+    lambda: make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0),
+    lambda: make_block_sparse(300, 280, 2, alpha=1.0, beta=2.0),
+    lambda: submatrix(make_block_sparse(1024, 500, 2, alpha=4.0, beta=2.0), np.arange(3, 1024, 3)),
+    lambda: _zero_rows_lattice(700, 40, 1),
+], ids=["identity-300", "sign-4096/128", "block-1024/500", "mixed-blocks-300/280",
+        "block-slice", "zero-rows-700/40"])
+def test_sign_gram_matches_the_float64_product_at_default_tiles(build):
+    a = build()
+    assert a._row_scale is not None
+    want = a.right @ a.right.T
+    assert matrices._sign_gram(a.right).tobytes() == want.tobytes()
+
+
+@given(
+    kind=st.sampled_from(LATTICE_KINDS),
+    n_dim=st.integers(min_value=2, max_value=40),
+    rank=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_numerical_rank_on_the_lattice_matches_the_dense_oracle(kind, n_dim, rank, seed):
+    a = _build_lattice(kind, n_dim, min(rank, n_dim), seed)
+    assert numerical_rank(a, 1e-10) == dense_numerical_rank(a, 1e-10)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1 / 63])
+def test_band_column_counts_pass_255_hits_in_one_tile(gamma):
+    # odd r leaves no zero entry in S S', so at gamma = 0 every column count
+    # is N = 512 and a 256-row band tile gives each of its right-hand
+    # columns 256 hits (a uint8 count would wrap to 0); at gamma = 1/63 the
+    # cut is 1 and the counts still pass 255
+    a = make_random_sign(512, 63, 3)
+    assert matrices._BAND_ROWS == 256
+    profile = distribution_function(a, gamma)
+    mat = a.dense()
+    _assert_dense_scan_profile(profile, mat)
+    counts = profile.column_densities * a.n_dim
+    assert counts.min() > 300
+    if gamma == 0.0:
+        assert np.array_equal(counts, np.full(a.n_dim, 512.0))
+        assert profile.global_density == profile.nnz_fraction == 1.0
+
+
+@pytest.mark.parametrize("width", [65535, 65536, 70000])
+def test_band_mirror_counts_pass_2_to_the_16_columns(width):
+    # a 2-row band tile whose right part has `width` columns, every entry a
+    # hit: the mirror adds `width` to each of the band's own columns, past
+    # what a uint16 row sum holds from 65536 columns on
+    values = np.ones((2, 2 + width), dtype=np.float32)
+    counts, nnz, error = matrices._tile_stats(0, values, 1.0, np.float32(0.0), True)
+    assert counts.tolist() == [2 + width] * 2 + [2] * width
+    assert nnz == 4 + 4 * width
+    assert error == 1.0
+
+
+@given(
+    kind=st.sampled_from(LATTICE_KINDS + ["lattice_factors", "float_factors"]),
+    n_dim=st.integers(min_value=1, max_value=24),
+    rank=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+    scan_entries=st.integers(min_value=1, max_value=64),
+    spoil=st.sampled_from([None, "scale", "sign", "right"]),
+)
+def test_lattice_scale_tiles_match_the_whole_array_test(kind, n_dim, rank, seed, scan_entries,
+                                                        spoil):
+    # row tiles of 1 to 64 entries, with one entry spoiled anywhere: a row
+    # scale off the integers, a sign flipped in L only, or an entry of R
+    # that is not a sign
+    a = _build_lattice(kind, n_dim, min(rank, n_dim), seed)
+    left, right = a.left.copy(), a.right.copy()
+    gen = np.random.default_rng(seed)
+    i, j = gen.integers(a.n_dim), gen.integers(a.rank_budget)
+    if spoil == "scale":
+        left[i] *= 1.3
+    elif spoil == "sign":
+        left[i, j] = -left[i, j] if left[i, j] else 0.5
+    elif spoil == "right":
+        right[j, i] = 2.0
+    with mock.patch.object(matrices, "_SCAN_ENTRIES", scan_entries):
+        got = matrices._lattice_scale(left, right)
+    want = whole_lattice_scale(left, right)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_random_sign_factors_are_the_draw_over_rank_and_its_transpose():
+    x = matrices.rng.sign_matrix(700, 48, 5, matrices.KIND_RANDOM_SIGN)
+    a = make_random_sign(700, 48, 5)
+    assert np.array_equal(a.left, x / 48) and np.array_equal(a.right, x.T)
+    for shape in ((1, 1), (3, 0), (0, 4), (257, 129), (40000, 1)):
+        y = np.arange(float(np.prod(shape))).reshape(shape)
+        t = matrices._transposed(y)
+        assert t.flags.c_contiguous and np.array_equal(t, y.T)
 
 
 def _counts_digest(profile, n_dim):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -70,3 +72,47 @@ def test_sign_matrix_seed_sequence_stacks_the_per_seed_draws(seeds, n_rows, n_co
         assert mat.ravel().tolist() == [
             float(rng.entry_sign(seed, kind_code, i)) for i in range(n_rows * n_cols)
         ]
+
+
+@given(
+    chunk=st.integers(min_value=1, max_value=64),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=5),
+    n_rows=st.integers(min_value=0, max_value=9),
+    n_cols=st.integers(min_value=0, max_value=9),
+    kind_code=st.integers(min_value=0, max_value=3),
+)
+def test_chunked_sign_draws_match_the_per_entry_keys(chunk, seeds, n_rows, n_cols, kind_code):
+    # chunks of 1 to 64 words split rows, single seeds and groups of whole
+    # seeds at every offset; no chunking may move a sign
+    unchunked = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
+    with mock.patch.object(rng, "_DRAW_CHUNK", chunk):
+        stack = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
+        singles = [rng.sign_matrix(n_rows, n_cols, seed, kind_code) for seed in seeds]
+    assert stack.dtype == np.float64 and stack.shape == (len(seeds), n_rows, n_cols)
+    assert np.array_equal(stack, unchunked)
+    for seed, mat, single in zip(seeds, stack, singles):
+        assert single.shape == (n_rows, n_cols) and np.array_equal(single, mat)
+        assert mat.ravel().tolist() == [
+            float(rng.entry_sign(seed, kind_code, i)) for i in range(n_rows * n_cols)
+        ]
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("seed", [3, [], [1, 2]])
+def test_chunked_sign_draws_of_no_entries(shape, seed):
+    mat = rng.sign_matrix(*shape, seed, 1)
+    assert mat.dtype == np.float64
+    assert mat.shape == (shape if np.ndim(seed) == 0 else (len(seed), *shape))
+
+
+def test_chunked_sign_draws_cross_the_default_chunk():
+    # 3 x 2^15 + 5 words under one seed: four chunks, the last one short
+    n_cols = 7
+    n_rows = (3 * rng._DRAW_CHUNK + 5 + n_cols - 1) // n_cols
+    mat = rng.sign_matrix(n_rows, n_cols, 11, 2)
+    for flat in (0, rng._DRAW_CHUNK - 1, rng._DRAW_CHUNK, 3 * rng._DRAW_CHUNK, mat.size - 1):
+        assert mat.flat[flat] == rng.entry_sign(11, 2, flat)
+    # whole seeds share a chunk: 40 seeds of 9 x 100 words take two chunks
+    stack = rng.sign_matrix(9, 100, list(range(40)), 1)
+    for k in (0, 35, 36, 39):
+        assert np.array_equal(stack[k], rng.sign_matrix(9, 100, k, 1))
