@@ -100,8 +100,8 @@ class FactoredMatrix:
 # of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
 
-# Entries per row tile of the factor scans (256 KB of float64, which stays
-# in a core's L2 cache through a tile's passes).
+# Entries per row tile of a factor's transposed copy (256 KB of float64,
+# which stays in a core's L2 cache while the tile is written).
 _SCAN_ENTRIES = 1 << 15
 
 # Rows per band tile of the symmetric statistics pass, at most one tile of
@@ -123,33 +123,23 @@ def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     Then A = (S S') / w[:, None], where S S' is a symmetric integer Gram,
     exact in float32 in any summation order, and every entry is one
     correctly rounded float64 division.  S = sign(L), so the test is one
-    comparison R == sign(L)' and one test of the row scales, made on row
-    tiles of L (and the matching columns of R) of at most ``_SCAN_ENTRIES``
-    entries, so that each tile's temporaries stay in cache; the first tile
-    off the lattice ends the scan.
+    comparison R == sign(L)' and one test of the row scales.
     """
-    n, rank = left.shape
-    if rank > _LATTICE_BOUND:
+    # the sign test first, so that its temporaries are freed before |L| is
+    # allocated
+    if left.shape[1] > _LATTICE_BOUND or not np.array_equal(np.sign(left), right.T):
         return None
-    scale = np.empty(n)
-    step = max(1, _SCAN_ENTRIES // rank)
-    for start in range(0, n, step):
-        rows = left[start : start + step]
-        signs = np.sign(rows)
-        if not np.array_equal(signs, right[:, start : start + step].T):
-            return None
-        peak = np.abs(rows).max(axis=1)
-        with np.errstate(divide="ignore"):
-            tile = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
-        # fl(1/w) > 0 and -1/w rounds to -fl(1/w), so a row is sign(L[i]) / w_i
-        # exactly when it equals sign(L[i]) * fl(1/w_i)
-        if not (
-            bool(np.all(np.isfinite(tile) & (tile >= 1.0)))
-            and np.array_equal(rows, signs * (1.0 / tile)[:, None])
-        ):
-            return None
-        scale[start : start + step] = tile
-    return scale
+    mags = np.abs(left)
+    peak = mags.max(axis=1)
+    with np.errstate(divide="ignore"):
+        scale = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
+    # fl(1/w) > 0 and -1/w rounds to -fl(1/w), so a row is sign(L[i]) / w_i
+    # exactly when each of its nonzero magnitudes equals fl(1/w_i)
+    exact = (
+        bool(np.all(np.isfinite(scale) & (scale >= 1.0)))
+        and np.count_nonzero(mags == (1.0 / scale)[:, None]) == np.count_nonzero(mags)
+    )
+    return scale if exact else None
 
 
 def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = False):
@@ -741,29 +731,22 @@ def _sign_gram(right: np.ndarray) -> np.ndarray:
     summed over column tiles of R (row tiles of S).  Like a band of
     ``_gram_tiles``, a tile of ``_BAND_ROWS`` columns multiplies only the
     rank indices that its columns use: the terms it skips are exact zeros.
-    A tile whose columns use every index (all of a sign factor) widens to
-    at most ``_TILE_ENTRIES`` entries.  A tile's product is exact in
-    float32, since its entries are integers of at most 2^21 < 2^24 in
-    magnitude, and the float64 sum of the tiles is exact up to 2^53
-    columns, so the result equals the float64 product right @ right.T."""
+    A tile's product is exact in float32, since its entries are integers
+    of at most ``_BAND_ROWS`` < 2^24 in magnitude, and the float64 sum of
+    the tiles is exact up to 2^53 columns, so the result equals the
+    float64 product right @ right.T.  A tile whose columns use every index
+    (a sign factor) skips nothing, so that product is taken whole."""
     r, n = right.shape
     gram = np.zeros((r, r))
-    widest = max(_BAND_ROWS, _TILE_ENTRIES // r)
-    start = 0
-    while start < n:
-        stop = min(n, start + _BAND_ROWS)
-        used = np.flatnonzero(right[:, start:stop].any(axis=1))
+    for start in range(0, n, _BAND_ROWS):
+        used = np.flatnonzero(right[:, start : start + _BAND_ROWS].any(axis=1))
         if used.size == r:
-            stop = min(n, start + widest)
-            used = inner = slice(None)
-        else:
-            inner = np.ix_(used, used)
-        tile = right[used, start:stop].astype(np.float32)
-        # multiplied by a copy: numpy multiplies a matrix by its own
-        # transpose with SYRK, a BLAS routine no other pass calls, whose
+            return right @ right.T
+        tile = right[used, start : start + _BAND_ROWS].astype(np.float32)
+        # multiplied by a copy: numpy multiplies a float32 matrix by its own
+        # transpose with SSYRK, a BLAS routine no other pass calls, whose
         # first call raised peak RSS by about 0.6 MB
-        gram[inner] += tile @ tile.copy().T
-        start = stop
+        gram[np.ix_(used, used)] += tile @ tile.copy().T
     return gram
 
 

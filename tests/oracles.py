@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
@@ -234,7 +235,16 @@ def kkt_solve_facet_qp(q_mat: np.ndarray, kkt_tol: float = 1e-9) -> tuple[np.nda
         rescued /= rescued.sum()
         if float(rescued @ q_mat @ rescued) < float(r @ q_mat @ r):
             r = rescued
-    return r, float(r @ q_mat @ r), residual(r)
+    return r, exact_quadratic_form(q_mat, r), residual(r)
+
+
+def exact_quadratic_form(q_mat: np.ndarray, r: np.ndarray) -> float:
+    """r' Q r summed in exact rational arithmetic and rounded once.  At a
+    facet minimum of an ill-conditioned Q the terms cancel: a float64 sum
+    errs by about eps |r|'|Q||r|, up to about eps cond(Q) of the value."""
+    rs = [Fraction(v) for v in r.tolist()]
+    return float(sum(a * Fraction(q) * b for a, row in zip(rs, q_mat.tolist())
+                     for q, b in zip(row, rs)))
 
 
 def brute_flip_l1(gram: np.ndarray, n_samples: int, seed: int) -> float:
@@ -392,19 +402,3 @@ def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
         draws.append(chosen)
     return draws
 
-
-def whole_lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
-    """Row scales w of factors on the sign lattice (L = S / w, R = S'),
-    else None, from whole-array passes: sign(L) against R', then each
-    row's nonzero magnitudes against fl(1 / w) for w = rint(1 / max|L_i|)."""
-    if left.shape[1] > 2**24 or not np.array_equal(np.sign(left), right.T):
-        return None
-    mags = np.abs(left)
-    peak = mags.max(axis=1)
-    with np.errstate(divide="ignore"):
-        scale = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
-    if not np.all(np.isfinite(scale) & (scale >= 1.0)):
-        return None
-    want = np.broadcast_to(1.0 / scale[:, None], mags.shape)
-    nonzero = mags != 0
-    return scale if np.array_equal(mags[nonzero], want[nonzero]) else None

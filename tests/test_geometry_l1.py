@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,8 +145,15 @@ def contact_instances(draw, max_k=8):
 
 
 def d_gram(x, ell):
-    gram = x @ ell.shape @ x.T
-    return (gram + gram.T) / 2.0
+    """The D-Gram x D x' summed in exact rational arithmetic and rounded
+    once per entry.  Formed in float64 it errs by about eps |x||D||x'|,
+    which moved a facet value by 7e-11 relative at cond(G) = 6e5."""
+    rows = [[Fraction(v) for v in row] for row in x.tolist()]
+    shape = [[Fraction(v) for v in row] for row in ell.shape.tolist()]
+    xd = [[sum(a * b for a, b in zip(row, col)) for col in zip(*shape)] for row in rows]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in xd]
+    return np.array([[float((g + h) / 2) for g, h in zip(row, col)]
+                     for row, col in zip(gram, zip(*gram))])
 
 
 def facet_value(gram, s):
@@ -176,16 +184,18 @@ def test_exact_matches_facet_enumeration_oracle(instance):
 
 def _two_solve_tolerance(k, cond):
     """Relative tolerance between a facet value from the KKT oracle and the
-    same value as 1 / s'Hs.  Each side solves a k x k system in the D-Gram
-    G (the oracle its bordered KKT system, the library a triangular solve
-    for H = G^(-1)); a backward-stable solve of a k x k system has relative
-    forward error up to about k * u * cond(G) (Higham, Accuracy and
-    Stability, Thm 7.2, with u = eps / 2), and the two sides together
-    differ by at most twice that, below 2 k eps cond(G) with eps for u.  At
-    the k <= 12 and cond(G) <= 1e6 the tests admit this is at most 5.3e-9;
-    near cond(G) = 1e6 the sides differed by up to 1.1e-10 relative, above
-    the fixed 1e-10 the tests used before.  Over 40 hypothesis seeds the
-    largest difference measured was 0.81 k eps cond(G)."""
+    same value as 1 / s'Hs.  The oracle solves its bordered KKT system in
+    the D-Gram G rounded to float64, the library solves for H = G^(-1)
+    through a QR of the whitened contacts.  A relative perturbation u of
+    G's entries, or a backward-stable solve of a k x k system, moves the
+    value by up to about k * u * cond(G) relative (Higham, Accuracy and
+    Stability, Thm 7.2, with u = eps / 2), and the two sides together by at
+    most twice that, below 2 k eps cond(G) with eps for u.  At the k <= 12
+    and cond(G) <= 1e6 the tests admit this is at most 5.3e-9.  With the
+    Gram rounded once from exact sums (``d_gram``) the library side erred
+    by about 1e-14 and the oracle by the rounding of G alone: over 196
+    hypothesis seeds the largest difference measured was 0.21 k eps cond(G)
+    (6.5e-11 relative)."""
     return 2.0 * k * np.finfo(np.float64).eps * cond
 
 
@@ -203,23 +213,22 @@ def test_facet_qp_matches_kkt_oracle(instance, signs):
     # ascent from the facet ends on such a facet with a larger s'Hs
     x, ell = instance
     gram = d_gram(x, ell)
-    cond = np.linalg.cond(gram)
-    assume(cond <= 1e6)
-    tol = _two_solve_tolerance(x.shape[0], cond)
+    # both sides carry rounding of about eps * cond(G)
+    assume(np.linalg.cond(gram) <= 1e6)
     inv = _contact_gram(x, ell)
     s = np.array(signs[: x.shape[0]])
     r_kkt, val_kkt, _ = kkt_solve_facet_qp(gram * np.outer(s, s))
     quad = float(s @ inv @ s)
     plane = 1.0 / quad
-    assert plane <= val_kkt * (1.0 + tol)
+    assert plane <= val_kkt * (1.0 + 1e-10)
     foot = foot_weights(inv, s)
     if foot.min() >= 0.0:
-        assert abs(plane - val_kkt) <= tol * val_kkt
+        assert abs(plane - val_kkt) <= 1e-10 * val_kkt
         assert np.abs(r_kkt - foot).max() <= 1e-6
     s_end, value = _flip_ascent(inv, s[None, :])
     assert value >= quad * (1.0 - 1e-12)
     r_end, val_end, _ = kkt_solve_facet_qp(gram * np.outer(s_end, s_end))
-    assert abs(val_end - 1.0 / value) <= tol * val_end
+    assert abs(val_end - 1.0 / value) <= 1e-10 * val_end
     assert np.abs(r_end - foot_weights(inv, s_end)).max() <= 1e-6
 
 

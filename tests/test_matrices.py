@@ -30,7 +30,6 @@ from oracles import (
     dense_numerical_rank,
     dense_scan_distribution,
     dense_scan_error,
-    whole_lattice_scale,
 )
 
 
@@ -730,8 +729,8 @@ def _build_lattice(kind, n_dim, rank, seed):
     tile_rows=st.sampled_from([1, 3, 7, 256]),
 )
 def test_sign_gram_tiles_match_the_float64_product(kind, n_dim, rank, seed, tile_rows):
-    # column tiles of 1, 3, 7 and 256 (and, where every index is used,
-    # tile_rows * N entries) must give the float64 product bit for bit
+    # column tiles of 1, 3, 7 and 256 must give the float64 product bit
+    # for bit, whether a tile uses every rank index or skips some
     a = _build_lattice(kind, n_dim, min(rank, n_dim), seed)
     assert a._row_scale is not None
     with _tile_rows(tile_rows, a.n_dim):
@@ -795,37 +794,6 @@ def test_band_mirror_counts_pass_2_to_the_16_columns(width):
     assert counts.tolist() == [2 + width] * 2 + [2] * width
     assert nnz == 4 + 4 * width
     assert error == 1.0
-
-
-@given(
-    kind=st.sampled_from(LATTICE_KINDS + ["lattice_factors", "float_factors"]),
-    n_dim=st.integers(min_value=1, max_value=24),
-    rank=st.integers(min_value=1, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**32),
-    scan_entries=st.integers(min_value=1, max_value=64),
-    spoil=st.sampled_from([None, "scale", "sign", "right"]),
-)
-def test_lattice_scale_tiles_match_the_whole_array_test(kind, n_dim, rank, seed, scan_entries,
-                                                        spoil):
-    # row tiles of 1 to 64 entries, with one entry spoiled anywhere: a row
-    # scale off the integers, a sign flipped in L only, or an entry of R
-    # that is not a sign
-    a = _build_lattice(kind, n_dim, min(rank, n_dim), seed)
-    left, right = a.left.copy(), a.right.copy()
-    gen = np.random.default_rng(seed)
-    i, j = gen.integers(a.n_dim), gen.integers(a.rank_budget)
-    if spoil == "scale":
-        left[i] *= 1.3
-    elif spoil == "sign":
-        left[i, j] = -left[i, j] if left[i, j] else 0.5
-    elif spoil == "right":
-        right[j, i] = 2.0
-    with mock.patch.object(matrices, "_SCAN_ENTRIES", scan_entries):
-        got = matrices._lattice_scale(left, right)
-    want = whole_lattice_scale(left, right)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_random_sign_factors_are_the_draw_over_rank_and_its_transpose():
