@@ -126,7 +126,8 @@ def volume_argument_verify(a: FactoredMatrix) -> VolumeArgumentReport:
     ceil(log_6 N).  A premise violation yields a report, not an error.
 
     The minimum distance is the exact search over column pairs, run on the
-    transposed view of the dense form (the same values, no second copy).  The
+    transposed view of the dense form (the same values, no second copy);
+    dense input has margin 0, so it is the exact minimum of those values.  The
     maximum is closed form: the largest |A[r, i] - A[r, j]| of a row is its
     max minus its min, and rounding is monotone, so this is the value a
     pairwise scan would take."""
@@ -136,7 +137,7 @@ def volume_argument_verify(a: FactoredMatrix) -> VolumeArgumentReport:
     min_d = max_d = math.nan
     if premise_ok:
         mat = a.dense()
-        min_d = min_pairwise_linf(mat.T)[0]
+        min_d, _, _ = min_pairwise_linf(mat.T)
         max_d = float((mat.max(axis=1) - mat.min(axis=1)).max())
     return VolumeArgumentReport(
         premise_ok=premise_ok,

@@ -398,10 +398,11 @@ def sweep_to_csv(spec: SweepSpec, jobs: int = 1) -> str:
                 gamma = resolve_gamma(spec.gamma_rule, n_dim, rank)
                 tasks.append((n_dim, rank, seed, gamma, spec.kind, spec.alpha, spec.beta))
     tasks.sort(key=lambda t: (t[0], t[1], t[2]))
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             rows = pool.map(_sweep_row, tasks)
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -568,9 +568,9 @@ _BOUND_TILE_ENTRIES = 1 << 16
 
 
 def _pair_bounds(
-    mat: np.ndarray | FactoredMatrix, diag: np.ndarray, margin: float, start: int, stop: int
+    mat: np.ndarray | FactoredMatrix, diag: np.ndarray, start: int, stop: int
 ) -> np.ndarray:
-    """L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) - margin for the rows i of
+    """L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) for the rows i of
     start..stop, and inf where j <= i."""
     if isinstance(mat, FactoredMatrix):
         rows = mat.left[start:stop] @ mat.right
@@ -582,8 +582,6 @@ def _pair_bounds(
     mirror = np.subtract(cols, diag[start:stop, None])
     np.abs(mirror, out=mirror)
     np.maximum(bounds, mirror, out=bounds)
-    if margin:
-        bounds -= margin
     np.putmask(bounds, np.arange(diag.size) <= np.arange(start, stop)[:, None], math.inf)
     return bounds
 
@@ -605,19 +603,14 @@ def _min_distance(mat: np.ndarray | FactoredMatrix, rows: np.ndarray, cols: np.n
 
 
 def _tile_search(
-    mat: np.ndarray | FactoredMatrix,
-    diag: np.ndarray,
-    margin: float,
-    start: int,
-    stop: int,
-    best: float,
+    mat: np.ndarray | FactoredMatrix, diag: np.ndarray, start: int, stop: int, best: float
 ) -> tuple[float, int]:
-    """min_pairwise_linf's search over the pairs of rows start..stop, from the
-    best distance found before them; returns the new best and the count of
-    pairs evaluated.  A function of its own so that the bound tile is freed
-    before the next one is computed."""
+    """min_pairwise_linf's search over the pairs of rows start..stop from the
+    best distance found before them, skipping each pair whose bound is at
+    least the best; returns the new best and the count of pairs evaluated.
+    A function of its own so that the tile is freed before the next one."""
     n = diag.size
-    flat = _pair_bounds(mat, diag, margin, start, stop).ravel()
+    flat = _pair_bounds(mat, diag, start, stop).ravel()
     most = min(max(1, _PAIR_BLOCK_ENTRIES // n), flat.size)
     evaluated = 0
 
@@ -651,51 +644,54 @@ def _tile_search(
     return best, evaluated
 
 
-def min_pairwise_linf(mat: np.ndarray | FactoredMatrix) -> tuple[float, int]:
+def min_pairwise_linf(mat: np.ndarray | FactoredMatrix) -> tuple[float, float, int]:
     """Smallest sup-norm distance between two rows of the square matrix
-    `mat` (inf below two rows), and the number of row pairs evaluated.
+    `mat` (inf below two rows), its rounding margin, and the number of row
+    pairs evaluated.
 
     Columns i and j give every pair the lower bound
-    L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) <= ||m_i - m_j||_inf.  L is
-    computed in row tiles of at most ``_BOUND_TILE_ENTRIES`` entries.  In
+    L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) <= ||m_i - m_j||_inf, and a
+    pair is skipped when its bound is at least the best distance found.  L
+    is computed in row tiles of at most ``_BOUND_TILE_ENTRIES`` entries.  In
     each tile the pair with the smallest bound is evaluated first, then the
     next smallest bounds in batches of 2, 4, ... from one sorted partition
-    of ``_PAIR_BLOCK_ENTRIES // n`` pairs, and then every bound still below
-    the best distance found, scanning the tile in blocks of that many
-    entries.  So the result is the exact minimum, each pair is evaluated at
-    most once, and the extra memory is one tile and one block of candidate
-    rows.
+    of ``_PAIR_BLOCK_ENTRIES // n`` pairs, and then the rest of the tile in
+    blocks of that many entries.  Each pair is evaluated at most once, and
+    the extra memory is one tile and one block of candidate rows.
 
-    A dense array gives the bound and the distance the same IEEE values.
+    A dense array gives the bound and the distance the same IEEE values, so
+    the distance is the exact minimum over its rows and the margin is 0.0.
     A ``FactoredMatrix`` is read as its float64 product L @ R and never
     formed: a bound tile from one GEMM of its rows and one of its columns,
     the diagonal from one dot per row, and both rows of every candidate
     pair from one GEMM of the block's gathered rows.  These compute an
     entry in different orders, each within gamma_r * rho of the exact
     product for rank r and rho = max ||L_i||_2 * max ||R_:j||_2 (Higham,
-    Accuracy and Stability, Thm 3.1, and Cauchy-Schwarz).  So the bound
-    carries the rounding margin 4 (r + 2) eps rho, plus 8 r subnormal steps
-    for underflow: it covers two such roundings of each entry the bound
-    reads and the roundings of the differences, so a pair is skipped only
-    where no computation of its distance could fall below the best.  Where
-    the factors' products are exact (small integers times powers of two),
-    so is the result.
+    Accuracy and Stability, Thm 3.1, and Cauchy-Schwarz).  The margin
+    4 (r + 2) eps rho, plus 8 r subnormal steps for underflow, covers two
+    such roundings of each entry a bound or a distance reads and the
+    roundings of the differences.  So a skipped pair's exact distance is at
+    least the best found minus the margin, an evaluated pair's at least its
+    computed distance minus the margin: no pair's exact distance is below
+    distance - margin, and the distance is within margin of the exact
+    minimum, which it equals where the factors' products are exact (small
+    integers times powers of two).
     """
     if isinstance(mat, FactoredMatrix):
         left, right, fp = mat.left, mat.right, np.finfo(np.float64)
         diag = np.einsum("ij,ji->i", left, right)
         rho = float(np.linalg.norm(left, axis=1).max() * np.linalg.norm(right, axis=0).max())
         rank = mat.rank_budget
-        margin = 4 * (rank + 2) * fp.eps * rho + 8 * rank * fp.smallest_subnormal
+        margin = float(4 * (rank + 2) * fp.eps * rho + 8 * rank * fp.smallest_subnormal)
     else:
         diag, margin = np.diagonal(mat), 0.0
     n = diag.size
     height = max(1, _BOUND_TILE_ENTRIES // max(n, 1))
     best, evaluated = math.inf, 0
     for start in range(0, n - 1, height):
-        best, count = _tile_search(mat, diag, margin, start, min(n, start + height), best)
+        best, count = _tile_search(mat, diag, start, min(n, start + height), best)
         evaluated += count
-    return best, evaluated
+    return best, margin, evaluated
 
 
 # Relative floor of the full-rank certificate: a Gram passes when it is

@@ -495,14 +495,15 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
         )
     )
 
-    # pairwise sup-norm separation of the rows of B
-    min_sep, _ = min_pairwise_linf(b_sub)
+    # pairwise sup-norm separation of the rows of B, checked on its certified
+    # lower end: no two rows of the exact P @ Q are closer than that
+    min_sep, margin, _ = min_pairwise_linf(b_sub)
     steps.append(
         TraceStep(
             name="separation",
             inputs={},
             outputs={"min_pairwise_distance": min_sep},
-            check=TraceCheck(min_sep, 1.0 / 5.0, min_sep >= 1.0 / 5.0),
+            check=TraceCheck(min_sep - margin, 1.0 / 5.0, min_sep - margin >= 1.0 / 5.0),
         )
     )
 

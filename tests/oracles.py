@@ -247,6 +247,17 @@ def exact_quadratic_form(q_mat: np.ndarray, r: np.ndarray) -> float:
                      for q, b in zip(row, rs)))
 
 
+def exact_min_pairwise_linf(left: np.ndarray, right: np.ndarray) -> Fraction:
+    """Smallest sup-norm distance between two of the at least two rows of
+    the product L @ R, every entry and difference in exact rational
+    arithmetic, so with no rounding at all."""
+    cols = [[Fraction(v) for v in col] for col in right.T.tolist()]
+    prod = [[sum(Fraction(a) * b for a, b in zip(row, col)) for col in cols]
+            for row in left.tolist()]
+    return min(max(abs(a - b) for a, b in zip(prod[i], prod[j]))
+               for i, j in itertools.combinations(range(len(prod)), 2))
+
+
 def brute_flip_l1(gram: np.ndarray, n_samples: int, seed: int) -> float:
     """Sampled L1 lower constant of a D-Gram by brute force: every pattern
     s (the all-plus facet and seeded random ones) is scored as s' c with

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import struct
 
 import pytest
@@ -366,6 +367,33 @@ def test_sweep_parallel_workers_do_not_change_bytes(capsys, tmp_path):
     assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out1))[0] == 0
     assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out2), "--jobs", "2")[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("seeds, jobs, pools", [([1], 8, []), ([1, 2], 8, [2]), ([1, 2, 3], 2, [2])])
+def test_sweep_starts_no_more_workers_than_rows(capsys, tmp_path, monkeypatch, seeds, jobs, pools):
+    # a stand-in Pool records its size and maps in this process, so no
+    # worker starts; one row runs serially, without a Pool
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    spec = sweep_spec(tmp_path, N_values=[32], n_rule={"fixed": [8]}, seeds=seeds)
+    out = tmp_path / "out.csv"
+    rc, stdout, _ = run(capsys, "sweep", "--spec", str(spec), "--out", str(out), "--jobs", str(jobs))
+    assert rc == 0 and json.loads(stdout)["rows"] == len(seeds)
+    assert sizes == pools
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from irlm.prooftrace import (
     trace,
 )
 
-from oracles import blocked_min_pairwise_linf
+from oracles import blocked_min_pairwise_linf, exact_min_pairwise_linf
 
 
 # -- elementary steps -----------------------------------------------------------
@@ -167,7 +168,7 @@ def test_min_pairwise_linf_equals_blocked_scan(mat, block_rows):
     n = mat.shape[0]
     entries = matrices._PAIR_BLOCK_ENTRIES if block_rows is None else block_rows * max(n, 1)
     with mock.patch.object(matrices, "_PAIR_BLOCK_ENTRIES", entries):
-        dist, evaluated = min_pairwise_linf(mat)
+        dist, _, evaluated = min_pairwise_linf(mat)
     assert dist == blocked_min_pairwise_linf(mat)
     assert 0 <= evaluated <= n * (n - 1) // 2
     if n < 2:
@@ -184,7 +185,7 @@ def test_min_pairwise_linf_equals_blocked_scan_in_short_bound_tiles(mat, tile_ro
     with mock.patch.multiple(
         matrices, _BOUND_TILE_ENTRIES=tile_rows * max(n, 1), _PAIR_BLOCK_ENTRIES=entries
     ):
-        dist, evaluated = min_pairwise_linf(mat)
+        dist, _, evaluated = min_pairwise_linf(mat)
     assert dist == blocked_min_pairwise_linf(mat)
     assert 0 <= evaluated <= n * (n - 1) // 2
 
@@ -195,7 +196,7 @@ def test_min_pairwise_linf_evaluates_every_pair_once_in_short_bound_tiles(tile_r
     mat = np.where(gen.random((48, 48)) < 0.5, -1.0, 1.0)
     np.fill_diagonal(mat, 0.0)
     with mock.patch.object(matrices, "_BOUND_TILE_ENTRIES", tile_rows * 48):
-        dist, evaluated = min_pairwise_linf(mat)
+        dist, _, evaluated = min_pairwise_linf(mat)
     assert dist == 2.0
     assert evaluated == 48 * 47 // 2
 
@@ -213,7 +214,7 @@ def test_min_pairwise_linf_holds_one_bound_tile_and_one_block(kind):
         mat = np.ascontiguousarray(make_random_sign(384, 384, 1).dense().T)
     tracemalloc.start()
     try:
-        dist, _ = min_pairwise_linf(mat)
+        dist, _, _ = min_pairwise_linf(mat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,7 +227,7 @@ def test_min_pairwise_linf_evaluates_every_pair_when_bounds_are_loose():
     gen = np.random.default_rng(7)
     mat = np.where(gen.random((48, 48)) < 0.5, -1.0, 1.0)
     np.fill_diagonal(mat, 0.0)
-    dist, evaluated = min_pairwise_linf(mat)
+    dist, _, evaluated = min_pairwise_linf(mat)
     assert dist == blocked_min_pairwise_linf(mat) == 2.0
     assert evaluated == 48 * 47 // 2
 
@@ -238,7 +239,7 @@ def test_min_pairwise_linf_memory_stays_linear_per_row():
     mat = np.ascontiguousarray(make_random_sign(2048, 2048, 1).dense().T)
     tracemalloc.start()
     try:
-        dist, _ = min_pairwise_linf(mat)
+        dist, _, _ = min_pairwise_linf(mat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -267,7 +268,7 @@ def test_min_pairwise_linf_partitions_each_bound_tile_once(monkeypatch):
 
     monkeypatch.setattr(np, "argpartition", partition_spy)
     monkeypatch.setattr(matrices, "_tile_search", tile_spy)
-    dist, evaluated = min_pairwise_linf(mat)
+    dist, _, evaluated = min_pairwise_linf(mat)
     assert (dist, evaluated) == (2.0, 384 * 383 // 2)
     assert per_tile == [1, 1, 1]
 
@@ -305,7 +306,7 @@ def test_min_pairwise_linf_of_factors_equals_blocked_scan_of_their_product(
     tile = matrices._BOUND_TILE_ENTRIES if tile_rows is None else tile_rows * n
     block = matrices._PAIR_BLOCK_ENTRIES if block_rows is None else block_rows * n
     with mock.patch.multiple(matrices, _BOUND_TILE_ENTRIES=tile, _PAIR_BLOCK_ENTRIES=block):
-        dist, evaluated = min_pairwise_linf(from_factors(left, right))
+        dist, _, evaluated = min_pairwise_linf(from_factors(left, right))
     assert dist == blocked_min_pairwise_linf(left @ right)
     assert 0 <= evaluated <= n * (n - 1) // 2
 
@@ -335,9 +336,55 @@ def test_min_pairwise_linf_of_float_factors_is_within_its_margin(n, rank, seed, 
         left[1] = left[0]
     tile = matrices._BOUND_TILE_ENTRIES if tile_rows is None else tile_rows * n
     with mock.patch.multiple(matrices, _BOUND_TILE_ENTRIES=tile, _PAIR_BLOCK_ENTRIES=tile):
-        dist, evaluated = min_pairwise_linf(from_factors(left, right))
+        dist, _, evaluated = min_pairwise_linf(from_factors(left, right))
     assert abs(dist - blocked_min_pairwise_linf(left @ right)) <= _search_margin(left, right)
     assert 0 < evaluated <= n * (n - 1) // 2
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["uniform", "repeated", "near_lattice"]),
+    st.sampled_from([None, 1, 3]),
+)
+def test_min_pairwise_linf_of_float_factors_brackets_the_exact_minimum(
+    n, rank, seed, kind, tile_rows
+):
+    # no pair of rows of the exact product is closer than distance - margin,
+    # and the exact minimum is within the margin of the distance: checked
+    # against the minimum in rational arithmetic, on uniform factors, on a
+    # repeated row, and on half-integer factors a few ulps off the lattice,
+    # where many pairs tie or nearly tie
+    gen = np.random.default_rng(seed)
+    if kind == "near_lattice":
+        ulps = 1.0 + gen.integers(-2, 3, (2, n * rank)) * np.finfo(np.float64).eps
+        left = gen.integers(-2, 3, (n, rank)) / 2.0 * ulps[0].reshape(n, rank)
+        right = gen.integers(-2, 3, (rank, n)) / 2.0 * ulps[1].reshape(rank, n)
+    else:
+        left = gen.uniform(-2.0, 2.0, (n, rank))
+        right = gen.uniform(-2.0, 2.0, (rank, n))
+    if kind == "repeated":
+        left[1] = left[0]
+    tile = matrices._BOUND_TILE_ENTRIES if tile_rows is None else tile_rows * n
+    with mock.patch.multiple(matrices, _BOUND_TILE_ENTRIES=tile, _PAIR_BLOCK_ENTRIES=tile):
+        dist, margin, _ = min_pairwise_linf(from_factors(left, right))
+    exact = exact_min_pairwise_linf(left, right)
+    assert Fraction(dist) - Fraction(margin) <= exact <= Fraction(dist) + Fraction(margin)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_min_pairwise_linf_of_factored_hadamard_ties_evaluates_as_the_dense_scan(n):
+    # for the Sylvester-Hadamard H, H / N @ H' is the N x N identity, exactly:
+    # every pair of rows ties at distance 1 with bound 1, so the first pair
+    # evaluated settles the search, on the factors as on the dense identity
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    dist, _, evaluated = min_pairwise_linf(from_factors(h / n, h.T))
+    dense_dist, dense_margin, dense_evaluated = min_pairwise_linf(np.eye(n))
+    assert dist == dense_dist == 1.0 and dense_margin == 0.0
+    assert evaluated == dense_evaluated
 
 
 def test_min_pairwise_linf_of_factored_b_prunes_on_sign_384_64(monkeypatch):
@@ -353,11 +400,13 @@ def test_min_pairwise_linf_of_factored_b_prunes_on_sign_384_64(monkeypatch):
     monkeypatch.setattr(prooftrace, "min_pairwise_linf", spy)
     gamma = gamma_threshold(384, 64, 0.25)
     report = trace(make_random_sign(384, 64, 1), TraceConfig(gamma=gamma, basis_mode="lemmaB"))
-    ((b_sub, (dist, evaluated)),) = seen
+    ((b_sub, (dist, margin, evaluated)),) = seen
     assert isinstance(b_sub, matrices.FactoredMatrix)
     n = b_sub.n_dim
     assert dist == blocked_min_pairwise_linf(b_sub.left @ b_sub.right)
     assert report.step("separation").outputs["min_pairwise_distance"] == dist
+    # the check reads the certified lower end
+    assert report.step("separation").check.lhs == dist - margin > 0.0
     assert evaluated <= 0.01 * n * (n - 1) / 2
 
 
