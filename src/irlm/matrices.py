@@ -47,9 +47,9 @@ class FactoredMatrix:
     integer scale, so the diagonal is exactly 1 and values are identical
     across platforms and BLAS implementations.  The statistics pass
     computes only V's upper band, in band tiles of the same loop; ``dense``
-    always takes full-row tiles.  The library constructors record w on the
-    instance; for other factors, files read back included, it is detected
-    from the factors on first use.
+    always takes full-row tiles.  The library constructors and the reader of
+    IRLM0002 files record w on the instance; for other factors (IRLM0001
+    files included) it is detected from the factors on first use.
     """
 
     n_dim: int
@@ -262,26 +262,30 @@ def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
 _BLOCK_ATTEMPTS = 16
 
 
-def _block_seed(master: int, block: int, attempt: int) -> int:
-    # Block 0, attempt 0 uses the master seed unchanged so that a single
-    # block construction coincides bit for bit with make_random_sign.
-    if block == 0 and attempt == 0:
-        return int(master)
-    return rng.derive_key(master, KIND_BLOCK_SPARSE, block, attempt)
+def _block_seeds(master: int, n_blocks: int) -> np.ndarray:
+    """The seed of every attempt of every block (n_blocks x _BLOCK_ATTEMPTS
+    uint64), derive_key(master, KIND_BLOCK_SPARSE, block, attempt) folded in
+    one vector pass.  Block 0, attempt 0 uses the master seed unchanged so
+    that a single block construction coincides bit for bit with
+    make_random_sign."""
+    seeds = rng.derive_keys(master, KIND_BLOCK_SPARSE, np.arange(n_blocks)[:, None],
+                            np.arange(_BLOCK_ATTEMPTS))
+    seeds[0, 0] = int(master) & rng.MASK64
+    return seeds
 
 
-def _draw_block(size: int, rank: int, master: int, block: int) -> tuple[np.ndarray, float, int]:
-    """(signs, error, attempt) of the kept draw of one random block: the
-    first attempt whose error is at most 1/3, else attempt 0.  Attempt 0 is
-    drawn alone; the others in batches of at most ``_TILE_ENTRIES`` Gram
-    entries, each from one ``rng.sign_matrix`` call and one batched Gram."""
+def _draw_block(size: int, rank: int, seeds: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(signs, error, attempt) of the kept draw of one random block from its
+    attempts' seeds: the first attempt whose error is at most 1/3, else
+    attempt 0.  Attempt 0 is drawn alone; the others in batches of at most
+    ``_TILE_ENTRIES`` Gram entries, each from one ``rng.sign_matrix`` call
+    and one batched Gram."""
     batch = max(1, _TILE_ENTRIES // size**2)
     spans = [(0, 1), *((lo, min(_BLOCK_ATTEMPTS, lo + batch))
                        for lo in range(1, _BLOCK_ATTEMPTS, batch))]
     diag = np.arange(size)
     for lo, hi in spans:
-        seeds = [_block_seed(master, block, attempt) for attempt in range(lo, hi)]
-        x = rng.sign_matrix(size, rank, seeds, KIND_RANDOM_SIGN)
+        x = rng.sign_matrix(size, rank, seeds[lo:hi], KIND_RANDOM_SIGN)
         # x x^T is an exact integer Gram and division is monotone, so one
         # division of its off-diagonal maximum is the error
         gram = np.matmul(x, x.transpose(0, 2, 1))
@@ -350,6 +354,7 @@ def make_block_sparse(
     blocks = []
     attempts_used = []
     block_errors = []
+    seeds = _block_seeds(seed, n_blocks)
     row = 0
     col = 0
     for b, (size, r_b) in enumerate(zip(sizes, ranks)):
@@ -360,7 +365,7 @@ def make_block_sparse(
             attempts_used.append(0)
             block_errors.append(0.0)
         else:
-            x, err, attempt = _draw_block(size, r_b, seed, b)
+            x, err, attempt = _draw_block(size, r_b, seeds[b])
             left[row : row + size, col : col + r_b] = x / r_b
             right[col : col + r_b, row : row + size] = x.T
             scale[row : row + size] = r_b

@@ -34,6 +34,29 @@ def derive_key(*words: int) -> int:
     return key
 
 
+def derive_keys(*words) -> np.ndarray:
+    """derive_key over integer arrays of words, broadcast together, in one
+    vector pass per word: each entry of the uint64 result is derive_key of
+    the words' entries at its index.  Every word is reduced mod 2^64 as
+    derive_key reduces it."""
+    words = [_as_u64(w) for w in words]
+    key = np.zeros(np.broadcast_shapes(*(w.shape for w in words)), dtype=np.uint64)
+    scratch = np.empty_like(key)
+    for w in words:
+        key += np.uint64(GOLDEN)
+        key += w
+        _mix64_np(key, scratch)
+    return key
+
+
+def _as_u64(w) -> np.ndarray:
+    """Integer words as uint64, each reduced mod 2^64: an integer array by
+    its cast, which wraps the same way, anything else through Python ints."""
+    if isinstance(w, np.ndarray) and w.dtype.kind in "iu":
+        return w.astype(np.uint64, copy=False)
+    return np.asarray(np.asarray(w, dtype=object) & MASK64, dtype=np.uint64)
+
+
 class SplitMix64:
     """Minimal sequential stream over the mixing function."""
 
@@ -109,12 +132,12 @@ def sign_matrix(
     is keyed on its own, so the chunking cannot change a sign.
     """
     single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
+    seeds = [seed] if single else seed
     count = n_rows * n_cols
     out = np.empty((len(seeds), count))
     if out.size:
         # entry idx under base b is keyed by mix64(b + GOLDEN + idx)
-        keys = np.array([derive_key(s, kind_code) for s in seeds], dtype=np.uint64)
+        keys = derive_keys(seeds, kind_code)
         keys += np.uint64(GOLDEN)
         width = min(count, _DRAW_CHUNK)
         group = min(len(seeds), max(1, _DRAW_CHUNK // count))

@@ -6,14 +6,15 @@ design optimization, brute-force subset enumeration, exhaustive pair
 scans, a fresh KKT solve per facet, a linear solve per sign pattern and
 per drop-one candidate, column-at-a-time elimination, a fresh solve per
 maxvol swap, whole-matrix scans of the dense form, a per-block integer
-Gram, an SVD of the dense form, and a redraw of block_sparse's blocks one
-attempt at a time.
+Gram, an SVD of the dense form, a redraw of block_sparse's blocks one
+attempt at a time, and a writer of the first (IRLM0001) file format.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -400,7 +401,8 @@ def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
             continue
         chosen = None
         for attempt in range(matrices._BLOCK_ATTEMPTS):
-            seed = matrices._block_seed(a.provenance.seed, b, attempt)
+            seed = (a.provenance.seed if b == 0 and attempt == 0 else
+                    rng.derive_key(a.provenance.seed, matrices.KIND_BLOCK_SPARSE, b, attempt))
             x = rng.sign_matrix(size, rank, seed, matrices.KIND_RANDOM_SIGN)
             gram = x @ x.T
             np.fill_diagonal(gram, 0.0)
@@ -413,3 +415,14 @@ def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
         draws.append(chosen)
     return draws
 
+
+
+def write_matrix_v1(a, path) -> None:
+    """An IRLM0001 file of `a`, the format written before IRLM0002: the
+    40-byte header (magic, N, n, kind code, seed as little-endian u64), then
+    both factors as little-endian float64, row-major."""
+    code = matrices.KIND_CODES[a.provenance.kind]
+    header = struct.pack("<8sQQQQ", b"IRLM0001", a.n_dim, a.rank_budget, code,
+                         a.provenance.seed or 0)
+    with open(path, "wb") as fh:
+        fh.write(header + a.left.astype("<f8").tobytes() + a.right.astype("<f8").tobytes())

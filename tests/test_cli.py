@@ -9,6 +9,8 @@ from irlm import cli
 from irlm.bounds import gamma_threshold
 from irlm.cli import main, parse_gamma_rule, resolve_gamma
 from irlm.errors import ParameterError
+from irlm.matrices import make_random_sign
+from oracles import write_matrix_v1
 
 
 def run(capsys, *argv):
@@ -33,7 +35,7 @@ def test_generate_identity_file_size_and_summary(capsys, tmp_path):
     out = tmp_path / "id4.irlm"
     rc, stdout, _ = run(capsys, "generate", "--kind", "identity", "--N", "4", "--out", str(out))
     assert rc == 0
-    assert out.stat().st_size == 40 + 2 * 4 * 4 * 8
+    assert out.stat().st_size == 40 + 8 * 4 + 4 * 4
     doc = json.loads(stdout)
     assert doc["error"] == 0.0
     assert doc["numerical_rank"] == 4
@@ -168,10 +170,10 @@ def test_analyze_bad_file_exits_3(capsys, tmp_path):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_analyze_non_finite_factor_row_exits_3(capsys, tmp_path, bad):
-    # one row of the left factor of a 64/16 sign file overwritten
+    # one row of the left factor of a 64/16 sign file (IRLM0001, whose
+    # factors are float64) overwritten
     mat = tmp_path / "rs.irlm"
-    run(capsys, "generate", "--kind", "random_sign", "--N", "64", "--n", "16",
-        "--seed", "1", "--out", str(mat))
+    write_matrix_v1(make_random_sign(64, 16, 1), mat)
     data = bytearray(mat.read_bytes())
     data[40 + 5 * 16 * 8 : 40 + 6 * 16 * 8] = struct.pack("<16d", *[bad] * 16)
     mat.write_bytes(bytes(data))

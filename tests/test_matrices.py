@@ -670,14 +670,16 @@ def test_submatrix_inherits_the_parents_lattice_facts(kind):
     lambda: make_block_sparse(40, 36, 5, alpha=1.2, beta=2.0),
 ], ids=["identity", "sign", "identity_blocks", "mixed_blocks-short-last", "mixed_blocks"])
 def test_constructors_record_the_lattice_facts_a_fresh_matrix_detects(build, tmp_path):
-    # analyze and trace detect the row scales of every file they read
+    # factors wrapped by hand detect their row scales; a file read back
+    # records the ones the file stores
     a = build()
     assert "_row_scale" in vars(a)
     write_matrix(a, tmp_path / "a.irlm")
-    for fresh in (from_factors(a.left, a.right), read_matrix(tmp_path / "a.irlm")):
-        assert "_row_scale" not in vars(fresh)
-        assert a._row_scale.dtype == fresh._row_scale.dtype
-        assert np.array_equal(a._row_scale, fresh._row_scale)
+    fresh, loaded = from_factors(a.left, a.right), read_matrix(tmp_path / "a.irlm")
+    assert "_row_scale" not in vars(fresh) and "_row_scale" in vars(loaded)
+    for other in (fresh, loaded):
+        assert a._row_scale.dtype == other._row_scale.dtype
+        assert np.array_equal(a._row_scale, other._row_scale)
 
 
 @pytest.mark.parametrize("spoil", ["left", "right"])

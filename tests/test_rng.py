@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irlm import rng
+from irlm import matrices, rng
 
 
 def test_scalar_matches_vectorized():
@@ -116,3 +116,35 @@ def test_chunked_sign_draws_cross_the_default_chunk():
     stack = rng.sign_matrix(9, 100, list(range(40)), 1)
     for k in (0, 35, 36, 39):
         assert np.array_equal(stack[k], rng.sign_matrix(9, 100, k, 1))
+
+
+_WORDS = st.integers(min_value=0, max_value=2**64 - 1) | st.integers(
+    min_value=2**64 - 64, max_value=2**64 - 1)
+
+
+@given(st.lists(st.lists(_WORDS, min_size=3, max_size=3), min_size=1, max_size=6), _WORDS)
+def test_vector_key_fold_matches_scalar_derive_key(rows, lead):
+    # one scalar word broadcast against a column of words and a row of
+    # words, as make_block_sparse folds its block seeds; seeds near 2^64 - 1
+    # wrap in the first addition
+    words = np.array(rows, dtype=np.uint64)
+    keys = rng.derive_keys(lead, words[:, :1], words[:, 1:])
+    assert keys.dtype == np.uint64 and keys.shape == (len(rows), 2)
+    for (a, b, c), row in zip(rows, keys):
+        assert [int(k) for k in row] == [rng.derive_key(lead, a, b), rng.derive_key(lead, a, c)]
+    # ints are reduced mod 2^64 as derive_key reduces them
+    assert int(rng.derive_keys(-1, 2**64 + 5)) == rng.derive_key(-1, 2**64 + 5)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1) | st.integers(min_value=2**64 - 8,
+                                                                  max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=20))
+def test_block_seeds_match_scalar_keys_and_keep_the_master_seed(master, n_blocks):
+    seeds = matrices._block_seeds(master, n_blocks)
+    assert seeds.shape == (n_blocks, matrices._BLOCK_ATTEMPTS)
+    assert int(seeds[0, 0]) == master
+    for block in range(n_blocks):
+        for attempt in range(matrices._BLOCK_ATTEMPTS):
+            if block or attempt:
+                assert int(seeds[block, attempt]) == rng.derive_key(
+                    master, matrices.KIND_BLOCK_SPARSE, block, attempt)
