@@ -109,19 +109,21 @@ def read_matrix(path: str | Path) -> FactoredMatrix:
 
 def _lattice_payload(path, fh, n_dim: int, rank: int):
     """(L, R, w) of an IRLM0002 payload, validated.  Both factors are views of
-    one float64 buffer, allocated before the payload is read, so that the
-    payload's bytes, freed on return, leave no gap below the factors in the
-    heap: with glibc malloc, repeated generate + analyze of sign 4096/128
-    peaked 0.4 MB lower than with the bytes read first, and one buffer
-    instead of two kept later 4 MB arrays on reused heap pages (the
-    threshold above which glibc maps a fresh block follows the largest
-    block freed)."""
+    one float64 buffer, and S' is read straight into its last n N bytes, so
+    the read holds no copy of the payload beyond the N row scales.  Measured
+    with glibc malloc on repeated generate + analyze of sign 4096/128, one
+    buffer rather than two kept the later 4 MB arrays on reused heap pages
+    (two separate factors cost about 10% more CPU per pass: the size above
+    which glibc maps fresh pages follows the largest block freed), and
+    reading S' into it kept peak RSS at the IRLM0001 reader's, which a bytes
+    object of the payload raised by 0.1-1 MB."""
     factors = np.empty(2 * n_dim * rank)
-    data = fh.read()
-    if len(data) != (8 + rank) * n_dim:
+    words = np.empty(n_dim, dtype="<u8")
+    # S' is read into the last n N bytes of the buffer, inside R
+    raw = factors.view(np.int8)[factors.nbytes - rank * n_dim :]
+    if fh.readinto(words) != words.nbytes or fh.readinto(raw) != raw.nbytes:
         raise FormatError(f"{path}: the file changed while it was read")
-    words = np.frombuffer(data, dtype="<u8", count=n_dim)
-    signs = np.frombuffer(data, dtype=np.int8, offset=8 * n_dim).reshape(rank, n_dim)
+    signs = raw.reshape(rank, n_dim)
     # min and max, not |S'|: the int8 -128 is its own absolute value
     if signs.min() < -1 or signs.max() > 1:
         raise FormatError(f"{path}: sign entries must be -1, 0 or 1")
@@ -133,7 +135,12 @@ def _lattice_payload(path, fh, n_dim: int, rank: int):
     left = factors[: n_dim * rank].reshape(n_dim, rank)
     right = factors[n_dim * rank :].reshape(rank, n_dim)
     np.divide(signs.T, scale[:, None], out=left)
-    right[...] = signs
+    # R from S' in place, front to back: entry k of R is bytes 8k..8k+8 of
+    # R and entry k of S' byte 7 n N + k, so no chunk overwrites an entry
+    # of a later chunk (numpy copies a chunk that overlaps its own entries)
+    flat = right.reshape(-1)
+    for start in range(0, flat.size, 1 << 15):
+        flat[start : start + (1 << 15)] = raw[start : start + (1 << 15)]
     return left, right, scale
 
 
