@@ -33,67 +33,129 @@ class Provenance:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
 class FactoredMatrix:
     """N x N matrix stored as left (N x r) times right (r x N).
 
     The materialized product has rank at most r by construction.  Instances
-    are immutable and their factors finite; no dense copy is kept, and
-    ``dense`` computes the columns asked for on each call.  Every matrix is
-    computed in row tiles as V / w (see ``_gram_tiles``).  The library
-    kinds, their slices and the files they are written to lie on the sign
-    lattice L = S / w[:, None], R = S' (see ``_lattice_scale``): V is then
-    the symmetric integer Gram S S', exact in float32, and w a per-row
-    integer scale, so the diagonal is exactly 1 and values are identical
-    across platforms and BLAS implementations.  The statistics pass
-    computes only V's upper band, in band tiles of the same loop; ``dense``
-    always takes full-row tiles.  The library constructors and the reader of
-    IRLM0002 files record w on the instance; for other factors (IRLM0001
-    files included) it is detected from the factors on first use.
+    are immutable; no dense copy is kept, and ``dense`` computes the columns
+    asked for on each call.  Every matrix is computed in row tiles as V / w
+    (see ``_gram_tiles``).
+
+    The library kinds, their slices and the IRLM0002 files they are written
+    to lie on the sign lattice L = S / w[:, None], R = S' (see
+    ``_lattice_scale``), and such a matrix is held as S' alone, a read-only
+    int8 array (r x N), and its row scales w (float64): n N + 8 N bytes
+    instead of the 16 N n of two float64 factors.  Its entries are finite
+    and its product cannot overflow by construction: S' has entries in
+    {-1, 0, 1}, 1 <= w <= 2^53 and r <= 2^24, so nothing is scanned.  V is
+    then the symmetric integer Gram S S', exact in float32, so the diagonal
+    is exactly 1 and values are identical across platforms and BLAS
+    implementations; the statistics pass computes only V's upper band, in
+    band tiles of the same loop, and ``dense`` always takes full-row tiles.
+    These passes, the rank certificate and the file writer read S' and w
+    only.  ``left`` and ``right`` are built on first access and cached:
+    L = S / w[:, None] and R = S' in float64 (zeros +0.0), bit for bit the
+    factors the constructors built when they held them (x / rank and x').
+
+    Other factors (``from_factors``, IRLM0001 files) are held as the
+    float64 factors given, checked finite and free of overflow; whether
+    they lie on the lattice is detected from them on first use.  Both forms
+    expose ``left`` and ``right`` as read-only, C-contiguous float64 arrays.
     """
 
     n_dim: int
     rank_budget: int
-    left: np.ndarray
-    right: np.ndarray
     provenance: Provenance
 
-    def __post_init__(self):
-        if self.n_dim < 1:
-            raise ParameterError(f"n_dim must be >= 1, got {self.n_dim}")
-        if self.rank_budget < 1:
-            raise ParameterError(f"rank_budget must be >= 1, got {self.rank_budget}")
-        left = np.ascontiguousarray(np.asarray(self.left, dtype=np.float64))
-        right = np.ascontiguousarray(np.asarray(self.right, dtype=np.float64))
-        if left.shape != (self.n_dim, self.rank_budget):
-            raise ParameterError(
-                f"left factor shape {left.shape} != ({self.n_dim}, {self.rank_budget})"
-            )
-        if right.shape != (self.rank_budget, self.n_dim):
-            raise ParameterError(
-                f"right factor shape {right.shape} != ({self.rank_budget}, {self.n_dim})"
-            )
+    def __init__(self, n_dim: int, rank_budget: int, left: np.ndarray, right: np.ndarray,
+                 provenance: Provenance):
+        if n_dim < 1:
+            raise ParameterError(f"n_dim must be >= 1, got {n_dim}")
+        if rank_budget < 1:
+            raise ParameterError(f"rank_budget must be >= 1, got {rank_budget}")
+        left = np.ascontiguousarray(np.asarray(left, dtype=np.float64))
+        right = np.ascontiguousarray(np.asarray(right, dtype=np.float64))
+        if left.shape != (n_dim, rank_budget):
+            raise ParameterError(f"left factor shape {left.shape} != ({n_dim}, {rank_budget})")
+        if right.shape != (rank_budget, n_dim):
+            raise ParameterError(f"right factor shape {right.shape} != ({rank_budget}, {n_dim})")
         # min and max propagate NaN, so four reductions check every entry
         # without an array-sized temporary.  A product entry sums r terms of
         # at most max|L| max|R| each; that bound is taken in Python floats.
         l_lo, l_hi, r_lo, r_hi = map(float, (left.min(), left.max(), right.min(), right.max()))
         if not all(map(math.isfinite, (l_lo, l_hi, r_lo, r_hi))):
             raise ParameterError("factor entries must be finite")
-        if max(-l_lo, l_hi) * max(-r_lo, r_hi) * self.rank_budget > np.finfo(np.float64).max:
+        if max(-l_lo, l_hi) * max(-r_lo, r_hi) * rank_budget > np.finfo(np.float64).max:
             raise ParameterError("factor product may overflow float64")
-        left.flags.writeable = False
-        right.flags.writeable = False
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        vars(self).update(n_dim=n_dim, rank_budget=rank_budget, provenance=provenance,
+                          left=_read_only(left), right=_read_only(right))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FactoredMatrix is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FactoredMatrix is immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"FactoredMatrix(n_dim={self.n_dim}, rank_budget={self.rank_budget}, "
+                f"provenance={self.provenance!r})")
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        # reached only on the lattice: other factors are held as given
+        return _read_only(_lattice_left(self._signs, self._row_scale))
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        return _read_only(self._signs.astype(np.float64))
 
     @cached_property
     def _row_scale(self) -> np.ndarray | None:
+        """Row scales w on the lattice, else None: held on the lattice,
+        detected from the factors of any other matrix."""
         return _lattice_scale(self.left, self.right)
+
+    @cached_property
+    def _signs(self) -> np.ndarray | None:
+        """S' as int8 (r x N) on the lattice, else None: held on the
+        lattice, cast from R for factors detected on it."""
+        return None if self._row_scale is None else _read_only(self.right.astype(np.int8))
 
     def dense(self, cols: np.ndarray | None = None) -> np.ndarray:
         """A[:, cols] (all of A by default), row-major, computed from the row
         tiles on every call."""
         return _materialize(self, cols)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+def _lattice_matrix(signs: np.ndarray, scale: np.ndarray, provenance: Provenance) -> FactoredMatrix:
+    """The matrix L = S / w[:, None], R = S' held as S' (`signs`, int8,
+    r x N, entries in {-1, 0, 1}, r <= 2^24) and w (`scale`, integers in
+    1..2^53, 1 on all-zero rows of S).  The constructors and the file
+    reader guarantee these facts; nothing is rescanned."""
+    a = object.__new__(FactoredMatrix)
+    signs = np.ascontiguousarray(signs, dtype=np.int8)
+    vars(a).update(n_dim=signs.shape[1], rank_budget=signs.shape[0], provenance=provenance,
+                   _signs=_read_only(signs), _row_scale=np.asarray(scale, dtype=np.float64))
+    return a
+
+
+def _lattice_left(signs: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """L = S / w[:, None] in float64 from S' (int8), one correctly rounded
+    division per entry (as the constructors' x / rank), written in row
+    tiles of at most ``_SCAN_ENTRIES`` entries: a whole-array transpose of
+    S' reads it down its columns."""
+    rank, n_dim = signs.shape
+    left = np.empty((n_dim, rank))
+    step = max(1, _SCAN_ENTRIES // rank)
+    for start in range(0, n_dim, step):
+        stop = start + step
+        np.divide(signs[:, start:stop].T, scale[start:stop, None], out=left[start:stop])
+    return left
 
 
 # Entries per row tile of the statistics pass and of the dense form (8 MB
@@ -147,38 +209,49 @@ def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = 
     row by row (all columns when cols is None): the float32 integer Gram
     S @ S'[:, cols] and the row scales on the lattice, the float64 product
     L @ R[:, cols] and w = 1 off it.  V is one reused buffer, valid until
-    the next tile, which the caller may overwrite.  The float32 factors are
-    made per pass, so a matrix holds no copy of its factors between passes.
+    the next tile, which the caller may overwrite.  On the lattice both
+    operands are cast from the int8 S' per pass, so a matrix holds no float
+    copy of it between passes, and its float factors are never built.
 
     With `band`, for all columns of a lattice matrix (V symmetric), each
     tile is the upper band V[start:stop, start:] of ``_BAND_ROWS`` rows, so
-    each entry pair is computed once.  Its left
-    operand is the transpose of a slice of R's float32 copy, so no second
-    factor copy is held.  The slice is copied (h x r entries), since numpy
+    each entry pair is computed once.  Its left operand is the transpose of
+    the band's first columns, copied (h x r entries), since numpy
     multiplies a matrix by its own transpose with syrk and then mirrors the
     triangle element by element, which doubled the time of the last,
     square band.  A band multiplies only over the rank indices that some of
-    its rows use (nonzero in R[:, start:stop]): the terms it skips are exact
-    zeros, so V is the same, and block-diagonal factors skip most of the
-    inner dimension.  Sign factors use every index and take all of R."""
+    its rows use (nonzero in S'[:, start:stop]), and casts only those rows
+    of S': the terms it skips are exact zeros, so V is the same, and
+    block-diagonal factors skip most of the inner dimension.  Bands that use
+    every index (all of them for sign factors) share one float32 copy of
+    S', made at the first such band."""
+    n = a.n_dim
     scale = a._row_scale
-    right = a.right if cols is None else a.right[:, cols]
-    if scale is not None:
-        right = right.astype(np.float32)
-    n, width = a.n_dim, right.shape[1]
+    signs = None if scale is None else a._signs
+    if signs is None:
+        right = a.right if cols is None else a.right[:, cols]
+    else:
+        # the float32 S'[:, cols]; on bands, made at the first band that
+        # uses every rank index
+        right = None if band else (signs if cols is None else signs[:, cols]).astype(np.float32)
+    width = n if cols is None else len(cols)
     # rows per tile: at most _TILE_ENTRIES entries, and at most _BAND_ROWS on bands
     step = min(max(1, _TILE_ENTRIES // n), _BAND_ROWS if band else n)
-    buf = np.empty(min(step, n) * width, dtype=right.dtype)
+    buf = np.empty(min(step, n) * width, dtype=np.float64 if signs is None else np.float32)
     for start in range(0, n, step):
         stop = min(n, start + step)
         if band:
-            used = np.flatnonzero(right[:, start:stop].any(axis=1))
-            inner = slice(None) if used.size == right.shape[0] else used
-            lead, tile = right[inner, start:stop].copy().T, right[inner, start:]
-        else:
+            used = np.flatnonzero(signs[:, start:stop].any(axis=1))
+            if used.size < a.rank_budget:
+                tile = signs[used, start:].astype(np.float32)
+            else:
+                right = signs.astype(np.float32) if right is None else right
+                tile = right[:, start:]
+            lead = tile[:, : stop - start].copy().T
+        elif signs is None:
             lead, tile = a.left[start:stop], right
-            if scale is not None:
-                lead = np.sign(lead).astype(np.float32)
+        else:
+            lead, tile = signs[:, start:stop].T.astype(np.float32), right
         out = buf[: (stop - start) * tile.shape[1]].reshape(stop - start, tile.shape[1])
         yield start, np.matmul(lead, tile, out=out)
 
@@ -215,31 +288,10 @@ def _max_abs_product(left: np.ndarray, right: np.ndarray) -> float:
     return peak
 
 
-def _on_the_lattice(a: FactoredMatrix, scale: np.ndarray) -> FactoredMatrix:
-    """Record on `a` the row scales w its constructor knows, so that no pass
-    re-derives them from the factors (as ``submatrix`` carries its
-    parent's over)."""
-    vars(a)["_row_scale"] = scale
-    return a
-
-
-def _transposed(x: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of x.T, copied in row tiles of x of at most
-    ``_SCAN_ENTRIES`` entries: a whole-array copy of x.T reads x down its
-    columns, a cache line per entry."""
-    out = np.empty(x.shape[::-1])
-    step = max(1, _SCAN_ENTRIES // max(1, x.shape[1]))
-    for start in range(0, x.shape[0], step):
-        out[:, start : start + step] = x[start : start + step].T
-    return out
-
-
 def make_identity(n_dim: int) -> FactoredMatrix:
     if n_dim < 1:
         raise ParameterError(f"N must be >= 1, got {n_dim}")
-    eye = np.eye(n_dim)
-    a = FactoredMatrix(n_dim, n_dim, eye, eye.copy(), Provenance("identity", 0))
-    return _on_the_lattice(a, np.ones(n_dim))
+    return _lattice_matrix(np.eye(n_dim, dtype=np.int8), np.ones(n_dim), Provenance("identity", 0))
 
 
 def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
@@ -248,14 +300,13 @@ def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
     Row i of the sign matrix is keyed by (seed, kind, i*rank + column), so
     the construction is reproducible entry by entry.  The diagonal is
     exactly 1 and off-diagonal entries live on the lattice {-1 + 2k/rank}.
+    S' is drawn as int8 in chunks (``rng.sign_matrix_t``), with no float64
+    copy of the draw.
     """
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
-    x = rng.sign_matrix(n_dim, rank, seed, KIND_RANDOM_SIGN)
-    right = _transposed(x)
-    x /= rank
-    a = FactoredMatrix(n_dim, rank, x, right, Provenance("random_sign", int(seed)))
-    return _on_the_lattice(a, np.full(n_dim, float(rank)))
+    signs = rng.sign_matrix_t(n_dim, rank, seed, KIND_RANDOM_SIGN)
+    return _lattice_matrix(signs, np.full(n_dim, float(rank)), Provenance("random_sign", int(seed)))
 
 
 # Draws of one random block of make_block_sparse before the first is kept.
@@ -319,8 +370,8 @@ def make_block_sparse(
     reaches that, the first attempt is kept and the shortfall is recorded
     in the provenance.  Attempt 0 is drawn alone and the later ones in
     batches (``_draw_block``), which keeps the same draw as trying them one
-    by one.  The row scales are r_b on random-block rows and 1 on identity
-    rows.
+    by one.  S' is filled block by block as int8; the row scales are r_b on
+    random-block rows and 1 on identity rows.
     """
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
@@ -348,8 +399,7 @@ def make_block_sparse(
                 f"below the required ceil(beta*ln(B+1))={required}"
             )
 
-    left = np.zeros((n_dim, rank))
-    right = np.zeros((rank, n_dim))
+    signs = np.zeros((rank, n_dim), dtype=np.int8)
     scale = np.ones(n_dim)
     blocks = []
     attempts_used = []
@@ -360,14 +410,13 @@ def make_block_sparse(
     for b, (size, r_b) in enumerate(zip(sizes, ranks)):
         exact = r_b == size
         if exact:
-            left[row : row + size, col : col + r_b] = np.eye(size)
-            right[col : col + r_b, row : row + size] = np.eye(size)
+            diag = np.arange(size)
+            signs[col + diag, row + diag] = 1
             attempts_used.append(0)
             block_errors.append(0.0)
         else:
             x, err, attempt = _draw_block(size, r_b, seeds[b])
-            left[row : row + size, col : col + r_b] = x / r_b
-            right[col : col + r_b, row : row + size] = x.T
+            signs[col : col + r_b, row : row + size] = x.T
             scale[row : row + size] = r_b
             attempts_used.append(attempt)
             block_errors.append(err)
@@ -383,8 +432,7 @@ def make_block_sparse(
         "attempts": tuple(attempts_used),
         "block_errors": tuple(block_errors),
     }
-    a = FactoredMatrix(n_dim, rank, left, right, Provenance("block_sparse", int(seed), params))
-    return _on_the_lattice(a, scale)
+    return _lattice_matrix(signs, scale, Provenance("block_sparse", int(seed), params))
 
 
 def from_factors(
@@ -405,24 +453,22 @@ def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
     """Principal submatrix on the given indices, still in factored form.
 
     It keeps the rows of L and the same columns of R, so a parent on the
-    lattice gives a slice on it, with the parent's row scales at `indices`.
-    Where the parent is off the lattice or has not detected it, the slice
-    detects it when needed, since a slice of a matrix off the lattice may
-    lie on it."""
+    lattice gives a slice on it, held as the same columns of S' and the
+    parent's row scales at `indices`.  Where the parent is off the lattice
+    or has not detected it, the slice keeps the float factors' rows and
+    columns and detects the lattice when needed, since a slice of a matrix
+    off the lattice may lie on it."""
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size == 0:
         raise ParameterError("submatrix needs at least one index")
-    sub = FactoredMatrix(
-        int(indices.size),
-        a.rank_budget,
-        a.left[indices],
-        np.ascontiguousarray(a.right[:, indices]),
-        Provenance(
-            "custom", a.provenance.seed, {"parent": a.provenance.kind, "size": int(indices.size)}
-        ),
+    provenance = Provenance(
+        "custom", a.provenance.seed, {"parent": a.provenance.kind, "size": int(indices.size)}
     )
     scale = vars(a).get("_row_scale")
-    return sub if scale is None else _on_the_lattice(sub, scale[indices])
+    if scale is not None:
+        return _lattice_matrix(np.take(a._signs, indices, axis=1), scale[indices], provenance)
+    return FactoredMatrix(int(indices.size), a.rank_budget, a.left[indices],
+                          np.ascontiguousarray(a.right[:, indices]), provenance)
 
 
 def approx_error(a: FactoredMatrix) -> float:
@@ -704,50 +750,82 @@ def min_pairwise_linf(mat: np.ndarray | FactoredMatrix) -> tuple[float, float, i
 _RANK_TAU = 1e-6
 
 
-def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
-    """Whether one Cholesky proves lambda_min(G) >= (tau / 2) * tr(G) for the
-    Gram G = F'F of a factor F with `length` rows, given `gram`, its float64
-    product (exact for the integer factors ``numerical_rank`` passes).
-    Overwrites `gram` with gram - tau * trace(gram) * I.
+def _diagonal_blocks(gram: np.ndarray) -> list[tuple[int, int]]:
+    """The finest split of 0..r into contiguous ranges lo..hi such that
+    every nonzero entry of the symmetric `gram` lies in a diagonal block
+    gram[lo:hi, lo:hi]: a range ends at i + 1 where no row up to i has a
+    nonzero beyond column i."""
+    r = gram.shape[0]
+    nonzero = gram != 0
+    last = np.where(nonzero.any(axis=1), r - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    ends = (np.flatnonzero(np.maximum.accumulate(last) <= np.arange(r)) + 1).tolist()
+    return list(zip([0, *ends[:-1]], ends))
 
-    Rounding in the Gram, in the shift and in a Cholesky that completes
-    (Demmel 1989; Higham, Accuracy and Stability, Thm 10.5) moves the
-    spectrum by at most about (length + r + 2) * u * tr(G) in 2-norm.  The
-    guard keeps that below tau / 4 * tr(G), with eps = 2u in place of u, so
-    a completed Cholesky leaves lambda_min(G) above (tau / 2) * tr(G).  A
-    matrix the guard refuses is left to the caller's fallback."""
+
+def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
+    """Whether Cholesky factorizations prove lambda_min(G) >= (tau / 2) *
+    tr(G) for the Gram G = F'F of a factor F with `length` rows, given
+    `gram`, its float64 product (exact for the integer factors
+    ``numerical_rank`` passes).  Overwrites `gram` with gram - tau *
+    trace(gram) * I.
+
+    G is factored one diagonal block at a time (``_diagonal_blocks``): the
+    entries outside the blocks are exact zeros, so G = diag(G_1, ..., G_m)
+    and lambda_min(G) = min_b lambda_min(G_b).  Every block takes the same
+    global shift tau * tr(G).  Rounding in the Gram, in the shift and in a
+    Cholesky of the r_b x r_b block that completes (Demmel 1989; Higham,
+    Accuracy and Stability, Thm 10.5) moves the block's spectrum by at most
+    about (length + r_b + 2) * u * tr(G_b) in 2-norm, and r_b <= r and
+    tr(G_b) <= tr(G), so that is at most (length + r + 2) * u * tr(G), the
+    bound for the whole G.  The guard keeps it below tau / 4 * tr(G), with
+    eps = 2u in place of u, so completed factorizations of every block
+    leave each lambda_min(G_b), hence lambda_min(G), above (tau / 2) *
+    tr(G).  A block whose factorization fails (a singular or
+    ill-conditioned block) fails the certificate, and a matrix the guard
+    refuses is left to the caller's fallback too."""
     r = gram.shape[0]
     if (length + r + 2) * np.finfo(np.float64).eps > _RANK_TAU / 4:
         return False
+    blocks = _diagonal_blocks(gram)
     gram[np.diag_indices(r)] -= _RANK_TAU * np.trace(gram)
     try:
-        np.linalg.cholesky(gram)
+        for lo, hi in blocks:
+            np.linalg.cholesky(gram[lo:hi, lo:hi])
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _sign_gram(right: np.ndarray) -> np.ndarray:
-    """R R' in float64 for a lattice factor R = S' (entries -1, 0 and 1),
-    summed over column tiles of R (row tiles of S).  Like a band of
-    ``_gram_tiles``, a tile of ``_BAND_ROWS`` columns multiplies only the
-    rank indices that its columns use: the terms it skips are exact zeros.
-    A tile's product is exact in float32, since its entries are integers
-    of at most ``_BAND_ROWS`` < 2^24 in magnitude, and the float64 sum of
-    the tiles is exact up to 2^53 columns, so the result equals the
-    float64 product right @ right.T.  A tile whose columns use every index
-    (a sign factor) skips nothing, so that product is taken whole."""
-    r, n = right.shape
+def _sign_gram(signs: np.ndarray) -> np.ndarray:
+    """S'S = R R' in float64 for a lattice factor S' (entries -1, 0 and 1,
+    int8 or float), summed over column tiles of S' (row tiles of S) cast to
+    float32.  Like a band of ``_gram_tiles``, a tile of ``_BAND_ROWS``
+    columns multiplies only the rank indices that its columns use: the
+    terms it skips are exact zeros.  Once a tile's columns use every index
+    (a sign factor) nothing is skipped, and the Gram is summed from 0 over
+    column chunks of at most ``_TILE_ENTRIES`` entries instead.  Each
+    tile's or chunk's float32 product is exact, since its entries are
+    integers of at most its width (below 2^22) in magnitude, and the
+    float64 sum of them is exact up to 2^53 columns, so the result equals
+    the float64 product R @ R'.  Each product multiplies a copy of its
+    tile: numpy multiplies a float32 matrix by its own transpose with
+    SSYRK, a BLAS routine no other pass calls, whose first call raised peak
+    RSS by about 0.6 MB."""
+    r, n = signs.shape
     gram = np.zeros((r, r))
     for start in range(0, n, _BAND_ROWS):
-        used = np.flatnonzero(right[:, start : start + _BAND_ROWS].any(axis=1))
+        used = np.flatnonzero(signs[:, start : start + _BAND_ROWS].any(axis=1))
         if used.size == r:
-            return right @ right.T
-        tile = right[used, start : start + _BAND_ROWS].astype(np.float32)
-        # multiplied by a copy: numpy multiplies a float32 matrix by its own
-        # transpose with SSYRK, a BLAS routine no other pass calls, whose
-        # first call raised peak RSS by about 0.6 MB
+            break
+        tile = signs[used, start : start + _BAND_ROWS].astype(np.float32)
         gram[np.ix_(used, used)] += tile @ tile.copy().T
+    else:
+        return gram
+    gram[:] = 0.0
+    step = max(_BAND_ROWS, _TILE_ENTRIES // r)
+    for start in range(0, n, step):
+        tile = signs[:, start : start + step].astype(np.float32)
+        gram += tile @ tile.copy().T
     return gram
 
 
@@ -764,18 +842,19 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     r = rank_budget.  The factor 2 covers the SVD below, whose values err by
     about 1e-13 sigma_1, so both routes give the same count wherever the
     certificate clears.  It costs one r x r Gram, summed exactly from
-    column tiles of R that multiply only the rank indices they use
+    column tiles of the int8 S' that multiply only the rank indices they use
     (``_sign_gram``: a block-diagonal factor skips the off-block products),
-    and one Cholesky, and needs no eigenvalue (an eigenvalue of a Gram
-    would square the condition number).
+    and one Cholesky per diagonal block of it (``_gram_floor_certified``),
+    and needs no eigenvalue (an eigenvalue of a Gram would square the
+    condition number) and no float factor.
 
     The certificate is tried only when r < N.  At r > N, S'S is singular
     and it cannot clear.  A random N x N sign factor has lambda_min / tr(G)
     near 1 / N^3, so it clears on about half the seeds at N = 64 and on
-    none from N = 96 on.  One failed Gram and Cholesky cost an eighth to a
+    none from N = 96 on.  One failed Gram and factorization cost an eighth to a
     sixth of the fallback's own time, so square factors go straight to it.
 
-    Fallback, wherever the factors are off the lattice, the Cholesky fails
+    Fallback, wherever the factors are off the lattice, a Cholesky fails
     (rank-deficient or ill-conditioned S), the guard refuses or r >= N: the
     singular values of the thin core R_L @ right with L = Q R_L, Q never
     formed."""
@@ -786,7 +865,7 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
         a.rank_budget < a.n_dim
         and (scale := a._row_scale) is not None
         and 4 * tol * float(scale.max() / scale.min()) < _RANK_TAU
-        and _gram_floor_certified(_sign_gram(a.right), a.n_dim)
+        and _gram_floor_certified(_sign_gram(a._signs), a.n_dim)
     ):
         return a.rank_budget
     s = np.linalg.svd(np.linalg.qr(a.left, mode="r") @ a.right, compute_uv=False)

@@ -153,10 +153,41 @@ def sign_matrix(
                 z = words[lo:hi, first:last]
                 tmp = scratch[: z.size].reshape(z.shape)
                 np.add(keys[lo:hi, None] + np.uint64(first), offsets[: last - first], out=z)
-                _mix64_np(z, tmp)
-                z += np.uint64(GOLDEN)
-                _top_bit_signs(z, tmp)
+                _signs_of_keys(z, tmp)
     return out.reshape((n_rows, n_cols) if single else (len(seeds), n_rows, n_cols))
+
+
+def sign_matrix_t(n_rows: int, n_cols: int, seed: int, kind_code: int) -> np.ndarray:
+    """sign_matrix(n_rows, n_cols, seed, kind_code).T as a C-contiguous int8
+    array (n_cols x n_rows).  The keys are mixed in chunks of whole rows of
+    at most ``_DRAW_CHUNK`` words (one row where a row is longer), and each
+    chunk is written into its columns of the output, so no float64 copy of
+    the matrix is formed: the temporaries are one chunk of words and one of
+    scratch."""
+    out = np.empty((n_cols, n_rows), dtype=np.int8)
+    if out.size:
+        # entry idx is keyed by mix64(b + GOLDEN + idx), b the seed's base key
+        base = (derive_key(seed, kind_code) + GOLDEN) & MASK64
+        rows = max(1, _DRAW_CHUNK // n_cols)
+        offsets = np.arange(min(rows, n_rows) * n_cols, dtype=np.uint64)
+        words, scratch = np.empty_like(offsets), np.empty_like(offsets)
+        for first in range(0, n_rows, rows):
+            last = min(n_rows, first + rows)
+            size = (last - first) * n_cols
+            z = words[:size]
+            np.add(offsets[:size], np.uint64((base + first * n_cols) & MASK64), out=z)
+            signs = _signs_of_keys(z, scratch[:size])
+            out[:, first:last] = signs.reshape(last - first, n_cols).T
+    return out
+
+
+def _signs_of_keys(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The sign of every entry key in `z` (+1.0 or -1.0, the top bit of the
+    first stream output under that key), written over `z` and returned as
+    its float64 view; overwrites `scratch`."""
+    _mix64_np(z, scratch)
+    z += np.uint64(GOLDEN)
+    return _top_bit_signs(z, scratch)
 
 
 def entry_sign(seed: int, kind_code: int, flat_index: int) -> int:

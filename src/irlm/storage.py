@@ -14,15 +14,18 @@ array, row-major.  The header is 40 bytes long, so w starts 8-aligned.
 The file is 40 + 8 N + n N bytes, against 40 + 16 N n for IRLM0001.  The
 reader rejects any length mismatch, a rank above 2^24, an entry of S'
 outside {-1, 0, 1}, a row scale outside 1..2^53 and a scale other than 1 on
-an all-zero row of S, so the recorded w is the one ``_lattice_scale``
-defines.  It builds R = S' and L = S / w[:, None] in float64, which are
-bit for bit the factors the constructors build (x / rank and x'), and
-records w on the matrix, so no pass rescans the factors for it.
+an all-zero row of S, so the w it reads is the one ``_lattice_scale``
+defines.  The matrix read holds S' and w as the file stores them, as the
+constructors hold them (see ``irlm.matrices.FactoredMatrix``): the reader
+builds no float array, and no pass rescans anything for the lattice.  The
+float factors, built on first access, are bit for bit the constructors'
+(x / rank and x').  The writer writes S' as it is held.
 
 IRLM0001 (read only, for files already on disk) stores the left factor
 (N x n) then the right factor (n x N) as little-endian float64, row-major;
-the reader rejects any length mismatch and non-finite factor entries, and
-the lattice of such a matrix is detected from its factors when first used.
+the reader rejects any length mismatch and non-finite factor entries.  Such
+a matrix is held as its float64 factors, and its lattice is detected from
+them when first used.
 
 A loaded matrix keeps the header's kind, block_sparse included.  The block
 layout is not stored and not needed: every kind materializes through the
@@ -45,7 +48,7 @@ from .matrices import (
     KIND_NAMES,
     FactoredMatrix,
     Provenance,
-    _on_the_lattice,
+    _lattice_matrix,
 )
 
 MAGIC = b"IRLM0002"
@@ -57,23 +60,19 @@ _MAX_SCALE = 2**53
 
 
 def write_matrix(a: FactoredMatrix, path: str | Path) -> None:
-    """Write `a` as an IRLM0002 file: its row scales, then its right factor
-    S' as int8, cast in row tiles of at most 2^15 entries so that no copy of
-    the factor is held.  Factors off the sign lattice have no file
-    representation."""
+    """Write `a` as an IRLM0002 file: its row scales, then S' as it is held
+    (int8), so no float factor is built.  Factors off the sign lattice have
+    no file representation."""
     code = file_kind_code(a)
     scale = a._row_scale
     if scale is None or scale.max() > _MAX_SCALE:
         raise FormatError(f"kind '{a.provenance.kind}' factors off the sign lattice "
                           "have no file representation")
     seed = a.provenance.seed or 0
-    header = HEADER.pack(MAGIC, a.n_dim, a.rank_budget, code, seed)
-    step = max(1, (1 << 15) // a.n_dim)
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(HEADER.pack(MAGIC, a.n_dim, a.rank_budget, code, seed))
         fh.write(scale.astype("<u8"))
-        for start in range(0, a.rank_budget, step):
-            fh.write(a.right[start : start + step].astype(np.int8))
+        fh.write(a._signs)
 
 
 def read_matrix(path: str | Path) -> FactoredMatrix:
@@ -95,35 +94,23 @@ def read_matrix(path: str | Path) -> FactoredMatrix:
         size = os.fstat(fh.fileno()).st_size
         if size != HEADER.size + length:
             raise FormatError(f"{path}: file is {size} bytes, expected {HEADER.size + length}")
+        provenance = Provenance(KIND_NAMES[code], int(seed))
         if magic == MAGIC:
-            left, right, scale = _lattice_payload(path, fh, n_dim, rank)
-        else:
-            left, right, scale = *_float_payload(fh.read(), n_dim, rank), None
-    provenance = Provenance(KIND_NAMES[code], int(seed))
+            return _lattice_matrix(*_lattice_payload(path, fh, n_dim, rank), provenance)
+        left, right = _float_payload(fh.read(), n_dim, rank)
     try:
-        a = FactoredMatrix(n_dim, rank, left, right, provenance)
+        return FactoredMatrix(n_dim, rank, left, right, provenance)
     except ParameterError as exc:  # the header is checked, so: bad entries
         raise FormatError(f"{path}: {exc}") from exc
-    return a if scale is None else _on_the_lattice(a, scale)
 
 
-def _lattice_payload(path, fh, n_dim: int, rank: int):
-    """(L, R, w) of an IRLM0002 payload, validated.  Both factors are views of
-    one float64 buffer, and S' is read straight into its last n N bytes, so
-    the read holds no copy of the payload beyond the N row scales.  Measured
-    with glibc malloc on repeated generate + analyze of sign 4096/128, one
-    buffer rather than two kept the later 4 MB arrays on reused heap pages
-    (two separate factors cost about 10% more CPU per pass: the size above
-    which glibc maps fresh pages follows the largest block freed), and
-    reading S' into it kept peak RSS at the IRLM0001 reader's, which a bytes
-    object of the payload raised by 0.1-1 MB."""
-    factors = np.empty(2 * n_dim * rank)
+def _lattice_payload(path, fh, n_dim: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S', w) of an IRLM0002 payload, validated: S' read straight into an
+    int8 array, w into a u64 one, and no float factor built."""
     words = np.empty(n_dim, dtype="<u8")
-    # S' is read into the last n N bytes of the buffer, inside R
-    raw = factors.view(np.int8)[factors.nbytes - rank * n_dim :]
-    if fh.readinto(words) != words.nbytes or fh.readinto(raw) != raw.nbytes:
+    signs = np.empty((rank, n_dim), dtype=np.int8)
+    if fh.readinto(words) != words.nbytes or fh.readinto(signs.reshape(-1)) != signs.nbytes:
         raise FormatError(f"{path}: the file changed while it was read")
-    signs = raw.reshape(rank, n_dim)
     # min and max, not |S'|: the int8 -128 is its own absolute value
     if signs.min() < -1 or signs.max() > 1:
         raise FormatError(f"{path}: sign entries must be -1, 0 or 1")
@@ -132,16 +119,7 @@ def _lattice_payload(path, fh, n_dim: int, rank: int):
     scale = words.astype(np.float64)
     if np.any(scale[~signs.any(axis=0)] != 1.0):
         raise FormatError(f"{path}: an all-zero row must have row scale 1")
-    left = factors[: n_dim * rank].reshape(n_dim, rank)
-    right = factors[n_dim * rank :].reshape(rank, n_dim)
-    np.divide(signs.T, scale[:, None], out=left)
-    # R from S' in place, front to back: entry k of R is bytes 8k..8k+8 of
-    # R and entry k of S' byte 7 n N + k, so no chunk overwrites an entry
-    # of a later chunk (numpy copies a chunk that overlaps its own entries)
-    flat = right.reshape(-1)
-    for start in range(0, flat.size, 1 << 15):
-        flat[start : start + (1 << 15)] = raw[start : start + (1 << 15)]
-    return left, right, scale
+    return signs, scale
 
 
 def _float_payload(data: bytes, n_dim: int, rank: int):

@@ -426,3 +426,37 @@ def write_matrix_v1(a, path) -> None:
                          a.provenance.seed or 0)
     with open(path, "wb") as fh:
         fh.write(header + a.left.astype("<f8").tobytes() + a.right.astype("<f8").tobytes())
+
+
+def float_factors_as_built(a) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R) of a library matrix as its constructor built them when it held
+    float64 factors, rebuilt from the provenance: identity L = R = I;
+    random_sign L = x / n and R = x' for x = rng.sign_matrix(N, n, seed);
+    block_sparse zero-filled factors with an identity per exact block and,
+    per random block, its kept draw x over the block's columns as x / r_b
+    in L and x' in R."""
+    kind, seed = a.provenance.kind, a.provenance.seed
+    if kind == "identity":
+        return np.eye(a.n_dim), np.eye(a.n_dim)
+    if kind == "random_sign":
+        x = rng.sign_matrix(a.n_dim, a.rank_budget, seed, matrices.KIND_RANDOM_SIGN)
+        return x / a.rank_budget, np.ascontiguousarray(x.T)
+    left, right = np.zeros((a.n_dim, a.rank_budget)), np.zeros((a.rank_budget, a.n_dim))
+    blocks = a.provenance.params["blocks"]
+    for (row, size, rank, col, exact), (x, _, _) in zip(blocks, block_draws_one_at_a_time(a)):
+        if exact:
+            left[row : row + size, col : col + rank] = np.eye(size)
+            right[col : col + rank, row : row + size] = np.eye(size)
+        else:
+            left[row : row + size, col : col + rank] = x / rank
+            right[col : col + rank, row : row + size] = x.T
+    return left, right
+
+
+def diagonal_block_split(gram: np.ndarray) -> list[tuple[int, int]]:
+    """The finest contiguous diagonal blocks of a symmetric matrix, one
+    split point at a time: 0..r splits at k exactly when gram[:k, k:] is
+    all zero."""
+    r = gram.shape[0]
+    cuts = [k for k in range(1, r) if not gram[:k, k:].any()]
+    return list(zip([0, *cuts], [*cuts, r]))

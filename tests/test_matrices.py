@@ -30,6 +30,9 @@ from oracles import (
     dense_numerical_rank,
     dense_scan_distribution,
     dense_scan_error,
+    diagonal_block_split,
+    float_factors_as_built,
+    write_matrix_v1,
 )
 
 
@@ -265,6 +268,72 @@ def test_numerical_rank_ill_conditioned_factors_reach_the_svd(monkeypatch):
     calls.clear()
     assert numerical_rank(make_identity(9), 1e-6) == 9
     assert calls == [(9, 9)]
+
+
+def _cholesky_sizes(monkeypatch) -> list:
+    """The orders of every Cholesky numerical_rank computes from here on."""
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(mat, *args, **kwargs):
+        sizes.append(mat.shape[0])
+        return cholesky(mat, *args, **kwargs)
+
+    monkeypatch.setattr(matrices.np.linalg, "cholesky", counting_cholesky)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_numerical_rank_certificate_factors_each_diagonal_block(monkeypatch, seed):
+    # block 1024/500: 18 random blocks of odd size, whose integer Grams
+    # have no zero entry, so the blocks of the certificate's Gram are the
+    # construction's column ranges, one Cholesky each
+    a = make_block_sparse(1024, 500, seed, alpha=4.0, beta=2.0)
+    ranges = [(col, col + rank) for _, _, rank, col, _ in a.provenance.params["blocks"]]
+    assert matrices._diagonal_blocks(matrices._sign_gram(a._signs)) == ranges
+    expected = dense_numerical_rank(a, 1e-10)
+    sizes = _cholesky_sizes(monkeypatch)
+    calls = _svd_calls(monkeypatch)
+    assert numerical_rank(a, 1e-10) == expected == 500
+    assert sizes == [hi - lo for lo, hi in ranges] and calls == []
+
+
+def test_numerical_rank_with_one_singular_block_reaches_the_svd(monkeypatch):
+    # one random block's last column repeats its first: that block's Gram is
+    # singular, its Cholesky fails, and the SVD counts r - 1
+    a = make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0)
+    _, _, rank, col, _ = a.provenance.params["blocks"][5]
+    signs = a._signs.astype(np.float64)
+    signs[col + rank - 1] = signs[col]
+    b = from_factors(signs.T / a._row_scale[:, None], signs)
+    assert b._row_scale is not None
+    gram = matrices._sign_gram(b._signs)
+    assert matrices._diagonal_blocks(gram) == diagonal_block_split(gram)
+    assert not matrices._gram_floor_certified(gram.copy(), b.n_dim)
+    expected = dense_numerical_rank(b, 1e-10)
+    calls = _svd_calls(monkeypatch)
+    assert numerical_rank(b, 1e-10) == expected == 499
+    assert calls == [(500, 1024)]
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32),
+    fill=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_diagonal_blocks_are_the_finest_split(sizes, seed, fill):
+    # symmetric block-diagonal matrices whose blocks may split further
+    # (sparse or empty blocks, zero diagonals): the split equals the one
+    # found one cut at a time
+    gen = np.random.default_rng(seed)
+    r = sum(sizes)
+    gram = np.zeros((r, r))
+    lo = 0
+    for size in sizes:
+        block = gen.integers(-3, 4, size=(size, size)) * (gen.random((size, size)) < fill)
+        gram[lo : lo + size, lo : lo + size] = block + block.T
+        lo += size
+    assert matrices._diagonal_blocks(gram) == diagonal_block_split(gram)
 
 
 def test_numerical_rank_tol_validation():
@@ -673,13 +742,113 @@ def test_constructors_record_the_lattice_facts_a_fresh_matrix_detects(build, tmp
     # factors wrapped by hand detect their row scales; a file read back
     # records the ones the file stores
     a = build()
-    assert "_row_scale" in vars(a)
+    assert "_row_scale" in vars(a) and vars(a)["_signs"].dtype == np.int8
     write_matrix(a, tmp_path / "a.irlm")
     fresh, loaded = from_factors(a.left, a.right), read_matrix(tmp_path / "a.irlm")
     assert "_row_scale" not in vars(fresh) and "_row_scale" in vars(loaded)
+    assert np.array_equal(vars(loaded)["_signs"], vars(a)["_signs"])
     for other in (fresh, loaded):
         assert a._row_scale.dtype == other._row_scale.dtype
         assert np.array_equal(a._row_scale, other._row_scale)
+
+
+def _float_factors_unbuilt(a) -> bool:
+    return "left" not in vars(a) and "right" not in vars(a)
+
+
+LIBRARY_BUILDS = {
+    "identity": lambda: make_identity(9),
+    "sign": lambda: make_random_sign(50, 12, 3),
+    "sign-chunks": lambda: make_random_sign(700, 48, 5),
+    "identity_blocks": lambda: make_block_sparse(6, 6, 0, alpha=1.5),
+    "mixed_blocks-short-last": lambda: make_block_sparse(8, 6, 1, alpha=1.0, beta=1.0),
+    "mixed_blocks": lambda: make_block_sparse(40, 36, 5, alpha=1.2, beta=2.0),
+    "block-1024/500": lambda: make_block_sparse(1024, 500, 1, alpha=4.0, beta=2.0),
+}
+
+
+@pytest.mark.parametrize("build", LIBRARY_BUILDS.values(), ids=LIBRARY_BUILDS.keys())
+def test_lattice_matrices_build_the_constructors_float_factors_on_demand(build, tmp_path):
+    # every library kind, a slice of it and its IRLM0002 and IRLM0001 read
+    # backs: L and R, built on first access from S' and w (or read as
+    # floats), are the float factors the constructors built, bit for bit
+    # (+0.0 zeros included), float64, C-contiguous and read-only
+    a = build()
+    left, right = float_factors_as_built(a)
+    idx = np.random.default_rng(7).permutation(a.n_dim)[: max(1, a.n_dim // 2)]
+    write_matrix(a, tmp_path / "v2.irlm")
+    cases = [
+        (submatrix(a, idx), left[idx], right[:, idx]),
+        (read_matrix(tmp_path / "v2.irlm"), left, right),
+    ]
+    assert _float_factors_unbuilt(a)
+    # the IRLM0001 writer reads both float factors of a
+    write_matrix_v1(a, tmp_path / "v1.irlm")
+    cases += [(a, left, right), (read_matrix(tmp_path / "v1.irlm"), left, right)]
+    for mat, want_left, want_right in cases:
+        for got, want in ((mat.left, want_left), (mat.right, want_right)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert mat.left is mat.left and mat.right is mat.right
+
+
+# the fixtures whose rank certificate clears: the others are square, or
+# (mixed_blocks) have a block of 5 rows and rank 4 with a singular Gram
+CERTIFIED = ["sign", "sign-chunks", "mixed_blocks-short-last", "block-1024/500"]
+
+
+@pytest.mark.parametrize("build", LIBRARY_BUILDS.values(), ids=LIBRARY_BUILDS.keys())
+def test_lattice_passes_leave_the_float_factors_unbuilt(build, request, tmp_path, monkeypatch):
+    # the density pass, the rank certificate, slicing and the file round
+    # trip read S' and w only
+    a = build()
+    path = tmp_path / "a.irlm"
+    write_matrix(a, path)
+    loaded = read_matrix(path)
+    sub = submatrix(loaded, np.arange(0, loaded.n_dim, 2))
+    certified = request.node.callspec.id in CERTIFIED
+    monkeypatch.setattr(matrices.np.linalg, "svd", _refuse_svd)
+    for mat in (a, loaded, sub):
+        distribution_function(mat, 0.25)
+        approx_error(mat)
+        # a slice's rows may not span every rank index, so only the full
+        # matrices are sure to clear the certificate
+        if certified and mat is not sub:
+            assert numerical_rank(mat, 1e-10) == mat.rank_budget
+        assert _float_factors_unbuilt(mat)
+
+
+def test_lattice_matrices_are_immutable():
+    a = make_random_sign(20, 4, 1)
+    for name in ("left", "n_dim", "_signs"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        del a.provenance
+    with pytest.raises(ValueError):
+        a._signs[0, 0] = 1
+    with pytest.raises(ValueError):
+        a.right[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sign_draw_and_file_read_stay_under_2_mb(seed, tmp_path):
+    # S' of sign 4096/128 is 0.5 MB as int8; the float64 factors would be 8 MB
+    path = tmp_path / "rs.irlm"
+    tracemalloc.start()
+    try:
+        a = make_random_sign(4096, 128, seed)
+        _, draw_peak = tracemalloc.get_traced_memory()
+        write_matrix(a, path)
+        del a
+        tracemalloc.reset_peak()
+        loaded = read_matrix(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draw_peak < 2 * 2**20 and read_peak < 2 * 2**20
+    assert _float_factors_unbuilt(loaded)
 
 
 @pytest.mark.parametrize("spoil", ["left", "right"])
@@ -801,11 +970,14 @@ def test_band_mirror_counts_pass_2_to_the_16_columns(width):
 def test_random_sign_factors_are_the_draw_over_rank_and_its_transpose():
     x = matrices.rng.sign_matrix(700, 48, 5, matrices.KIND_RANDOM_SIGN)
     a = make_random_sign(700, 48, 5)
-    assert np.array_equal(a.left, x / 48) and np.array_equal(a.right, x.T)
-    for shape in ((1, 1), (3, 0), (0, 4), (257, 129), (40000, 1)):
-        y = np.arange(float(np.prod(shape))).reshape(shape)
-        t = matrices._transposed(y)
-        assert t.flags.c_contiguous and np.array_equal(t, y.T)
+    assert a.left.tobytes() == (x / 48).tobytes()
+    assert a.right.tobytes() == np.ascontiguousarray(x.T).tobytes()
+    # S' drawn as int8 in chunks of whole rows: one chunk, several, a row
+    # longer than a chunk, and empty draws
+    for shape in ((1, 1), (3, 0), (0, 4), (257, 129), (40000, 1), (3, 40000), (700, 48)):
+        t = matrices.rng.sign_matrix_t(*shape, 5, matrices.KIND_RANDOM_SIGN)
+        want = matrices.rng.sign_matrix(*shape, 5, matrices.KIND_RANDOM_SIGN).T
+        assert t.dtype == np.int8 and t.flags.c_contiguous and np.array_equal(t, want)
 
 
 def _counts_digest(profile, n_dim):
