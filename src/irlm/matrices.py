@@ -805,7 +805,7 @@ def _sign_gram(signs: np.ndarray) -> np.ndarray:
     (a sign factor) nothing is skipped, and the Gram is summed from 0 over
     column chunks of at most ``_TILE_ENTRIES`` entries instead.  Each
     tile's or chunk's float32 product is exact, since its entries are
-    integers of at most its width (below 2^22) in magnitude, and the
+    integers of at most its width (2^21 at most) in magnitude, and the
     float64 sum of them is exact up to 2^53 columns, so the result equals
     the float64 product R @ R'.  Each product multiplies a copy of its
     tile: numpy multiplies a float32 matrix by its own transpose with
@@ -821,7 +821,8 @@ def _sign_gram(signs: np.ndarray) -> np.ndarray:
         gram[np.ix_(used, used)] += tile @ tile.copy().T
     else:
         return gram
-    gram[:] = 0.0
+    # a tile used every index: the whole product, summed again from 0
+    gram.fill(0.0)
     step = max(_BAND_ROWS, _TILE_ENTRIES // r)
     for start in range(0, n, step):
         tile = signs[:, start : start + step].astype(np.float32)
@@ -851,8 +852,9 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     The certificate is tried only when r < N.  At r > N, S'S is singular
     and it cannot clear.  A random N x N sign factor has lambda_min / tr(G)
     near 1 / N^3, so it clears on about half the seeds at N = 64 and on
-    none from N = 96 on.  One failed Gram and factorization cost an eighth to a
-    sixth of the fallback's own time, so square factors go straight to it.
+    none from N = 96 on.  One failed Gram and factorization cost an eighth
+    to a sixth of the fallback's own time, so square factors go straight to
+    it.
 
     Fallback, wherever the factors are off the lattice, a Cholesky fails
     (rank-deficient or ill-conditioned S), the guard refuses or r >= N: the
