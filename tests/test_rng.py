@@ -83,15 +83,19 @@ def test_sign_matrix_seed_sequence_stacks_the_per_seed_draws(seeds, n_rows, n_co
 )
 def test_chunked_sign_draws_match_the_per_entry_keys(chunk, seeds, n_rows, n_cols, kind_code):
     # chunks of 1 to 64 words split rows, single seeds and groups of whole
-    # seeds at every offset; no chunking may move a sign
+    # seeds at every offset; no chunking may move a sign, nor may the int8
+    # transposed draw's chunks of whole rows (one row where a row is longer)
     unchunked = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
     with mock.patch.object(rng, "_DRAW_CHUNK", chunk):
         stack = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
         singles = [rng.sign_matrix(n_rows, n_cols, seed, kind_code) for seed in seeds]
+        transposed = [rng.sign_matrix_t(n_rows, n_cols, seed, kind_code) for seed in seeds]
     assert stack.dtype == np.float64 and stack.shape == (len(seeds), n_rows, n_cols)
     assert np.array_equal(stack, unchunked)
-    for seed, mat, single in zip(seeds, stack, singles):
+    for seed, mat, single, signs in zip(seeds, stack, singles, transposed):
         assert single.shape == (n_rows, n_cols) and np.array_equal(single, mat)
+        assert signs.dtype == np.int8 and signs.flags.c_contiguous
+        assert np.array_equal(signs, mat.T)
         assert mat.ravel().tolist() == [
             float(rng.entry_sign(seed, kind_code, i)) for i in range(n_rows * n_cols)
         ]
