@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="construct a matrix and write an IRLM1 file")
+    gen = sub.add_parser("generate", help="construct a matrix and write an IRLM2 file")
     gen.add_argument("--kind", required=True, choices=["identity", "random_sign", "block_sparse"])
     gen.add_argument("--N", type=int, required=True)
     gen.add_argument("--n", type=int, default=None)

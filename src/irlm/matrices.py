@@ -158,19 +158,27 @@ def _lattice_left(signs: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return left
 
 
-# Entries per row tile of the statistics pass and of the dense form (8 MB
-# of float32 Gram on the lattice, 16 MB of float64 off it).
+# Entries per full-row tile of the dense form and of the statistics pass off
+# the lattice (8 MB of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
 
 # Entries per row tile of a factor's transposed copy (256 KB of float64,
 # which stays in a core's L2 cache while the tile is written).
 _SCAN_ENTRIES = 1 << 15
 
-# Rows per band tile of the symmetric statistics pass, at most one tile of
-# entries.  Bands of 2^20 / N rows cover the whole matrix up to N = 1024,
-# where 256-row bands took 0.55-0.75 of the time; from N = 2048 to 8192,
-# 64 to 512 rows measured alike.
+# Rows per band of the symmetric statistics pass, at any N.  Bands of
+# 2^20 / N rows covered the whole matrix up to N = 1024, where 256-row bands
+# took 0.55-0.75 of the time; from N = 2048 to 8192, 64 to 512 rows
+# measured alike.
 _BAND_ROWS = 256
+
+# Columns per band tile, rounded down to a multiple of the band height (at
+# least one band height).  A 256 x 512 tile is 2^17 float32 entries
+# (512 KB), which stays in a core's L2 cache, so the pass holds the same
+# tile at every N; the certificate's Gram is summed from column chunks of
+# at most as many entries.  Both constants stay below 2^16, so a tile's
+# row and column counts fit uint16.
+_BAND_COLS = 512
 
 # Largest rank of a lattice: float32 holds every integer up to 2^24, so
 # every partial sum of the Gram is exact in any summation order.
@@ -205,55 +213,65 @@ def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
 
 
 def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = False):
-    """Yield (start, V) over every row tile, with A[start:stop, cols] = V / w
-    row by row (all columns when cols is None): the float32 integer Gram
-    S @ S'[:, cols] and the row scales on the lattice, the float64 product
-    L @ R[:, cols] and w = 1 off it.  V is one reused buffer, valid until
-    the next tile, which the caller may overwrite.  On the lattice both
-    operands are cast from the int8 S' per pass, so a matrix holds no float
-    copy of it between passes, and its float factors are never built.
+    """Yield (start, col, V) over tiles with A[start:stop, c] = V / w row by
+    row for the tile's columns c: the float32 integer Gram S @ S'[:, c] and
+    the row scales on the lattice, the float64 product L @ R[:, c] and
+    w = 1 off it.  V is one reused buffer, valid until the next tile, which
+    the caller may overwrite.  On the lattice both operands are cast from
+    the int8 S', so a matrix holds no float copy of it between passes, and
+    its float factors are never built.
 
-    With `band`, for all columns of a lattice matrix (V symmetric), each
-    tile is the upper band V[start:stop, start:] of ``_BAND_ROWS`` rows, so
-    each entry pair is computed once.  Its left operand is the transpose of
-    the band's first columns, copied (h x r entries), since numpy
-    multiplies a matrix by its own transpose with syrk and then mirrors the
-    triangle element by element, which doubled the time of the last,
-    square band.  A band multiplies only over the rank indices that some of
-    its rows use (nonzero in S'[:, start:stop]), and casts only those rows
-    of S': the terms it skips are exact zeros, so V is the same, and
-    block-diagonal factors skip most of the inner dimension.  Bands that use
-    every index (all of them for sign factors) share one float32 copy of
-    S', made at the first such band."""
+    By default the tiles are full rows, col = 0 and c = cols (all columns
+    when cols is None), of at most ``_TILE_ENTRIES`` entries.  With `band`,
+    for all columns of a lattice matrix (V symmetric), they are the upper
+    band V[start:stop, start:] of ``_BAND_ROWS`` rows, so each entry pair is
+    computed once, cut into tiles of the columns col..col + width from
+    col = start, width being ``_BAND_COLS`` rounded down to a multiple of
+    the band height (at least one).  So a tile holds the same entries at
+    every N, and the band's own square lies in its first tile.  A band
+    multiplies only over the rank indices that some of its rows use (nonzero
+    in S'[:, start:stop]): the terms it skips are exact zeros, so V is the
+    same, and block-diagonal factors skip most of the inner dimension.  Each
+    tile casts its columns of those rows of S' to float32, so no whole
+    float32 copy of S' is made, and a tile after the first whose columns
+    use none of them is all zero and not yielded.  The band's left operand,
+    its first columns transposed, is cast once per band; it is a separate
+    array, so numpy never takes syrk (which mirrors the triangle element by
+    element and doubled the time of a square tile)."""
     n = a.n_dim
-    scale = a._row_scale
-    signs = None if scale is None else a._signs
+    signs = None if a._row_scale is None else a._signs
+    if band:
+        rank = a.rank_budget
+        width = _BAND_ROWS * max(1, _BAND_COLS // _BAND_ROWS)
+        buf = np.empty(min(_BAND_ROWS, n) * min(width, n), dtype=np.float32)
+        for start in range(0, n, _BAND_ROWS):
+            stop = min(n, start + _BAND_ROWS)
+            used = np.flatnonzero(signs[:, start:stop].any(axis=1))
+            rows = slice(None) if used.size == rank else used
+            lead = signs[rows, start:stop].T.astype(np.float32)
+            for col in range(start, n, width):
+                part = signs[rows, col : col + width]
+                if col > start and used.size < rank and not part.any():
+                    continue
+                tile = part.astype(np.float32)
+                out = buf[: (stop - start) * tile.shape[1]].reshape(stop - start, tile.shape[1])
+                yield start, col, np.matmul(lead, tile, out=out)
+        return
     if signs is None:
         right = a.right if cols is None else a.right[:, cols]
     else:
-        # the float32 S'[:, cols]; on bands, made at the first band that
-        # uses every rank index
-        right = None if band else (signs if cols is None else signs[:, cols]).astype(np.float32)
+        right = (signs if cols is None else signs[:, cols]).astype(np.float32)
     width = n if cols is None else len(cols)
-    # rows per tile: at most _TILE_ENTRIES entries, and at most _BAND_ROWS on bands
-    step = min(max(1, _TILE_ENTRIES // n), _BAND_ROWS if band else n)
+    step = max(1, _TILE_ENTRIES // n)
     buf = np.empty(min(step, n) * width, dtype=np.float64 if signs is None else np.float32)
     for start in range(0, n, step):
         stop = min(n, start + step)
-        if band:
-            used = np.flatnonzero(signs[:, start:stop].any(axis=1))
-            if used.size < a.rank_budget:
-                tile = signs[used, start:].astype(np.float32)
-            else:
-                right = signs.astype(np.float32) if right is None else right
-                tile = right[:, start:]
-            lead = tile[:, : stop - start].copy().T
-        elif signs is None:
-            lead, tile = a.left[start:stop], right
+        if signs is None:
+            lead = a.left[start:stop]
         else:
-            lead, tile = signs[:, start:stop].T.astype(np.float32), right
-        out = buf[: (stop - start) * tile.shape[1]].reshape(stop - start, tile.shape[1])
-        yield start, np.matmul(lead, tile, out=out)
+            lead = signs[:, start:stop].T.astype(np.float32)
+        out = buf[: (stop - start) * width].reshape(stop - start, width)
+        yield start, 0, np.matmul(lead, right, out=out)
 
 
 def _materialize(a: FactoredMatrix, cols: np.ndarray | None = None) -> np.ndarray:
@@ -262,7 +280,7 @@ def _materialize(a: FactoredMatrix, cols: np.ndarray | None = None) -> np.ndarra
     # depends on the tile height.
     scale = a._row_scale
     mat = np.empty((a.n_dim, a.n_dim if cols is None else len(cols)))
-    for start, values in _gram_tiles(a, cols):
+    for start, _, values in _gram_tiles(a, cols):
         stop = start + values.shape[0]
         if scale is None:
             mat[start:stop] = values
@@ -509,69 +527,75 @@ def _integer_cut(gamma: float, scale: np.ndarray) -> np.ndarray:
 
 def _tile_stats(
     start: int,
+    col: int,
     values: np.ndarray,
     scale: np.ndarray | float,
     cut: np.ndarray | float,
     band: bool,
-) -> tuple[np.ndarray, int, float]:
-    """Column counts of |A| > gamma, nonzero count and max |A - I| over the
-    tile V of ``_gram_tiles`` that starts at row `start`, with A = V / w row
-    by row.  `scale` (w) and `cut` are one scalar where all rows share them,
-    else arrays over all N rows: off the lattice w = 1 and the cut is gamma,
-    on it the cuts are the rows' integer cuts, so |V| is compared without
-    dividing the tile.  Division is monotone, so the error divides one
-    maximum per row, or one maximum of the tile where all rows share w.
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Statistics of the tile V of ``_gram_tiles`` at row `start` and
+    column `col`, with A = V / w row by row: the counts of |A| > gamma over
+    the tile's columns and over its mirror (below), the nonzero count and
+    max |A - I|.  `scale` (w) and `cut` are one scalar where all rows share
+    them, else arrays over all N rows: off the lattice w = 1 and the cut is
+    gamma, on it the cuts are the rows' integer cuts, so |V| is compared
+    without dividing the tile.  Division is monotone, so the error divides
+    one maximum per row, or one maximum of the tile where all rows share w.
+    A tile with col <= start holds the diagonal entries of its rows (a
+    band's first tile, every full-row tile).
 
-    A band tile V[start:stop, start:] of a symmetric V has a left part
-    (columns start..stop) holding rows start..stop of A, and a right part
-    (columns stop..N) holding those rows and, mirrored, the columns
-    start..stop below them: A[j, i] = V[i, j] / w_j.  So column i gains the
-    j >= stop with |V_ij| > cut_j, the right part's nonzeros count twice,
-    and where scales differ the error also takes the right part's column
-    maxima divided by w_j.  Where the cut is 0 for every row, the counts
-    are the nonzeros.  The mask of |V| > cut is summed through its uint8
-    view: a tile has fewer than 2^16 rows, so the column sums fit uint16
-    (a band's row sums do where it has fewer than 2^16 columns).  V is
+    A band tile of rows start..stop of a symmetric V holds, in its columns
+    j >= stop, also the mirror entries A[j, i] = V[i, j] / w_j.  So the
+    mirror counts, which go to the columns start..stop, count the j >= stop
+    with |V_ij| > cut_j, those columns' nonzeros count twice, and where
+    scales differ the error also takes their column maxima divided by w_j.
+    A full-row tile has no mirror, and its mirror counts are 0.  Where the
+    cut is 0 for every row, the counts are the nonzeros.  The mask of
+    |V| > cut is summed through its uint8 view into uint16: a tile has
+    fewer than 2^16 rows and a band tile fewer than 2^16 columns.  V is
     overwritten.  A function of its own so that a tile's temporaries are
     freed before the next tile is computed."""
-    height = values.shape[0]
+    height, width = values.shape
     stop = start + height
-    local = np.arange(height)
-    diag = (local, local if band else start + local)
     shared_scale = np.ndim(scale) == 0
     rows = scale if shared_scale else scale[start:stop]
-    diag_dev = values[diag].astype(np.float64)
-    diag_dev /= rows
-    diag_dev -= 1.0
+    diag = None
+    if col <= start:
+        local = np.arange(height)
+        diag = (local, start - col + local)
+        diag_dev = values[diag].astype(np.float64)
+        diag_dev /= rows
+        diag_dev -= 1.0
     mags = np.abs(values, out=values)
     shared_cut = np.ndim(cut) == 0
     mask = mags > (cut if shared_cut else cut[start:stop, None])
     hits = mask.view(np.uint8)
-    counts = hits.sum(axis=0, dtype=np.uint16).astype(np.int64)
-    right = mags[:, height:]
-    if band:
-        mirror = hits[:, height:] if shared_cut else (right > cut[stop:]).view(np.uint8)
-        wide = mirror.shape[1] >= 1 << 16
-        counts[:height] += mirror.sum(axis=1, dtype=np.int64 if wide else np.uint16)
+    counts = hits.sum(axis=0, dtype=np.uint16)
+    # the columns at or beyond the band's end, which stand for their mirror
+    first = max(0, stop - col) if band else width
+    right = mags[:, first:]
+    mirror = hits[:, first:] if shared_cut else (right > cut[col + first : col + width]).view(np.uint8)
+    mirror_counts = mirror.sum(axis=1, dtype=np.uint16)
     if shared_cut and cut == 0:
-        nnz = int(counts.sum())
+        nnz = int(counts.sum(dtype=np.int64)) + int(mirror_counts.sum(dtype=np.int64))
     else:
         nonzero = np.not_equal(mags, 0, out=mask)
-        nnz = int(np.count_nonzero(nonzero))
-        if band:
-            nnz += int(np.count_nonzero(nonzero[:, height:]))
-    mags[diag] = 0
+        nnz = int(np.count_nonzero(nonzero)) + int(np.count_nonzero(nonzero[:, first:]))
+    error = 0.0
+    if diag is not None:
+        mags[diag] = 0
+        error = float(np.abs(diag_dev).max())
     if shared_scale:
-        error = float(np.float64(mags.max()) / scale)
+        error = max(error, float(np.float64(mags.max()) / scale))
     else:
         row_max = mags.max(axis=1).astype(np.float64)
         row_max /= rows
-        error = float(row_max.max())
-        if band and right.size:
+        error = max(error, float(row_max.max()))
+        if right.size:
             col_max = right.max(axis=0).astype(np.float64)
-            col_max /= scale[stop:]
+            col_max /= scale[col + first : col + width]
             error = max(error, float(col_max.max()))
-    return counts, nnz, max(error, float(np.abs(diag_dev).max()))
+    return counts, mirror_counts, nnz, error
 
 
 def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
@@ -579,8 +603,9 @@ def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     together with per-column densities, the exact nonzero fraction and
     max |A - I|, from one pass of ``_gram_tiles`` at every N that neither
     reads nor builds the dense form.  On the lattice (every library kind,
-    its slices and its files) the tiles are bands of the symmetric integer
-    Gram's upper half; any other factors take full-row tiles."""
+    its slices and its files) the tiles are band tiles of the symmetric
+    integer Gram's upper half, of the same size at every N; any other
+    factors take full-row tiles."""
     if not gamma >= 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     n = a.n_dim
@@ -596,9 +621,10 @@ def distribution_function(a: FactoredMatrix, gamma: float) -> DensityProfile:
     col_counts = np.zeros(n, dtype=np.int64)
     nnz = 0
     error = 0.0
-    for start, values in _gram_tiles(a, band=band):
-        counts, tile_nnz, tile_error = _tile_stats(start, values, scale, cut, band)
-        col_counts[start if band else 0 :] += counts
+    for start, col, values in _gram_tiles(a, band=band):
+        counts, mirror, tile_nnz, tile_error = _tile_stats(start, col, values, scale, cut, band)
+        col_counts[col : col + counts.size] += counts
+        col_counts[start : start + mirror.size] += mirror
         nnz += tile_nnz
         error = max(error, tile_error)
     return DensityProfile(
@@ -750,29 +776,45 @@ def min_pairwise_linf(mat: np.ndarray | FactoredMatrix) -> tuple[float, float, i
 _RANK_TAU = 1e-6
 
 
-def _diagonal_blocks(gram: np.ndarray) -> list[tuple[int, int]]:
-    """The finest split of 0..r into contiguous ranges lo..hi such that
-    every nonzero entry of the symmetric `gram` lies in a diagonal block
-    gram[lo:hi, lo:hi]: a range ends at i + 1 where no row up to i has a
-    nonzero beyond column i."""
-    r = gram.shape[0]
-    nonzero = gram != 0
-    last = np.where(nonzero.any(axis=1), r - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    ends = (np.flatnonzero(np.maximum.accumulate(last) <= np.arange(r)) + 1).tolist()
-    return list(zip([0, *ends[:-1]], ends))
+def _diagonal_blocks(signs: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(lo, hi, start, stop) for the finest split of the rank indices 0..r
+    of a lattice factor S' (r x N) into contiguous ranges lo..hi whose
+    columns follow one another: a range ends at k + 1 where every index up
+    to k uses only columns before the first column any index after k uses,
+    and start..stop spans the columns its indices use (empty where they use
+    none).  No column is shared across ranges, so the Gram S'S is zero
+    outside the diagonal blocks S'S[lo:hi, lo:hi], each of them the Gram of
+    S'[lo:hi, start:stop].  Each index's first and last used column is read
+    from row chunks of S' of at most ``_BAND_ROWS * _BAND_COLS`` entries."""
+    r, n = signs.shape
+    first = np.empty(r, dtype=np.intp)
+    last = np.empty(r, dtype=np.intp)
+    step = max(1, _BAND_ROWS * _BAND_COLS // n)
+    for lo in range(0, r, step):
+        used = signs[lo : lo + step] != 0
+        some = used.any(axis=1)
+        # an index that uses no column constrains no split
+        first[lo : lo + step] = np.where(some, used.argmax(axis=1), n)
+        last[lo : lo + step] = np.where(some, n - 1 - used[:, ::-1].argmax(axis=1), -1)
+    suffix_first = np.minimum.accumulate(first[::-1])[::-1]
+    ends = np.flatnonzero(np.maximum.accumulate(last)[:-1] < suffix_first[1:]) + 1
+    los = np.concatenate(([0], ends))
+    starts = np.minimum.reduceat(first, los)
+    stops = np.maximum(np.maximum.reduceat(last, los) + 1, starts)
+    return list(zip(los.tolist(), [*ends.tolist(), r], starts.tolist(), stops.tolist()))
 
 
-def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
+def _gram_floor_certified(signs: np.ndarray, length: int) -> bool:
     """Whether Cholesky factorizations prove lambda_min(G) >= (tau / 2) *
-    tr(G) for the Gram G = F'F of a factor F with `length` rows, given
-    `gram`, its float64 product (exact for the integer factors
-    ``numerical_rank`` passes).  Overwrites `gram` with gram - tau *
-    trace(gram) * I.
+    tr(G) for the exact integer Gram G = S'S of a lattice factor S' (r x N,
+    entries -1, 0 and 1) with `length` = N rows of S.
 
-    G is factored one diagonal block at a time (``_diagonal_blocks``): the
-    entries outside the blocks are exact zeros, so G = diag(G_1, ..., G_m)
-    and lambda_min(G) = min_b lambda_min(G_b).  Every block takes the same
-    global shift tau * tr(G).  Rounding in the Gram, in the shift and in a
+    G is never formed whole: it is zero outside the diagonal blocks of
+    ``_diagonal_blocks``, so G = diag(G_1, ..., G_m) and lambda_min(G) =
+    min_b lambda_min(G_b), and each block's Gram G_b is summed exactly from
+    its own rows and columns of S' (``_sign_gram``), shifted by the one
+    global tau * tr(G) (tr(G) is the count of nonzeros of S') and factored
+    before the next block is summed.  Rounding in the shift and in a
     Cholesky of the r_b x r_b block that completes (Demmel 1989; Higham,
     Accuracy and Stability, Thm 10.5) moves the block's spectrum by at most
     about (length + r_b + 2) * u * tr(G_b) in 2-norm, and r_b <= r and
@@ -780,53 +822,40 @@ def _gram_floor_certified(gram: np.ndarray, length: int) -> bool:
     bound for the whole G.  The guard keeps it below tau / 4 * tr(G), with
     eps = 2u in place of u, so completed factorizations of every block
     leave each lambda_min(G_b), hence lambda_min(G), above (tau / 2) *
-    tr(G).  A block whose factorization fails (a singular or
+    tr(G).  The first block whose factorization fails (a singular or
     ill-conditioned block) fails the certificate, and a matrix the guard
     refuses is left to the caller's fallback too."""
-    r = gram.shape[0]
+    r = signs.shape[0]
     if (length + r + 2) * np.finfo(np.float64).eps > _RANK_TAU / 4:
         return False
-    blocks = _diagonal_blocks(gram)
-    gram[np.diag_indices(r)] -= _RANK_TAU * np.trace(gram)
-    try:
-        for lo, hi in blocks:
-            np.linalg.cholesky(gram[lo:hi, lo:hi])
-    except np.linalg.LinAlgError:
-        return False
+    shift = _RANK_TAU * np.count_nonzero(signs)
+    for lo, hi, start, stop in _diagonal_blocks(signs):
+        gram = _sign_gram(signs[lo:hi, start:stop])
+        gram[np.diag_indices(hi - lo)] -= shift
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 
 def _sign_gram(signs: np.ndarray) -> np.ndarray:
     """S'S = R R' in float64 for a lattice factor S' (entries -1, 0 and 1,
-    int8 or float), summed over column tiles of S' (row tiles of S) cast to
-    float32.  Like a band of ``_gram_tiles``, a tile of ``_BAND_ROWS``
-    columns multiplies only the rank indices that its columns use: the
-    terms it skips are exact zeros.  Once a tile's columns use every index
-    (a sign factor) nothing is skipped, and the Gram is summed from 0 over
-    column chunks of at most ``_TILE_ENTRIES`` entries instead.  Each
-    tile's or chunk's float32 product is exact, since its entries are
-    integers of at most its width (2^21 at most) in magnitude, and the
+    int8 or float), summed from column chunks of S' of at most
+    ``_BAND_ROWS * _BAND_COLS`` entries (at least one column) cast to
+    float32.  Each chunk's float32 product is exact, since its entries are
+    integers of at most its width (2^17 at most) in magnitude, and the
     float64 sum of them is exact up to 2^53 columns, so the result equals
     the float64 product R @ R'.  Each product multiplies a copy of its
-    tile: numpy multiplies a float32 matrix by its own transpose with
+    chunk: numpy multiplies a float32 matrix by its own transpose with
     SSYRK, a BLAS routine no other pass calls, whose first call raised peak
     RSS by about 0.6 MB."""
     r, n = signs.shape
     gram = np.zeros((r, r))
-    for start in range(0, n, _BAND_ROWS):
-        used = np.flatnonzero(signs[:, start : start + _BAND_ROWS].any(axis=1))
-        if used.size == r:
-            break
-        tile = signs[used, start : start + _BAND_ROWS].astype(np.float32)
-        gram[np.ix_(used, used)] += tile @ tile.copy().T
-    else:
-        return gram
-    # a tile used every index: the whole product, summed again from 0
-    gram.fill(0.0)
-    step = max(_BAND_ROWS, _TILE_ENTRIES // r)
+    step = max(1, _BAND_ROWS * _BAND_COLS // r)
     for start in range(0, n, step):
-        tile = signs[:, start : start + step].astype(np.float32)
-        gram += tile @ tile.copy().T
+        chunk = signs[:, start : start + step].astype(np.float32)
+        gram += chunk @ chunk.copy().T
     return gram
 
 
@@ -842,12 +871,14 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     wherever 4 tol (w_max / w_min) < tau, and the count is exactly
     r = rank_budget.  The factor 2 covers the SVD below, whose values err by
     about 1e-13 sigma_1, so both routes give the same count wherever the
-    certificate clears.  It costs one r x r Gram, summed exactly from
-    column tiles of the int8 S' that multiply only the rank indices they use
-    (``_sign_gram``: a block-diagonal factor skips the off-block products),
-    and one Cholesky per diagonal block of it (``_gram_floor_certified``),
-    and needs no eigenvalue (an eigenvalue of a Gram would square the
-    condition number) and no float factor.
+    certificate clears.  It costs one Gram and one Cholesky per diagonal
+    block of S'S, the blocks taken from each rank index's first and last
+    used column of the int8 S' (``_diagonal_blocks``) and each Gram summed
+    exactly from that block's rows and columns of S' (``_sign_gram``), so a
+    block-diagonal factor neither forms the off-block products nor holds an
+    r x r array (``_gram_floor_certified``).  It needs no eigenvalue (an
+    eigenvalue of a Gram would square the condition number) and no float
+    factor.
 
     The certificate is tried only when r < N.  At r > N, S'S is singular
     and it cannot clear.  A random N x N sign factor has lambda_min / tr(G)
@@ -867,7 +898,7 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
         a.rank_budget < a.n_dim
         and (scale := a._row_scale) is not None
         and 4 * tol * float(scale.max() / scale.min()) < _RANK_TAU
-        and _gram_floor_certified(_sign_gram(a._signs), a.n_dim)
+        and _gram_floor_certified(a._signs, a.n_dim)
     ):
         return a.rank_budget
     s = np.linalg.svd(np.linalg.qr(a.left, mode="r") @ a.right, compute_uv=False)

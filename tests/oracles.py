@@ -460,3 +460,23 @@ def diagonal_block_split(gram: np.ndarray) -> list[tuple[int, int]]:
     r = gram.shape[0]
     cuts = [k for k in range(1, r) if not gram[:k, k:].any()]
     return list(zip([0, *cuts], [*cuts, r]))
+
+
+def column_range_split(signs: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(lo, hi, start, stop) of the contiguous ranges of rows of `signs`,
+    one split point at a time: 0..r splits at k exactly when the last
+    column a row above k uses comes before the first column a row from k on
+    uses (rows of zeros use none); start..stop spans the columns a range's
+    rows use, N..N where they use none."""
+    r, n = signs.shape
+    used = [np.flatnonzero(row) for row in signs]
+    cuts = [
+        k for k in range(1, r)
+        if max((u[-1] for u in used[:k] if u.size), default=-1)
+        < min((u[0] for u in used[k:] if u.size), default=n)
+    ]
+    ranges = []
+    for lo, hi in zip([0, *cuts], [*cuts, r]):
+        cols = np.concatenate(used[lo:hi])
+        ranges.append((lo, hi, int(cols.min()), int(cols.max()) + 1) if cols.size else (lo, hi, n, n))
+    return ranges

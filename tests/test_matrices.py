@@ -27,6 +27,7 @@ from oracles import (
     binomial_two_sided_tail,
     block_draws_one_at_a_time,
     block_gram_dense,
+    column_range_split,
     dense_numerical_rank,
     dense_scan_distribution,
     dense_scan_error,
@@ -285,17 +286,21 @@ def _cholesky_sizes(monkeypatch) -> list:
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_numerical_rank_certificate_factors_each_diagonal_block(monkeypatch, seed):
-    # block 1024/500: 18 random blocks of odd size, whose integer Grams
-    # have no zero entry, so the blocks of the certificate's Gram are the
-    # construction's column ranges, one Cholesky each
+    # block 1024/500: 18 random blocks of odd size; the certificate's
+    # blocks are the construction's, rank indices col..col + rank using
+    # columns row..row + size of S', and these integer Grams have no zero
+    # entry, so they are also the finest blocks of S'S; one Gram and one
+    # Cholesky each
     a = make_block_sparse(1024, 500, seed, alpha=4.0, beta=2.0)
-    ranges = [(col, col + rank) for _, _, rank, col, _ in a.provenance.params["blocks"]]
-    assert matrices._diagonal_blocks(matrices._sign_gram(a._signs)) == ranges
+    blocks = [(col, col + rank, row, row + size)
+              for row, size, rank, col, _ in a.provenance.params["blocks"]]
+    assert matrices._diagonal_blocks(a._signs) == blocks
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == diagonal_block_split(a.right @ a.right.T)
     expected = dense_numerical_rank(a, 1e-10)
     sizes = _cholesky_sizes(monkeypatch)
     calls = _svd_calls(monkeypatch)
     assert numerical_rank(a, 1e-10) == expected == 500
-    assert sizes == [hi - lo for lo, hi in ranges] and calls == []
+    assert sizes == [hi - lo for lo, hi, _, _ in blocks] and calls == []
 
 
 def test_numerical_rank_with_one_singular_block_reaches_the_svd(monkeypatch):
@@ -307,9 +312,10 @@ def test_numerical_rank_with_one_singular_block_reaches_the_svd(monkeypatch):
     signs[col + rank - 1] = signs[col]
     b = from_factors(signs.T / a._row_scale[:, None], signs)
     assert b._row_scale is not None
-    gram = matrices._sign_gram(b._signs)
-    assert matrices._diagonal_blocks(gram) == diagonal_block_split(gram)
-    assert not matrices._gram_floor_certified(gram.copy(), b.n_dim)
+    blocks = matrices._diagonal_blocks(b._signs)
+    assert blocks == matrices._diagonal_blocks(a._signs)
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == diagonal_block_split(signs @ signs.T)
+    assert not matrices._gram_floor_certified(b._signs, b.n_dim)
     expected = dense_numerical_rank(b, 1e-10)
     calls = _svd_calls(monkeypatch)
     assert numerical_rank(b, 1e-10) == expected == 499
@@ -317,23 +323,38 @@ def test_numerical_rank_with_one_singular_block_reaches_the_svd(monkeypatch):
 
 
 @given(
-    sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+    blocks=st.lists(st.tuples(st.integers(min_value=1, max_value=6),
+                              st.integers(min_value=0, max_value=6)), min_size=1, max_size=6),
     seed=st.integers(min_value=0, max_value=2**32),
     fill=st.sampled_from([0.0, 0.3, 1.0]),
+    scattered=st.booleans(),
 )
-def test_diagonal_blocks_are_the_finest_split(sizes, seed, fill):
-    # symmetric block-diagonal matrices whose blocks may split further
-    # (sparse or empty blocks, zero diagonals): the split equals the one
-    # found one cut at a time
+def test_diagonal_blocks_are_the_finest_split(blocks, seed, fill, scattered):
+    # sign factors S' made of blocks of (rank indices, columns), sparse or
+    # empty, with empty column ranges and rows of zeros; or, scattered, one
+    # sparse sign matrix whose rows' column ranges overlap: the split equals
+    # the one found one cut at a time, with as many chunks of S' as rows
     gen = np.random.default_rng(seed)
-    r = sum(sizes)
-    gram = np.zeros((r, r))
-    lo = 0
-    for size in sizes:
-        block = gen.integers(-3, 4, size=(size, size)) * (gen.random((size, size)) < fill)
-        gram[lo : lo + size, lo : lo + size] = block + block.T
-        lo += size
-    assert matrices._diagonal_blocks(gram) == diagonal_block_split(gram)
+    r, n = sum(size for size, _ in blocks), max(1, sum(width for _, width in blocks))
+    signs = np.zeros((r, n), dtype=np.int8)
+    lo = start = 0
+    for size, width in blocks:
+        signs[lo : lo + size, start : start + width] = gen.integers(-1, 2, size=(size, width))
+        lo, start = lo + size, start + width
+    if scattered:
+        signs = gen.integers(-1, 2, size=(r, n)).astype(np.int8)
+    signs[gen.random(signs.shape) >= fill] = 0
+    want = column_range_split(signs)
+    for rows in (1, r):
+        with mock.patch.multiple(matrices, _BAND_ROWS=1, _BAND_COLS=rows * n):
+            assert matrices._diagonal_blocks(signs) == want
+    # no column is shared across blocks, so S'S is zero outside them
+    gram = signs.astype(np.int64) @ signs.T.astype(np.int64)
+    inside = np.zeros_like(gram, dtype=bool)
+    for lo, hi, start, stop in want:
+        inside[lo:hi, lo:hi] = True
+        assert np.array_equal(gram[lo:hi, lo:hi], matrices._sign_gram(signs[lo:hi, start:stop]))
+    assert not gram[~inside].any()
 
 
 def test_numerical_rank_tol_validation():
@@ -662,20 +683,30 @@ def _assert_same_profile(got, want):
 
 @given(
     kind=st.sampled_from(SYMMETRIC_KINDS),
-    n_dim=st.integers(min_value=1, max_value=24),
+    n_dim=st.integers(min_value=1, max_value=40),
     rank=st.integers(min_value=1, max_value=16),
     seed=st.integers(min_value=0, max_value=2**32),
     tile_rows=st.sampled_from([1, 3, 7]),
+    band_cols=st.integers(min_value=1, max_value=12),
     gamma_pick=GAMMA_PICKS,
 )
-@example(kind="symmetric_lattice", n_dim=6, rank=4, seed=0, tile_rows=3, gamma_pick=1)
+@example(kind="symmetric_lattice", n_dim=6, rank=4, seed=0, tile_rows=3, band_cols=512,
+         gamma_pick=1)
+# 40 rows of blocks of 8 and 9 in bands of 3 and tiles of 6 columns:
+# off-diagonal tiles, a short last tile, bands that use some rank indices
+# and tiles right of a block that are not computed
+@example(kind="mixed_blocks", n_dim=40, rank=36, seed=5, tile_rows=3, band_cols=7, gamma_pick=1)
+@example(kind="symmetric_lattice", n_dim=29, rank=5, seed=0, tile_rows=1, band_cols=5,
+         gamma_pick=1)
 def test_symmetric_band_pass_matches_the_general_loop(kind, n_dim, rank, seed, tile_rows,
-                                                      gamma_pick):
-    # the general loop: the dense scan of the full-row tiles' dense form
+                                                      band_cols, gamma_pick):
+    # the general loop: the dense scan of the full-row tiles' dense form;
+    # band tiles of `band_cols` columns rounded down to a multiple of the
+    # band height
     rank = min(rank, n_dim)
     gamma = _gamma(gamma_pick, rank)
     a = _build(kind, n_dim, rank, seed)
-    with _tile_rows(tile_rows, a.n_dim):
+    with _tile_rows(tile_rows, a.n_dim), mock.patch.object(matrices, "_BAND_COLS", band_cols):
         profile, routes = _profile_and_routes(a, gamma)
         mat = a.dense()
     assert routes == [True]
@@ -897,14 +928,14 @@ def _build_lattice(kind, n_dim, rank, seed):
     n_dim=st.integers(min_value=1, max_value=40),
     rank=st.integers(min_value=1, max_value=16),
     seed=st.integers(min_value=0, max_value=2**32),
-    tile_rows=st.sampled_from([1, 3, 7, 256]),
+    tile_cols=st.sampled_from([1, 3, 7, 256]),
 )
-def test_sign_gram_tiles_match_the_float64_product(kind, n_dim, rank, seed, tile_rows):
-    # column tiles of 1, 3, 7 and 256 must give the float64 product bit
-    # for bit, whether a tile uses every rank index or skips some
+def test_sign_gram_tiles_match_the_float64_product(kind, n_dim, rank, seed, tile_cols):
+    # column chunks of 1, 3, 7 and 256 must give the float64 product bit
+    # for bit
     a = _build_lattice(kind, n_dim, min(rank, n_dim), seed)
     assert a._row_scale is not None
-    with _tile_rows(tile_rows, a.n_dim):
+    with mock.patch.multiple(matrices, _BAND_ROWS=1, _BAND_COLS=tile_cols * a.rank_budget):
         gram = matrices._sign_gram(a.right)
     want = a.right @ a.right.T
     assert gram.dtype == want.dtype and gram.tobytes() == want.tobytes()
@@ -940,11 +971,15 @@ def test_numerical_rank_on_the_lattice_matches_the_dense_oracle(kind, n_dim, ran
 @pytest.mark.parametrize("gamma", [0.0, 1 / 63])
 def test_band_column_counts_pass_255_hits_in_one_tile(gamma):
     # odd r leaves no zero entry in S S', so at gamma = 0 every column count
-    # is N = 512 and a 256-row band tile gives each of its right-hand
-    # columns 256 hits (a uint8 count would wrap to 0); at gamma = 1/63 the
-    # cut is 1 and the counts still pass 255
+    # is N = 512 and a 256-row band tile gives each of its columns 256 hits
+    # and each of its rows 256 mirror hits (a uint8 count would wrap to 0);
+    # at gamma = 1/63 the cut is 1 and the counts still pass 255
     a = make_random_sign(512, 63, 3)
-    assert matrices._BAND_ROWS == 256
+    assert (matrices._BAND_ROWS, matrices._BAND_COLS) == (256, 512)
+    values = np.ones((256, 512), dtype=np.float32)
+    counts, mirror, nnz, error = matrices._tile_stats(0, 0, values, 1.0, np.float32(0.0), True)
+    assert counts.tolist() == [256] * 512 and mirror.tolist() == [256] * 256
+    assert (nnz, error) == (3 * 2**16, 1.0)
     profile = distribution_function(a, gamma)
     mat = a.dense()
     _assert_dense_scan_profile(profile, mat)
@@ -957,12 +992,26 @@ def test_band_column_counts_pass_255_hits_in_one_tile(gamma):
 
 @pytest.mark.parametrize("width", [65535, 65536, 70000])
 def test_band_mirror_counts_pass_2_to_the_16_columns(width):
-    # a 2-row band tile whose right part has `width` columns, every entry a
-    # hit: the mirror adds `width` to each of the band's own columns, past
-    # what a uint16 row sum holds from 65536 columns on
-    values = np.ones((2, 2 + width), dtype=np.float32)
-    counts, nnz, error = matrices._tile_stats(0, values, 1.0, np.float32(0.0), True)
-    assert counts.tolist() == [2 + width] * 2 + [2] * width
+    # the first 2-row band of rank-1 signs, |V| = 1 everywhere, with `width`
+    # columns right of its square: no tile is 2^16 columns wide, and the
+    # mirror counts the tiles add to each of the band's own columns sum past
+    # what a uint16 holds from 65536 columns on
+    a = make_random_sign(2 + width, 1, 5)
+    col_counts = np.zeros(a.n_dim, dtype=np.int64)
+    nnz, error, cols = 0, 0.0, []
+    with mock.patch.object(matrices, "_BAND_ROWS", 2):
+        for start, col, values in matrices._gram_tiles(a, band=True):
+            if start > 0:
+                break
+            cols.append((col, values.shape[1]))
+            counts, mirror, tile_nnz, tile_error = matrices._tile_stats(
+                start, col, values, 1.0, np.float32(0.0), True)
+            col_counts[col : col + counts.size] += counts
+            col_counts[start : start + mirror.size] += mirror
+            nnz, error = nnz + tile_nnz, max(error, tile_error)
+    assert max(w for _, w in cols) == matrices._BAND_COLS < 2**16
+    assert [c for c, _ in cols] == list(range(0, a.n_dim, matrices._BAND_COLS))
+    assert col_counts.tolist() == [2 + width] * 2 + [2] * width
     assert nnz == 4 + 4 * width
     assert error == 1.0
 
@@ -1153,10 +1202,9 @@ def test_distribution_function_streams_in_bounded_memory(n_dim, bound_mb):
 
 
 def test_distribution_function_tiles_stay_under_24_mb():
-    # sign factors take band tiles: one float32 band of 256 rows of the
-    # Gram (8 MB), its bool mask (2 MB), the float32 right factor (2 MB)
-    # and the band's 256 x 64 slice of it (64 KB) are the whole pass; the
-    # full-row tiles of other factors are of the same size
+    # sign factors take band tiles of 256 x 512 (512 KB of float32, far
+    # under the bound); the full-row tiles of other factors are 2^21
+    # entries (16 MB of float64)
     a = make_random_sign(8192, 64, 1)
     tracemalloc.start()
     try:
@@ -1165,3 +1213,48 @@ def test_distribution_function_tiles_stay_under_24_mb():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+# One band tile of float32 entries (512 KB at the default 256 x 512).
+_TILE_BYTES = 4 * 256 * 512
+
+
+def _transient_peak(build, call):
+    """The tracemalloc peak of call(a) above what the built matrix holds,
+    and what it holds."""
+    tracemalloc.start()
+    try:
+        a = build()
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held, held
+
+
+@pytest.mark.parametrize("n_dim", [2048, 8192])
+@pytest.mark.parametrize("call", [
+    lambda a: distribution_function(a, 0.125),
+    lambda a: numerical_rank(a, 1e-10),
+], ids=["distribution_function", "numerical_rank"])
+def test_lattice_passes_hold_tiles_not_bands(n_dim, call):
+    # the matrix's int8 S' and float64 row scales ((n + 8) N bytes) plus
+    # three band tiles at both N: a band of 256 x N float32 alone was 8 MB
+    # at N = 8192, a whole float32 copy of S' 2 MB, and certificate chunks
+    # of 2^21 float32 entries 8 MB
+    assert matrices._BAND_ROWS * matrices._BAND_COLS * 4 == _TILE_BYTES
+    transient, held = _transient_peak(lambda: make_random_sign(n_dim, 64, 1), call)
+    assert transient < 3 * _TILE_BYTES
+    assert held + transient < (64 + 8) * n_dim + 3 * _TILE_BYTES
+
+
+def test_numerical_rank_holds_one_block_gram_at_a_time():
+    # block_sparse 4096/2048 alpha=32: 8 blocks of 512 rows at rank 256, so
+    # the certificate holds one 256 x 256 Gram (512 KB) and the float32
+    # chunks it is summed from, not the 2048 x 2048 float64 Gram (32 MB) of
+    # the whole S'S
+    transient, _ = _transient_peak(lambda: make_block_sparse(4096, 2048, 1, alpha=32.0),
+                                   lambda a: numerical_rank(a, 1e-10))
+    assert transient < 8 * _TILE_BYTES
