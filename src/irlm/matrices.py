@@ -41,26 +41,29 @@ class FactoredMatrix:
     asked for on each call.  Every matrix is computed in row tiles as V / w
     (see ``_gram_tiles``).
 
-    The library kinds, their slices and the IRLM0002 files they are written
-    to lie on the sign lattice L = S / w[:, None], R = S' (see
-    ``_lattice_scale``), and such a matrix is held as S' alone, a read-only
-    int8 array (r x N), and its row scales w (float64): n N + 8 N bytes
-    instead of the 16 N n of two float64 factors.  Its entries are finite
-    and its product cannot overflow by construction: S' has entries in
-    {-1, 0, 1}, 1 <= w <= 2^53 and r <= 2^24, so nothing is scanned.  V is
-    then the symmetric integer Gram S S', exact in float32, so the diagonal
-    is exactly 1 and values are identical across platforms and BLAS
-    implementations; the statistics pass computes only V's upper band, in
-    band tiles of the same loop, and ``dense`` always takes full-row tiles.
-    These passes, the rank certificate and the file writer read S' and w
-    only.  ``left`` and ``right`` are built on first access and cached:
-    L = S / w[:, None] and R = S' in float64 (zeros +0.0), bit for bit the
-    factors the constructors built when they held them (x / rank and x').
+    Whether a matrix lies on the sign lattice L = S / w[:, None], R = S'
+    (see ``_lattice_scale``) is decided once, when it is built.  The
+    library kinds, their slices and IRLM0002 files lie on it by
+    construction; float factors (``from_factors``, IRLM0001 files) are
+    tested once.  A lattice matrix is held as S' alone, a read-only int8
+    array (r x N), and its row scales w (float64): n N + 8 N bytes instead
+    of the 16 N n of two float64 factors.  Its entries are finite and its
+    product cannot overflow: S' has entries in {-1, 0, 1}, 1 <= w <= 2^53
+    and r <= 2^24.  V is then the symmetric integer Gram S S', exact in
+    float32, so the diagonal is exactly 1 and values are identical across
+    platforms and BLAS implementations; the statistics pass computes only
+    V's upper band, in band tiles of the same loop, and ``dense`` always
+    takes full-row tiles.  These passes, the rank certificate and the file
+    writer read S' and w only.  ``left`` and ``right`` are built on first
+    access and cached: L = S / w[:, None] and R = S' in float64 (zeros
+    +0.0), bit for bit the factors the constructors built when they held
+    them (x / rank and x'), and equal to the floats a lattice matrix was
+    given.
 
-    Other factors (``from_factors``, IRLM0001 files) are held as the
-    float64 factors given, checked finite and free of overflow; whether
-    they lie on the lattice is detected from them on first use.  Both forms
-    expose ``left`` and ``right`` as read-only, C-contiguous float64 arrays.
+    Factors off the lattice are held as the float64 factors given, checked
+    finite and free of overflow, with ``_signs`` and ``_row_scale`` None.
+    Both forms expose ``left`` and ``right`` as read-only, C-contiguous
+    float64 arrays.
     """
 
     n_dim: int
@@ -87,8 +90,18 @@ class FactoredMatrix:
             raise ParameterError("factor entries must be finite")
         if max(-l_lo, l_hi) * max(-r_lo, r_hi) * rank_budget > np.finfo(np.float64).max:
             raise ParameterError("factor product may overflow float64")
-        vars(self).update(n_dim=n_dim, rank_budget=rank_budget, provenance=provenance,
-                          left=_read_only(left), right=_read_only(right))
+        scale = _lattice_scale(left, right)
+        if scale is None:
+            vars(self).update(n_dim=n_dim, rank_budget=rank_budget, provenance=provenance,
+                              left=_read_only(left), right=_read_only(right),
+                              _signs=None, _row_scale=None)
+        else:
+            self._hold_lattice(right.astype(np.int8), scale, provenance)
+
+    def _hold_lattice(self, signs: np.ndarray, scale: np.ndarray, provenance: Provenance):
+        signs = np.ascontiguousarray(signs, dtype=np.int8)
+        vars(self).update(n_dim=signs.shape[1], rank_budget=signs.shape[0], provenance=provenance,
+                          _signs=_read_only(signs), _row_scale=np.asarray(scale, dtype=np.float64))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FactoredMatrix is immutable: cannot set {name!r}")
@@ -109,18 +122,6 @@ class FactoredMatrix:
     def right(self) -> np.ndarray:
         return _read_only(self._signs.astype(np.float64))
 
-    @cached_property
-    def _row_scale(self) -> np.ndarray | None:
-        """Row scales w on the lattice, else None: held on the lattice,
-        detected from the factors of any other matrix."""
-        return _lattice_scale(self.left, self.right)
-
-    @cached_property
-    def _signs(self) -> np.ndarray | None:
-        """S' as int8 (r x N) on the lattice, else None: held on the
-        lattice, cast from R for factors detected on it."""
-        return None if self._row_scale is None else _read_only(self.right.astype(np.int8))
-
     def dense(self, cols: np.ndarray | None = None) -> np.ndarray:
         """A[:, cols] (all of A by default), row-major, computed from the row
         tiles on every call."""
@@ -138,9 +139,7 @@ def _lattice_matrix(signs: np.ndarray, scale: np.ndarray, provenance: Provenance
     1..2^53, 1 on all-zero rows of S).  The constructors and the file
     reader guarantee these facts; nothing is rescanned."""
     a = object.__new__(FactoredMatrix)
-    signs = np.ascontiguousarray(signs, dtype=np.int8)
-    vars(a).update(n_dim=signs.shape[1], rank_budget=signs.shape[0], provenance=provenance,
-                   _signs=_read_only(signs), _row_scale=np.asarray(scale, dtype=np.float64))
+    a._hold_lattice(signs, scale, provenance)
     return a
 
 
@@ -239,7 +238,7 @@ def _gram_tiles(a: FactoredMatrix, cols: np.ndarray | None = None, band: bool = 
     array, so numpy never takes syrk (which mirrors the triangle element by
     element and doubled the time of a square tile)."""
     n = a.n_dim
-    signs = None if a._row_scale is None else a._signs
+    signs = a._signs
     if band:
         rank = a.rank_budget
         width = _BAND_ROWS * max(1, _BAND_COLS // _BAND_ROWS)
@@ -318,12 +317,11 @@ def make_random_sign(n_dim: int, rank: int, seed: int) -> FactoredMatrix:
     Row i of the sign matrix is keyed by (seed, kind, i*rank + column), so
     the construction is reproducible entry by entry.  The diagonal is
     exactly 1 and off-diagonal entries live on the lattice {-1 + 2k/rank}.
-    S' is drawn as int8 in chunks (``rng.sign_matrix_t``), with no float64
-    copy of the draw.
+    S' is drawn as int8 (``rng.sign_matrix``) and held as drawn.
     """
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
-    signs = rng.sign_matrix_t(n_dim, rank, seed, KIND_RANDOM_SIGN)
+    signs = rng.sign_matrix(n_dim, rank, seed, KIND_RANDOM_SIGN)
     return _lattice_matrix(signs, np.full(n_dim, float(rank)), Provenance("random_sign", int(seed)))
 
 
@@ -345,21 +343,24 @@ def _block_seeds(master: int, n_blocks: int) -> np.ndarray:
 
 def _draw_block(size: int, rank: int, seeds: np.ndarray) -> tuple[np.ndarray, float, int]:
     """(signs, error, attempt) of the kept draw of one random block from its
-    attempts' seeds: the first attempt whose error is at most 1/3, else
-    attempt 0.  Attempt 0 is drawn alone; the others in batches of at most
-    ``_TILE_ENTRIES`` Gram entries, each from one ``rng.sign_matrix`` call
-    and one batched Gram."""
+    attempts' seeds: S' of the first attempt whose error is at most 1/3,
+    else of attempt 0, as int8 (rank x size).  Attempt 0 is drawn alone;
+    the others in batches of at most ``_TILE_ENTRIES`` Gram entries, each
+    from one ``rng.sign_matrix`` call and one batched Gram.  The Gram S S'
+    of an attempt is an integer of at most `rank` in magnitude, so it is
+    exact in float32 (as in ``_gram_tiles``); its off-diagonal maximum is
+    divided by `rank` in float64, and division is monotone, so that one
+    division is the error."""
     batch = max(1, _TILE_ENTRIES // size**2)
     spans = [(0, 1), *((lo, min(_BLOCK_ATTEMPTS, lo + batch))
                        for lo in range(1, _BLOCK_ATTEMPTS, batch))]
     diag = np.arange(size)
     for lo, hi in spans:
         x = rng.sign_matrix(size, rank, seeds[lo:hi], KIND_RANDOM_SIGN)
-        # x x^T is an exact integer Gram and division is monotone, so one
-        # division of its off-diagonal maximum is the error
-        gram = np.matmul(x, x.transpose(0, 2, 1))
+        cast = x.astype(np.float32)
+        gram = np.matmul(cast.transpose(0, 2, 1), cast)
         gram[:, diag, diag] = 0.0
-        errors = np.abs(gram, out=gram).max(axis=(1, 2)) / rank
+        errors = np.abs(gram, out=gram).max(axis=(1, 2)).astype(np.float64) / rank
         if lo == 0:
             first = (x[0], float(errors[0]), 0)
         passing = np.flatnonzero(errors <= 1.0 / 3.0)
@@ -388,8 +389,9 @@ def make_block_sparse(
     reaches that, the first attempt is kept and the shortfall is recorded
     in the provenance.  Attempt 0 is drawn alone and the later ones in
     batches (``_draw_block``), which keeps the same draw as trying them one
-    by one.  S' is filled block by block as int8; the row scales are r_b on
-    random-block rows and 1 on identity rows.
+    by one.  S' is filled block by block as int8, a random block's S' copied
+    as drawn; the row scales are r_b on random-block rows and 1 on identity
+    rows.
     """
     if not 1 <= rank <= n_dim:
         raise ParameterError(f"need 1 <= n <= N, got n={rank}, N={n_dim}")
@@ -434,7 +436,7 @@ def make_block_sparse(
             block_errors.append(0.0)
         else:
             x, err, attempt = _draw_block(size, r_b, seeds[b])
-            signs[col : col + r_b, row : row + size] = x.T
+            signs[col : col + r_b, row : row + size] = x
             scale[row : row + size] = r_b
             attempts_used.append(attempt)
             block_errors.append(err)
@@ -470,23 +472,29 @@ def from_factors(
 def submatrix(a: FactoredMatrix, indices: np.ndarray) -> FactoredMatrix:
     """Principal submatrix on the given indices, still in factored form.
 
-    It keeps the rows of L and the same columns of R, so a parent on the
-    lattice gives a slice on it, held as the same columns of S' and the
-    parent's row scales at `indices`.  Where the parent is off the lattice
-    or has not detected it, the slice keeps the float factors' rows and
-    columns and detects the lattice when needed, since a slice of a matrix
-    off the lattice may lie on it."""
-    indices = np.asarray(indices, dtype=np.intp)
+    The indices are integers in 0..N-1, repeats allowed; any other index
+    (negative, not an integer, N or above) is a ParameterError.  The slice
+    keeps the rows of L and the same columns of R.  A parent on the lattice
+    gives a slice on it, held as the same columns of S' and the parent's
+    row scales at `indices`.  A parent off the lattice gives the float
+    factors' rows and columns, and the slice is tested for the lattice when
+    it is built, since a slice of a matrix off the lattice may lie on it."""
+    indices = np.asarray(indices)
     if indices.size == 0:
         raise ParameterError("submatrix needs at least one index")
+    if indices.dtype.kind not in "iu":
+        raise ParameterError(f"submatrix indices must be integers, got dtype {indices.dtype}")
+    if indices.min() < 0 or indices.max() >= a.n_dim:
+        raise ParameterError(f"submatrix indices must lie in 0..{a.n_dim - 1}, got "
+                             f"{indices.min()}..{indices.max()}")
     provenance = Provenance(
         "custom", a.provenance.seed, {"parent": a.provenance.kind, "size": int(indices.size)}
     )
-    scale = vars(a).get("_row_scale")
-    if scale is not None:
-        return _lattice_matrix(np.take(a._signs, indices, axis=1), scale[indices], provenance)
-    return FactoredMatrix(int(indices.size), a.rank_budget, a.left[indices],
-                          np.ascontiguousarray(a.right[:, indices]), provenance)
+    if a._signs is not None:
+        return _lattice_matrix(np.take(a._signs, indices, axis=1), a._row_scale[indices],
+                               provenance)
+    return FactoredMatrix(int(indices.size), a.rank_budget, a.left[indices], a.right[:, indices],
+                          provenance)
 
 
 def approx_error(a: FactoredMatrix) -> float:
@@ -893,7 +901,6 @@ def numerical_rank(a: FactoredMatrix, tol: float) -> int:
     formed."""
     if not 0 < tol < 1:
         raise ParameterError(f"tol must be in (0, 1), got {tol}")
-    # r < N first, so that a factor with r >= N is never probed for the lattice
     if (
         a.rank_budget < a.n_dim
         and (scale := a._row_scale) is not None

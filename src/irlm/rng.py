@@ -120,65 +120,41 @@ _DRAW_CHUNK = 1 << 15
 def sign_matrix(
     n_rows: int, n_cols: int, seed: int | Sequence[int], kind_code: int
 ) -> np.ndarray:
-    """Matrix of +-1 floats, entry (i, j) keyed by mix(seed, kind, i*n_cols + j).
+    """S' for the +-1 matrix S (n_rows x n_cols) whose entry (i, j) is keyed
+    by mix(seed, kind, i*n_cols + j), as a C-contiguous int8 array: n_cols x
+    n_rows for one seed, and for a sequence of k seeds the stack of their
+    draws (k x n_cols x n_rows), each equal to the draw of its seed alone.
 
     The sign is the high bit of the first stream output under that key,
-    mapped set -> -1, clear -> +1.  Given a sequence of seeds, it returns
-    the stack of their matrices (len(seed) x n_rows x n_cols), each equal to
-    the matrix of its seed alone.  The keys are mixed in chunks of at most
-    ``_DRAW_CHUNK`` words, in place in the float64 output, so the only
-    temporary is one chunk of scratch: whole seeds share a chunk where they
-    fit, and a larger seed's entries are split over several.  Every entry
-    is keyed on its own, so the chunking cannot change a sign.
+    mapped set -> -1, clear -> +1.  The keys are mixed in chunks of whole
+    rows of S of at most ``_DRAW_CHUNK`` words (one row where a row is
+    longer), whole seeds sharing a chunk where they fit, and each chunk is
+    written into its columns of S', so the temporaries are one chunk of
+    words and one of scratch.  Every entry is keyed on its own, so the
+    chunking cannot change a sign.
     """
     single = np.ndim(seed) == 0
     seeds = [seed] if single else seed
-    count = n_rows * n_cols
-    out = np.empty((len(seeds), count))
+    out = np.empty((len(seeds), n_cols, n_rows), dtype=np.int8)
     if out.size:
         # entry idx under base b is keyed by mix64(b + GOLDEN + idx)
         keys = derive_keys(seeds, kind_code)
         keys += np.uint64(GOLDEN)
-        width = min(count, _DRAW_CHUNK)
-        group = min(len(seeds), max(1, _DRAW_CHUNK // count))
-        offsets = np.arange(width, dtype=np.uint64)
-        scratch = np.empty(group * width, dtype=np.uint64)
-        # either a chunk holds whole seeds or it lies within one seed, so
-        # each chunk of the output is contiguous
-        words = out.view(np.uint64)
+        rows = min(n_rows, max(1, _DRAW_CHUNK // n_cols))
+        group = min(len(seeds), max(1, _DRAW_CHUNK // (n_rows * n_cols)))
+        offsets = np.arange(rows * n_cols, dtype=np.uint64)
+        words = np.empty(group * offsets.size, dtype=np.uint64)
+        scratch = np.empty_like(words)
         for lo in range(0, len(seeds), group):
             hi = min(len(seeds), lo + group)
-            for first in range(0, count, width):
-                last = min(count, first + width)
-                z = words[lo:hi, first:last]
-                tmp = scratch[: z.size].reshape(z.shape)
-                np.add(keys[lo:hi, None] + np.uint64(first), offsets[: last - first], out=z)
-                _signs_of_keys(z, tmp)
-    return out.reshape((n_rows, n_cols) if single else (len(seeds), n_rows, n_cols))
-
-
-def sign_matrix_t(n_rows: int, n_cols: int, seed: int, kind_code: int) -> np.ndarray:
-    """sign_matrix(n_rows, n_cols, seed, kind_code).T as a C-contiguous int8
-    array (n_cols x n_rows).  The keys are mixed in chunks of whole rows of
-    at most ``_DRAW_CHUNK`` words (one row where a row is longer), and each
-    chunk is written into its columns of the output, so no float64 copy of
-    the matrix is formed: the temporaries are one chunk of words and one of
-    scratch."""
-    out = np.empty((n_cols, n_rows), dtype=np.int8)
-    if out.size:
-        # entry idx is keyed by mix64(b + GOLDEN + idx), b the seed's base key
-        base = (derive_key(seed, kind_code) + GOLDEN) & MASK64
-        rows = max(1, _DRAW_CHUNK // n_cols)
-        offsets = np.arange(min(rows, n_rows) * n_cols, dtype=np.uint64)
-        words, scratch = np.empty_like(offsets), np.empty_like(offsets)
-        for first in range(0, n_rows, rows):
-            last = min(n_rows, first + rows)
-            size = (last - first) * n_cols
-            z = words[:size]
-            np.add(offsets[:size], np.uint64((base + first * n_cols) & MASK64), out=z)
-            signs = _signs_of_keys(z, scratch[:size])
-            out[:, first:last] = signs.reshape(last - first, n_cols).T
-    return out
+            for first in range(0, n_rows, rows):
+                last = min(n_rows, first + rows)
+                size = (hi - lo) * (last - first) * n_cols
+                z = words[:size].reshape(hi - lo, -1)
+                np.add(keys[lo:hi, None] + np.uint64(first * n_cols), offsets[: z.shape[1]], out=z)
+                signs = _signs_of_keys(z, scratch[:size].reshape(z.shape))
+                out[lo:hi, :, first:last] = signs.reshape(hi - lo, -1, n_cols).transpose(0, 2, 1)
+    return out[0] if single else out
 
 
 def _signs_of_keys(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:

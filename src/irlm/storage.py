@@ -23,9 +23,9 @@ float factors, built on first access, are bit for bit the constructors'
 
 IRLM0001 (read only, for files already on disk) stores the left factor
 (N x n) then the right factor (n x N) as little-endian float64, row-major;
-the reader rejects any length mismatch and non-finite factor entries.  Such
-a matrix is held as its float64 factors, and its lattice is detected from
-them when first used.
+the reader rejects any length mismatch and non-finite factor entries.  The
+lattice is decided once, when the matrix is built from those factors, so a
+library kind's IRLM0001 file is held as S' and w, as its IRLM0002 file is.
 
 A loaded matrix keeps the header's kind, block_sparse included.  The block
 layout is not stored and not needed: every kind materializes through the

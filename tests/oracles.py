@@ -391,9 +391,10 @@ def dense_numerical_rank(a, tol: float) -> int:
 def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
     """(signs, error, attempt) of every block of a make_block_sparse matrix,
     redrawn from its recorded layout one attempt at a time: one
-    rng.sign_matrix call and one Gram per attempt, in attempt order, up to
-    the first attempt with error <= 1/3, else attempt 0.  An exact identity
-    block gives (None, 0.0, 0)."""
+    rng.sign_matrix call (the block's int8 S', rank x size) and one int64
+    Gram S S' per attempt, in attempt order, up to the first attempt with
+    error <= 1/3, else attempt 0.  An exact identity block gives
+    (None, 0.0, 0)."""
     draws = []
     for b, (_, size, rank, _, exact) in enumerate(a.provenance.params["blocks"]):
         if exact:
@@ -404,8 +405,8 @@ def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
             seed = (a.provenance.seed if b == 0 and attempt == 0 else
                     rng.derive_key(a.provenance.seed, matrices.KIND_BLOCK_SPARSE, b, attempt))
             x = rng.sign_matrix(size, rank, seed, matrices.KIND_RANDOM_SIGN)
-            gram = x @ x.T
-            np.fill_diagonal(gram, 0.0)
+            gram = x.T.astype(np.int64) @ x.astype(np.int64)
+            np.fill_diagonal(gram, 0)
             err = float(np.abs(gram).max()) / rank
             if chosen is None:
                 chosen = (x, err, attempt)
@@ -431,16 +432,16 @@ def write_matrix_v1(a, path) -> None:
 def float_factors_as_built(a) -> tuple[np.ndarray, np.ndarray]:
     """(L, R) of a library matrix as its constructor built them when it held
     float64 factors, rebuilt from the provenance: identity L = R = I;
-    random_sign L = x / n and R = x' for x = rng.sign_matrix(N, n, seed);
-    block_sparse zero-filled factors with an identity per exact block and,
-    per random block, its kept draw x over the block's columns as x / r_b
-    in L and x' in R."""
+    random_sign L = x' / n and R = x for the int8 S' x =
+    rng.sign_matrix(N, n, seed); block_sparse zero-filled factors with an
+    identity per exact block and, per random block, its kept draw x (S')
+    over the block's columns as x' / r_b in L and x in R."""
     kind, seed = a.provenance.kind, a.provenance.seed
     if kind == "identity":
         return np.eye(a.n_dim), np.eye(a.n_dim)
     if kind == "random_sign":
         x = rng.sign_matrix(a.n_dim, a.rank_budget, seed, matrices.KIND_RANDOM_SIGN)
-        return x / a.rank_budget, np.ascontiguousarray(x.T)
+        return x.T / a.rank_budget, x.astype(np.float64)
     left, right = np.zeros((a.n_dim, a.rank_budget)), np.zeros((a.rank_budget, a.n_dim))
     blocks = a.provenance.params["blocks"]
     for (row, size, rank, col, exact), (x, _, _) in zip(blocks, block_draws_one_at_a_time(a)):
@@ -448,8 +449,8 @@ def float_factors_as_built(a) -> tuple[np.ndarray, np.ndarray]:
             left[row : row + size, col : col + rank] = np.eye(size)
             right[col : col + rank, row : row + size] = np.eye(size)
         else:
-            left[row : row + size, col : col + rank] = x / rank
-            right[col : col + rank, row : row + size] = x.T
+            left[row : row + size, col : col + rank] = x.T / rank
+            right[col : col + rank, row : row + size] = x
     return left, right
 
 

@@ -457,7 +457,7 @@ def _assert_one_at_a_time_draws(a):
     nonzero = 0
     for (start, size, rank, col, _), (x, _, _) in zip(params["blocks"], draws):
         # an identity block's rows have scale 1, a random block's its rank
-        signs, scale = (np.eye(size), 1) if x is None else (x, rank)
+        signs, scale = (np.eye(size), 1) if x is None else (x.T, rank)
         rows, cols = slice(start, start + size), slice(col, col + rank)
         assert np.array_equal(a.left[rows, cols], signs / scale)
         assert np.array_equal(a.right[cols, rows], signs.T)
@@ -539,6 +539,21 @@ def test_submatrix_matches_dense_slice():
     sub = submatrix(a, idx)
     assert np.array_equal(sub.dense(), a.dense()[np.ix_(idx, idx)])
     assert np.all(np.diagonal(sub.dense()) == 1.0)
+
+
+@pytest.mark.parametrize("indices", [[-1, 0], [0, -4], [0.5, 1], [0.0, 1.0], [0, 4], [9],
+                                     [True, False, True, False], []],
+                         ids=["minus_1", "minus_n", "half", "integral_floats", "n", "past_n",
+                              "mask", "empty"])
+@pytest.mark.parametrize("parent", [lambda: make_identity(4),
+                                    lambda: from_factors(np.arange(8.0).reshape(4, 2) / 7,
+                                                         np.ones((2, 4)))],
+                         ids=["lattice", "float"])
+def test_submatrix_rejects_indices_outside_0_to_n(parent, indices):
+    # negative indices would wrap, non-integers truncate, and N or above
+    # would raise a bare IndexError
+    with pytest.raises(ParameterError):
+        submatrix(parent(), indices)
 
 
 # -- exact lattice materialization and the tiled statistics pass ---------------
@@ -746,19 +761,39 @@ def test_symmetric_route_skips_lattice_factors_whose_right_is_not_the_signs(n_di
     _assert_dense_scan_profile(profile, a.dense())
 
 
+def _lattice_facts(a):
+    """(S', w) of a matrix held on the lattice, None off it, after
+    checking that the held form is the one the decision made: S' and w
+    without float factors, or the float factors with both facts None."""
+    if a._signs is None:
+        assert a._row_scale is None and "left" in vars(a) and "right" in vars(a)
+        return None
+    assert _float_factors_unbuilt(a)
+    assert a._signs.dtype == np.int8 and not a._signs.flags.writeable
+    assert a._row_scale.dtype == np.float64
+    return a._signs, a._row_scale
+
+
+def _assert_same_facts(a, b):
+    facts_a, facts_b = _lattice_facts(a), _lattice_facts(b)
+    assert (facts_a is None) == (facts_b is None)
+    if facts_a is not None:
+        assert all(np.array_equal(x, y) for x, y in zip(facts_a, facts_b))
+
+
 @pytest.mark.parametrize("kind", SYMMETRIC_KINDS + ["lattice_factors", "float_factors"])
 def test_submatrix_inherits_the_parents_lattice_facts(kind):
+    # a parent on the lattice gives its columns of S' and its row scales at
+    # the indices; one off it gives a slice that decides for itself.
+    # Either way the slice holds what a fresh matrix of its factors decides
     parent = _build(kind, 24, 8, 3)
-    on_lattice = parent._row_scale is not None
     idx = np.random.default_rng(5).choice(parent.n_dim, size=min(parent.n_dim, 13), replace=False)
     sub = submatrix(parent, idx)
-    # only row scales that hold are carried over
-    assert ("_row_scale" in vars(sub)) == on_lattice
-    fresh = from_factors(sub.left, sub.right)
-    if fresh._row_scale is None:
-        assert sub._row_scale is None
-    else:
-        assert np.array_equal(sub._row_scale, fresh._row_scale)
+    if _lattice_facts(parent) is not None:
+        assert np.array_equal(sub._signs, parent._signs[:, idx])
+        assert np.array_equal(sub._row_scale, parent._row_scale[idx])
+    fresh = from_factors(parent.left[idx], parent.right[:, idx])
+    _assert_same_facts(sub, fresh)
     _assert_same_profile(distribution_function(sub, 0.25), distribution_function(fresh, 0.25))
 
 
@@ -770,17 +805,16 @@ def test_submatrix_inherits_the_parents_lattice_facts(kind):
     lambda: make_block_sparse(40, 36, 5, alpha=1.2, beta=2.0),
 ], ids=["identity", "sign", "identity_blocks", "mixed_blocks-short-last", "mixed_blocks"])
 def test_constructors_record_the_lattice_facts_a_fresh_matrix_detects(build, tmp_path):
-    # factors wrapped by hand detect their row scales; a file read back
-    # records the ones the file stores
+    # the float factors the constructor once built, wrapped by hand, are
+    # decided on the lattice when they are wrapped and hold the S' and w
+    # the constructor holds, as a file read back does, with no float
+    # factor kept
     a = build()
-    assert "_row_scale" in vars(a) and vars(a)["_signs"].dtype == np.int8
+    assert _lattice_facts(a) is not None
     write_matrix(a, tmp_path / "a.irlm")
-    fresh, loaded = from_factors(a.left, a.right), read_matrix(tmp_path / "a.irlm")
-    assert "_row_scale" not in vars(fresh) and "_row_scale" in vars(loaded)
-    assert np.array_equal(vars(loaded)["_signs"], vars(a)["_signs"])
-    for other in (fresh, loaded):
-        assert a._row_scale.dtype == other._row_scale.dtype
-        assert np.array_equal(a._row_scale, other._row_scale)
+    fresh = from_factors(*float_factors_as_built(a))
+    for other in (fresh, read_matrix(tmp_path / "a.irlm")):
+        _assert_same_facts(a, other)
 
 
 def _float_factors_unbuilt(a) -> bool:
@@ -886,7 +920,7 @@ def test_sign_draw_and_file_read_stay_under_2_mb(seed, tmp_path):
 def test_off_lattice_parent_slices_still_take_the_lattice_route(spoil):
     # row 0 of L off the lattice (its scale is not an integer), or column 0
     # of R not sign(L)': the parent is off the lattice, the slice without
-    # index 0 is on it and detects its row scales itself
+    # index 0 is on it and finds its row scales itself
     a = make_random_sign(40, 12, 2)
     left, right = a.left.copy(), a.right.copy()
     if spoil == "left":
@@ -894,14 +928,63 @@ def test_off_lattice_parent_slices_still_take_the_lattice_route(spoil):
     else:
         right[0, 0] = 2.0
     parent = from_factors(left, right)
-    assert parent._row_scale is None
+    assert _lattice_facts(parent) is None
     idx = np.arange(1, 40)
     sub = submatrix(parent, idx)
-    assert "_row_scale" not in vars(sub)
+    # decided when the slice is built: S' and w, the floats dropped
+    _assert_same_facts(sub, submatrix(a, idx))
     profile, routes = _profile_and_routes(sub, 0.25)
-    assert sub._row_scale is not None
     assert routes == [True]
     _assert_same_profile(profile, distribution_function(submatrix(a, idx), 0.25))
+
+
+@given(
+    n_dim=st.integers(min_value=1, max_value=24),
+    rank=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+    max_scale=st.sampled_from([1, 3, 16, 2**40]),
+    negative_zeros=st.booleans(),
+    spoiler=st.sampled_from([None, "one_ulp_off", "mixed_scales"]),
+)
+@example(n_dim=5, rank=3, seed=0, max_scale=3, negative_zeros=True, spoiler=None)
+@example(n_dim=5, rank=3, seed=0, max_scale=3, negative_zeros=True, spoiler="mixed_scales")
+def test_lattice_decision_holds_the_given_factors_as_signs_and_scales(n_dim, rank, seed,
+                                                                     max_scale, negative_zeros,
+                                                                     spoiler):
+    # from_factors on L = S / w[:, None], R = S' (zero rows of scale 1,
+    # zeros as -0.0 or +0.0) holds what the constructors' route holds for
+    # the same S' and w, gives L and R back equal to the ones given (+0.0
+    # zeros), and the same dense form, profiles and rank; a spoiled row
+    # keeps the given floats, bit for bit, off the lattice
+    gen = np.random.default_rng(seed)
+    signs = gen.integers(-1, 2, size=(n_dim, rank)).astype(np.int8)
+    signs[gen.random(n_dim) < 0.25] = 0
+    scale = gen.integers(1, max_scale, size=n_dim, endpoint=True).astype(np.float64)
+    scale[~signs.any(axis=1)] = 1.0
+    zero = -0.0 if negative_zeros else 0.0
+    left = np.where(signs != 0, signs / scale[:, None], zero)
+    right = np.where(signs.T != 0, signs.T.astype(np.float64), zero)
+    if spoiler is not None:
+        assume(rank >= 2 or spoiler == "one_ulp_off")
+        row, col = int(gen.integers(n_dim)), min(1, rank - 1)
+        left[row, : col + 1], right[: col + 1, row] = 1.0 / scale[row], 1.0
+        left[row, col] = (np.nextafter(left[row, col], 2.0) if spoiler == "one_ulp_off"
+                          else 1.0 / (scale[row] + 1.0))
+    given_left, given_right = left.tobytes(), right.tobytes()
+    a = from_factors(left, right)
+    if spoiler is not None:
+        assert a._signs is None and a._row_scale is None
+        assert a.left.tobytes() == given_left and a.right.tobytes() == given_right
+        return
+    b = matrices._lattice_matrix(signs.T, scale, matrices.Provenance("custom"))
+    _assert_same_facts(a, b)
+    assert np.array_equal(a.left, left) and np.array_equal(a.right, right)
+    assert not np.signbit(a.left[a.left == 0]).any()
+    assert not np.signbit(a.right[a.right == 0]).any()
+    assert a.dense().tobytes() == b.dense().tobytes()
+    for gamma in (0.0, 1.0 / 3.0, 0.5):
+        _assert_same_profile(distribution_function(a, gamma), distribution_function(b, gamma))
+    assert numerical_rank(a, 1e-10) == numerical_rank(b, 1e-10)
 
 
 def _zero_rows_lattice(n_dim, rank, seed):
@@ -1014,19 +1097,6 @@ def test_band_mirror_counts_pass_2_to_the_16_columns(width):
     assert col_counts.tolist() == [2 + width] * 2 + [2] * width
     assert nnz == 4 + 4 * width
     assert error == 1.0
-
-
-def test_random_sign_factors_are_the_draw_over_rank_and_its_transpose():
-    x = matrices.rng.sign_matrix(700, 48, 5, matrices.KIND_RANDOM_SIGN)
-    a = make_random_sign(700, 48, 5)
-    assert a.left.tobytes() == (x / 48).tobytes()
-    assert a.right.tobytes() == np.ascontiguousarray(x.T).tobytes()
-    # S' drawn as int8 in chunks of whole rows: one chunk, several, a row
-    # longer than a chunk, and empty draws
-    for shape in ((1, 1), (3, 0), (0, 4), (257, 129), (40000, 1), (3, 40000), (700, 48)):
-        t = matrices.rng.sign_matrix_t(*shape, 5, matrices.KIND_RANDOM_SIGN)
-        want = matrices.rng.sign_matrix(*shape, 5, matrices.KIND_RANDOM_SIGN).T
-        assert t.dtype == np.int8 and t.flags.c_contiguous and np.array_equal(t, want)
 
 
 def _counts_digest(profile, n_dim):

@@ -8,11 +8,24 @@ from hypothesis import strategies as st
 from irlm import matrices, rng
 
 
+def _entry_signs(seed, kind_code, n_rows, n_cols) -> np.ndarray:
+    """S' (n_cols x n_rows) from the scalar reference path, one entry at a
+    time: entry (i, j) of S is keyed by the flat index i * n_cols + j."""
+    flat = [rng.entry_sign(seed, kind_code, i) for i in range(n_rows * n_cols)]
+    return np.array(flat, dtype=np.int8).reshape(n_rows, n_cols).T
+
+
+def _assert_is_s_prime(signs, n_rows, n_cols):
+    assert signs.dtype == np.int8 and signs.flags.c_contiguous
+    assert signs.shape == (n_cols, n_rows)
+
+
 def test_scalar_matches_vectorized():
-    mat = rng.sign_matrix(7, 5, seed=123, kind_code=1)
+    signs = rng.sign_matrix(7, 5, seed=123, kind_code=1)
+    _assert_is_s_prime(signs, 7, 5)
     for i in range(7):
         for j in range(5):
-            assert mat[i, j] == rng.entry_sign(123, 1, i * 5 + j)
+            assert signs[j, i] == rng.entry_sign(123, 1, i * 5 + j)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
@@ -32,7 +45,7 @@ def test_sign_matrix_deterministic_and_kind_separated():
     c = rng.sign_matrix(16, 8, seed=5, kind_code=2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert set(np.unique(a)) == {-1.0, 1.0}
+    assert a.dtype == np.int8 and set(np.unique(a)) == {-1, 1}
 
 
 def test_sign_balance_is_plausible():
@@ -66,12 +79,11 @@ def test_next_signs_matches_scalar_stream(key, count):
 )
 def test_sign_matrix_seed_sequence_stacks_the_per_seed_draws(seeds, n_rows, n_cols, kind_code):
     stack = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
-    assert stack.dtype == np.float64 and stack.shape == (len(seeds), n_rows, n_cols)
-    for seed, mat in zip(seeds, stack):
-        assert np.array_equal(mat, rng.sign_matrix(n_rows, n_cols, seed, kind_code))
-        assert mat.ravel().tolist() == [
-            float(rng.entry_sign(seed, kind_code, i)) for i in range(n_rows * n_cols)
-        ]
+    assert stack.dtype == np.int8 and stack.flags.c_contiguous
+    assert stack.shape == (len(seeds), n_cols, n_rows)
+    for seed, signs in zip(seeds, stack):
+        assert np.array_equal(signs, rng.sign_matrix(n_rows, n_cols, seed, kind_code))
+        assert np.array_equal(signs, _entry_signs(seed, kind_code, n_rows, n_cols))
 
 
 @given(
@@ -82,44 +94,67 @@ def test_sign_matrix_seed_sequence_stacks_the_per_seed_draws(seeds, n_rows, n_co
     kind_code=st.integers(min_value=0, max_value=3),
 )
 def test_chunked_sign_draws_match_the_per_entry_keys(chunk, seeds, n_rows, n_cols, kind_code):
-    # chunks of 1 to 64 words split rows, single seeds and groups of whole
-    # seeds at every offset; no chunking may move a sign, nor may the int8
-    # transposed draw's chunks of whole rows (one row where a row is longer)
+    # chunks of 1 to 64 words: several whole rows, one row where a row is
+    # longer, or groups of whole seeds, at every offset; no chunking may
+    # move a sign
     unchunked = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
     with mock.patch.object(rng, "_DRAW_CHUNK", chunk):
         stack = rng.sign_matrix(n_rows, n_cols, seeds, kind_code)
         singles = [rng.sign_matrix(n_rows, n_cols, seed, kind_code) for seed in seeds]
-        transposed = [rng.sign_matrix_t(n_rows, n_cols, seed, kind_code) for seed in seeds]
-    assert stack.dtype == np.float64 and stack.shape == (len(seeds), n_rows, n_cols)
+    assert stack.dtype == np.int8 and stack.flags.c_contiguous
+    assert stack.shape == (len(seeds), n_cols, n_rows)
     assert np.array_equal(stack, unchunked)
-    for seed, mat, single, signs in zip(seeds, stack, singles, transposed):
-        assert single.shape == (n_rows, n_cols) and np.array_equal(single, mat)
-        assert signs.dtype == np.int8 and signs.flags.c_contiguous
-        assert np.array_equal(signs, mat.T)
-        assert mat.ravel().tolist() == [
-            float(rng.entry_sign(seed, kind_code, i)) for i in range(n_rows * n_cols)
-        ]
+    for seed, signs, single in zip(seeds, stack, singles):
+        _assert_is_s_prime(single, n_rows, n_cols)
+        assert np.array_equal(single, signs)
+        assert np.array_equal(signs, _entry_signs(seed, kind_code, n_rows, n_cols))
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 @pytest.mark.parametrize("seed", [3, [], [1, 2]])
 def test_chunked_sign_draws_of_no_entries(shape, seed):
-    mat = rng.sign_matrix(*shape, seed, 1)
-    assert mat.dtype == np.float64
-    assert mat.shape == (shape if np.ndim(seed) == 0 else (len(seed), *shape))
+    signs = rng.sign_matrix(*shape, seed, 1)
+    assert signs.dtype == np.int8
+    assert signs.shape == (shape[::-1] if np.ndim(seed) == 0 else (len(seed), *shape[::-1]))
 
 
 def test_chunked_sign_draws_cross_the_default_chunk():
-    # 3 x 2^15 + 5 words under one seed: four chunks, the last one short
+    # 7-word rows of 3 x 2^15 + 5 words under one seed: four chunks of
+    # whole rows, the last one short
     n_cols = 7
     n_rows = (3 * rng._DRAW_CHUNK + 5 + n_cols - 1) // n_cols
-    mat = rng.sign_matrix(n_rows, n_cols, 11, 2)
-    for flat in (0, rng._DRAW_CHUNK - 1, rng._DRAW_CHUNK, 3 * rng._DRAW_CHUNK, mat.size - 1):
-        assert mat.flat[flat] == rng.entry_sign(11, 2, flat)
+    signs = rng.sign_matrix(n_rows, n_cols, 11, 2)
+    _assert_is_s_prime(signs, n_rows, n_cols)
+    for flat in (0, rng._DRAW_CHUNK - 1, rng._DRAW_CHUNK, 3 * rng._DRAW_CHUNK, signs.size - 1):
+        assert signs.T.flat[flat] == rng.entry_sign(11, 2, flat)
     # whole seeds share a chunk: 40 seeds of 9 x 100 words take two chunks
     stack = rng.sign_matrix(9, 100, list(range(40)), 1)
     for k in (0, 35, 36, 39):
         assert np.array_equal(stack[k], rng.sign_matrix(9, 100, k, 1))
+
+
+def test_chunked_sign_draws_of_short_and_long_rows():
+    # one chunk, several chunks of whole rows, rows of one word, and rows
+    # longer than a chunk (one row per chunk): entries of S' at a stride
+    # and at both sides of every chunk's end are the scalar reference's
+    # signs at their flat indices
+    for n_rows, n_cols in ((1, 1), (257, 129), (700, 48), (40000, 1), (3, 40000)):
+        signs = rng.sign_matrix(n_rows, n_cols, 5, matrices.KIND_RANDOM_SIGN)
+        _assert_is_s_prime(signs, n_rows, n_cols)
+        count = n_rows * n_cols
+        chunk = max(1, rng._DRAW_CHUNK // n_cols) * n_cols
+        ends = range(chunk, count, chunk)
+        flats = sorted({*range(0, count, 97), count - 1, *ends, *(end - 1 for end in ends)})
+        rows, cols = np.divmod(flats, n_cols)
+        assert signs[cols, rows].tolist() == [
+            rng.entry_sign(5, matrices.KIND_RANDOM_SIGN, flat) for flat in flats]
+    # random_sign holds the draw as S', and its float factors are the draw
+    # over the rank and its transpose
+    a = matrices.make_random_sign(700, 48, 5)
+    signs = rng.sign_matrix(700, 48, 5, matrices.KIND_RANDOM_SIGN)
+    assert a._signs.tobytes() == signs.tobytes()
+    assert a.left.tobytes() == (signs.T / 48).tobytes()
+    assert a.right.tobytes() == signs.astype(np.float64).tobytes()
 
 
 _WORDS = st.integers(min_value=0, max_value=2**64 - 1) | st.integers(

@@ -234,19 +234,23 @@ def test_zero_row_with_scale_one_is_read(tmp_path):
     lambda: make_block_sparse(160, 116, 2, alpha=1.0, beta=2.0),
 ], ids=["identity", "random_sign", "block_sparse"])
 def test_v1_file_reads_like_its_v2_rewrite(tmp_path, capsys, build):
-    # an IRLM0001 file on disk: the same factors and byte-identical analyze
-    # JSON as the IRLM0002 file it rewrites to
+    # an IRLM0001 file on disk: held as its IRLM0002 rewrite is (S' and w,
+    # no float factor kept), with the same factors and byte-identical
+    # analyze JSON
     path = tmp_path / "m.irlm"
     write_matrix_v1(build(), path)
     old = read_matrix(path)
-    assert "_row_scale" not in vars(old)
     assert main(["analyze", "--matrix", str(path)]) == 0
     v1_json = capsys.readouterr().out
     write_matrix(old, path)
     assert path.read_bytes()[:8] == MAGIC
     new = read_matrix(path)
-    assert np.array_equal(old.left, new.left) and np.array_equal(old.right, new.right)
+    for mat in (old, new):
+        assert set(vars(mat)) == {"n_dim", "rank_budget", "provenance", "_signs", "_row_scale"}
+    assert old._signs.dtype == new._signs.dtype == np.int8
+    assert np.array_equal(old._signs, new._signs)
     assert np.array_equal(old._row_scale, new._row_scale)
+    assert np.array_equal(old.left, new.left) and np.array_equal(old.right, new.right)
     assert main(["analyze", "--matrix", str(path)]) == 0
     v2_json = capsys.readouterr().out
     assert v1_json == v2_json and json.loads(v2_json)["N"] == old.n_dim
