@@ -183,20 +183,24 @@ class GammaGraph:
 def gamma_graph(a: FactoredMatrix, gamma: float) -> GammaGraph:
     if not math.isfinite(gamma):
         raise ParameterError(f"gamma must be finite, got {gamma}")
-    mat = np.abs(a.dense())
-    small = np.maximum(mat, mat.T) <= gamma
+    mat = a.dense()
+    small = np.abs(mat, out=mat) <= gamma
+    del mat  # the float N x N goes before small &= small.T copies small.T
+    small &= small.T
     np.fill_diagonal(small, False)
     return GammaGraph(a.n_dim, float(gamma), small)
 
 
 def greedy_clique(graph: GammaGraph) -> list[int]:
     """Deterministic greedy clique: a lower bound, not certified maximal size."""
-    degrees = graph.adjacency.sum(axis=1)
-    order = sorted(range(graph.n_vertices), key=lambda v: (-int(degrees[v]), v))
+    adj = graph.adjacency
     clique: list[int] = []
-    for v in order:
-        if all(graph.adjacency[v, u] for u in clique):
+    # the vertices adjacent to every member so far
+    common = np.ones(graph.n_vertices, dtype=bool)
+    for v in np.argsort(-adj.sum(axis=1), kind="stable").tolist():
+        if common[v]:
             clique.append(v)
+            common &= adj[v]
     return sorted(clique)
 
 
@@ -213,13 +217,10 @@ def max_clique(graph: GammaGraph, vertex_cap: int = 200) -> list[int]:
         raise SizeCapError(f"graph has {n} vertices, exact solver capped at {vertex_cap}")
     if n == 0:
         return []
-    degrees = graph.adjacency.sum(axis=1)
-    order = sorted(range(n), key=lambda v: (-int(degrees[v]), v))
-    relabel = {v: i for i, v in enumerate(order)}
-    adj = [0] * n
-    for v in range(n):
-        for u in np.flatnonzero(graph.adjacency[v]):
-            adj[relabel[v]] |= 1 << relabel[int(u)]
+    order = np.argsort(-graph.adjacency.sum(axis=1), kind="stable")
+    # bit j of adj[i]: vertices order[i] and order[j] are adjacent
+    adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+           for row in graph.adjacency[np.ix_(order, order)]]
 
     best: list[int] = []
 
@@ -257,7 +258,7 @@ def max_clique(graph: GammaGraph, vertex_cap: int = 200) -> list[int]:
             mask &= ~(1 << v)
 
     expand((1 << n) - 1, [])
-    return sorted(order[v] for v in best)
+    return sorted(order[best].tolist())
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,7 @@ def clique_identity_check(
     diag_dev = np.abs(np.diagonal(sub) - 1.0)
     max_diag = float(diag_dev.max()) if idx.size else 0.0
     diag_wit = int(idx[int(np.argmax(diag_dev))]) if idx.size else None
-    off = np.abs(sub).copy()
+    off = np.abs(sub)
     np.fill_diagonal(off, -1.0)
     if idx.size >= 2:
         flat = int(np.argmax(off))

@@ -115,8 +115,11 @@ class FactoredMatrix:
 
     @cached_property
     def left(self) -> np.ndarray:
-        # reached only on the lattice: other factors are held as given
-        return _read_only(_lattice_left(self._signs, self._row_scale))
+        # reached only on the lattice: other factors are held as given.  L =
+        # S / w[:, None], one correctly rounded division per entry (as the
+        # constructors' x / rank), written into a C-ordered array
+        left = np.empty((self.n_dim, self.rank_budget))
+        return _read_only(np.divide(self._signs.T, self._row_scale[:, None], out=left))
 
     @cached_property
     def right(self) -> np.ndarray:
@@ -143,27 +146,9 @@ def _lattice_matrix(signs: np.ndarray, scale: np.ndarray, provenance: Provenance
     return a
 
 
-def _lattice_left(signs: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """L = S / w[:, None] in float64 from S' (int8), one correctly rounded
-    division per entry (as the constructors' x / rank), written in row
-    tiles of at most ``_SCAN_ENTRIES`` entries: a whole-array transpose of
-    S' reads it down its columns."""
-    rank, n_dim = signs.shape
-    left = np.empty((n_dim, rank))
-    step = max(1, _SCAN_ENTRIES // rank)
-    for start in range(0, n_dim, step):
-        stop = start + step
-        np.divide(signs[:, start:stop].T, scale[start:stop, None], out=left[start:stop])
-    return left
-
-
 # Entries per full-row tile of the dense form and of the statistics pass off
 # the lattice (8 MB of float32 Gram on the lattice, 16 MB of float64 off it).
 _TILE_ENTRIES = 1 << 21
-
-# Entries per row tile of a factor's transposed copy (256 KB of float64,
-# which stays in a core's L2 cache while the tile is written).
-_SCAN_ENTRIES = 1 << 15
 
 # Rows per band of the symmetric statistics pass, at any N.  Bands of
 # 2^20 / N rows covered the whole matrix up to N = 1024, where 256-row bands
@@ -658,13 +643,16 @@ def _pair_bounds(
     """L[i, j] = max(|m_ij - m_jj|, |m_ji - m_ii|) for the rows i of
     start..stop, and inf where j <= i."""
     if isinstance(mat, FactoredMatrix):
-        rows = mat.left[start:stop] @ mat.right
-        cols = mat.right[:, start:stop].T @ mat.left.T
+        # the two GEMM outputs are this function's own: subtract in place
+        bounds = mat.left[start:stop] @ mat.right
+        mirror = mat.right[:, start:stop].T @ mat.left.T
+        bounds -= diag
+        mirror -= diag[start:stop, None]
     else:
-        rows, cols = mat[start:stop], mat[:, start:stop].T
-    bounds = np.subtract(rows, diag)
+        # rows of the caller's array: the differences are new arrays
+        bounds = np.subtract(mat[start:stop], diag)
+        mirror = np.subtract(mat[:, start:stop].T, diag[start:stop, None])
     np.abs(bounds, out=bounds)
-    mirror = np.subtract(cols, diag[start:stop, None])
     np.abs(mirror, out=mirror)
     np.maximum(bounds, mirror, out=bounds)
     np.putmask(bounds, np.arange(diag.size) <= np.arange(start, stop)[:, None], math.inf)

@@ -68,7 +68,10 @@ def write_matrix(a: FactoredMatrix, path: str | Path) -> None:
     if scale is None or scale.max() > _MAX_SCALE:
         raise FormatError(f"kind '{a.provenance.kind}' factors off the sign lattice "
                           "have no file representation")
+    # checked before the file is opened, so a refusal leaves no file behind
     seed = a.provenance.seed or 0
+    if not 0 <= seed < 2**64:
+        raise FormatError(f"seed {seed} does not fit the file header's u64 (0..2^64-1)")
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, a.n_dim, a.rank_budget, code, seed))
         fh.write(scale.astype("<u8"))

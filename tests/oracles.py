@@ -135,6 +135,20 @@ def brute_max_clique(adjacency: np.ndarray) -> int:
     return best
 
 
+def scan_greedy_clique(adjacency: np.ndarray) -> list[int]:
+    """Greedy clique in decreasing degree order (ties to the smaller index):
+    a vertex joins when it is adjacent to every member so far, checked
+    member by member."""
+    adj = np.asarray(adjacency, dtype=bool)
+    degrees = adj.sum(axis=1)
+    order = sorted(range(adj.shape[0]), key=lambda v: (-int(degrees[v]), v))
+    clique: list[int] = []
+    for v in order:
+        if all(adj[v, u] for u in clique):
+            clique.append(v)
+    return sorted(clique)
+
+
 def exhaustive_best_det(points: np.ndarray, dim: int) -> float:
     """Max |det| over all dim-subsets of the points."""
     p = np.asarray(points, dtype=float)

@@ -23,7 +23,12 @@ from irlm.bounds import (
 )
 from irlm.errors import ParameterError, SizeCapError
 
-from oracles import blocked_min_pairwise_linf, brute_max_clique, edge_count_scan
+from oracles import (
+    blocked_min_pairwise_linf,
+    brute_max_clique,
+    edge_count_scan,
+    scan_greedy_clique,
+)
 
 
 # -- closed-form bounds --------------------------------------------------------
@@ -261,6 +266,63 @@ def test_greedy_clique_is_clique_and_lower_bound(rng):
                 if i != j:
                     assert adj[i, j]
         assert len(greedy) <= len(max_clique(g))
+
+
+def tied_graph(seed: int, n: int) -> np.ndarray:
+    """A circulant graph on n vertices, where every degree ties, with up to
+    three arcs toggled before it is symmetrized, so a few degrees differ."""
+    gen = np.random.default_rng(seed)
+    steps = gen.choice(np.arange(1, n // 2 + 1), size=int(gen.integers(1, n // 3 + 2)),
+                       replace=False)
+    adj = np.zeros((n, n), dtype=bool)
+    ring = np.arange(n)
+    for step in steps:
+        adj[ring, (ring + step) % n] = True
+    for _ in range(int(gen.integers(0, 4))):
+        i, j = gen.choice(n, size=2, replace=False)
+        adj[i, j] = ~adj[i, j]
+    adj |= adj.T
+    return adj
+
+
+@st.composite
+def tied_adjacencies(draw):
+    """Symmetric graphs on 0..40 vertices: random ones, where small graphs
+    tie on degree often, and from 4 vertices the circulants of `tied_graph`."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if n >= 4 and draw(st.booleans()):
+        return tied_graph(seed, n)
+    gen = np.random.default_rng(seed)
+    adj = np.triu(gen.random((n, n)) < draw(st.sampled_from([0.1, 0.5, 0.9])), 1)
+    return adj | adj.T
+
+
+@settings(max_examples=200)
+@given(tied_adjacencies())
+def test_greedy_clique_equals_the_member_by_member_scan(adj):
+    assert greedy_clique(graph_from_adjacency(adj)) == scan_greedy_clique(adj)
+
+
+# max_clique's vertices on the graphs tied_graph(seed, 21 + seed), recorded
+# with the relabel-dict bitsets it was first written with
+TIED_MAX_CLIQUES = {
+    0: [3, 5, 12, 14, 15, 17], 1: [6, 11, 16, 21], 2: [17, 18, 19, 20, 21, 22],
+    3: [12, 13, 14, 21, 22, 23], 4: [4, 5, 13, 14, 23, 24], 5: [17, 18, 22, 23],
+    6: [10, 16, 22], 7: [4, 9, 13, 14, 18, 22, 23, 27], 8: [9, 17, 20, 28],
+    9: [16, 18, 28], 10: [3, 10, 17, 24, 27], 11: [18, 20, 22], 12: [18, 21, 31, 32],
+    13: [3, 7, 16, 20, 28, 29], 14: [22, 34], 15: [19, 24, 27, 28, 32, 35],
+    16: [8, 25, 34, 35, 36], 17: [28, 30, 32, 34, 36], 18: [4, 9, 14, 19, 24, 29, 34, 38],
+    19: [27, 29, 34, 36],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TIED_MAX_CLIQUES))
+def test_max_clique_vertices_on_tied_graphs(seed):
+    adj = tied_graph(seed, 21 + seed)
+    clique = max_clique(graph_from_adjacency(adj))
+    assert clique == TIED_MAX_CLIQUES[seed]
+    assert all(type(v) is int for v in clique)
 
 
 def test_turan_consistency_on_gamma_graphs():

@@ -528,3 +528,46 @@ def test_cached_parser_gives_the_output_of_a_fresh_parser(capsys, tmp_path, monk
     assert cached == fresh
     assert [rc for rc, _, _ in cached] == [0, 2, 0]
     assert "invalid choice: 'lemmaX'" in cached[1][2]
+
+
+SPEC = {
+    "N_values": [32],
+    "n_rule": {"fixed": [8]},
+    "seeds": [1],
+    "gamma_rule": {"rule": "theorem", "c": 0.25},
+}
+
+
+@pytest.mark.parametrize(
+    "text, out_arg, code, field",
+    [
+        ("[1, 2]", True, 2, "JSON object"),
+        (json.dumps(SPEC | {"N_values": []}), True, 2, "nonempty"),
+        (json.dumps(SPEC | {"seeds": []}), True, 2, "nonempty"),
+        (json.dumps(SPEC | {"N_values": [32, 1]}), True, 2, "N >= 2"),
+        (json.dumps(SPEC | {"n_rule": {"fixed": [8], "log_multiples": [2]}}), True, 2, "exactly one"),
+        (json.dumps(SPEC | {"n_rule": {}}), True, 2, "exactly one"),
+        (json.dumps(SPEC | {"gamma_rule": {"c": 0.25}}), True, 2, "'rule' key"),
+        (json.dumps(SPEC | {"gamma_rule": {"rule": "nope", "c": 0.25}}), True, 2, "'nope' unknown"),
+        (json.dumps(SPEC | {"kind": "identity"}), True, 2, "kind 'identity' unknown"),
+        ("{not json", True, 2, "not valid JSON"),
+        (json.dumps(SPEC), False, 2, "output path"),
+        (None, True, 3, "cannot read sweep spec"),
+    ],
+    ids=["not_object", "empty_N_values", "empty_seeds", "N_below_2", "both_n_rules",
+         "no_n_rule", "no_gamma_rule_key", "unknown_rule", "unknown_kind", "invalid_json",
+         "no_output_path", "unreadable_spec"],
+)
+def test_sweep_spec_and_path_errors_exit_with_one_error_line(
+    capsys, tmp_path, text, out_arg, code, field
+):
+    spec = tmp_path / "spec.json"
+    if text is not None:
+        spec.write_text(text)
+    out = tmp_path / "x.csv"
+    rc, stdout, err = run(capsys, "sweep", "--spec", str(spec), *(["--out", str(out)] * out_arg))
+    assert rc == code
+    assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    assert field in err
+    assert not out.exists()
+

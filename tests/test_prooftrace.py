@@ -222,6 +222,25 @@ def test_min_pairwise_linf_holds_one_bound_tile_and_one_block(kind):
     assert peak <= 8 * (matrices._BOUND_TILE_ENTRIES + matrices._PAIR_BLOCK_ENTRIES) + (1 << 17)
 
 
+def test_factored_search_subtracts_the_diagonal_in_its_own_bound_tiles():
+    # factors off the lattice, as the trace's B = P Q: sign 384/64 with L
+    # scaled by 1 + 2^-30.  The two GEMM outputs of a tile are its bounds and
+    # their mirror, so the search holds about two tiles of 170 x 384 float64
+    # (2.4 with the block's index arrays), not four
+    a = make_random_sign(384, 64, 1)
+    b = from_factors(a.left * (1 + 2.0**-30), a.right)
+    assert b._signs is None
+    tile = 8 * (matrices._BOUND_TILE_ENTRIES // 384) * 384
+    tracemalloc.start()
+    try:
+        dist, _, _ = min_pairwise_linf(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist == 0.46875000043655746
+    assert peak <= 3 * tile
+
+
 def test_min_pairwise_linf_evaluates_every_pair_when_bounds_are_loose():
     # every bound is 1 and every distance 2: nothing can be pruned
     gen = np.random.default_rng(7)

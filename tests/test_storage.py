@@ -174,6 +174,15 @@ def test_off_lattice_factors_of_a_library_kind_are_refused(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_the_header_cannot_hold_is_refused_before_the_file_is_created(tmp_path, seed):
+    # every constructor accepts such a seed (the draw masks it to 64 bits)
+    path = tmp_path / "x.irlm"
+    with pytest.raises(FormatError, match=f"seed {seed} "):
+        write_matrix(make_random_sign(8, 2, seed), path)
+    assert not path.exists()
+
+
 # A 16 x 8 sign file: the header, 16 row scales (u64), then the 8 x 16 S'.
 _SCALES = HEADER.size
 _SIGNS = HEADER.size + 8 * 16
@@ -205,6 +214,9 @@ CORRUPTIONS = {
     "truncated": (lambda p: p.write_bytes(p.read_bytes()[:-1]), "expected"),
     "trailing": (lambda p: p.write_bytes(p.read_bytes() + b"\x01"), "expected"),
     "rank_above_2^24": (lambda p: _corrupt(p, 16, struct.pack("<Q", 2**24 + 1)), "2\\^24"),
+    "kind_code_3": (lambda p: _corrupt(p, 24, struct.pack("<Q", 3)), "unknown kind code 3"),
+    "N_0": (lambda p: _corrupt(p, 8, struct.pack("<Q", 0)), "N=0, n=8"),
+    "n_0": (lambda p: _corrupt(p, 16, struct.pack("<Q", 0)), "N=16, n=0"),
 }
 
 
@@ -217,7 +229,7 @@ def test_reader_rejects_malformed_lattice_payloads(tmp_path, capsys, corrupt, me
         read_matrix(path)
     assert main(["analyze", "--matrix", str(path)]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_zero_row_with_scale_one_is_read(tmp_path):
