@@ -34,7 +34,7 @@ from .matrices import (
     make_random_sign,
     numerical_rank,
 )
-from .prooftrace import TraceConfig, trace
+from .prooftrace import AUERBACH_DELTA, RANK_TOL, TraceConfig, trace
 from .storage import read_matrix, write_matrix
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _cmd_generate(args) -> int:
             "seed": mat.provenance.seed,
             "error": profile.error,
             "nnz_fraction": profile.nnz_fraction,
-            "numerical_rank": numerical_rank(mat, 1e-10),
+            "numerical_rank": numerical_rank(mat, RANK_TOL),
         }
     )
     return EXIT_OK
@@ -500,13 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     mv = sub.add_parser("mvee", help="minimum-volume ellipsoid of the column body")
     mv.add_argument("--matrix", required=True)
     mv.add_argument("--tol", type=float, default=1e-7)
-    mv.add_argument("--rank-tol", type=float, default=1e-10)
+    mv.add_argument("--rank-tol", type=float, default=RANK_TOL)
     mv.set_defaults(func=_cmd_mvee)
 
     au = sub.add_parser("auerbach", help="volume-maximizing column basis")
     au.add_argument("--matrix", required=True)
-    au.add_argument("--delta", type=float, default=0.01)
-    au.add_argument("--rank-tol", type=float, default=1e-10)
+    au.add_argument("--delta", type=float, default=AUERBACH_DELTA)
+    au.add_argument("--rank-tol", type=float, default=RANK_TOL)
     au.set_defaults(func=_cmd_auerbach)
 
     return parser

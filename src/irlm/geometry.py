@@ -82,13 +82,15 @@ class ContactSet:
 
     weights sum to the dimension and sum(w * (L'p)(L'p)') should be the
     identity for the Cholesky factor M = L L'; residual is the Frobenius
-    defect of that identity.
+    defect of that identity.  max_leverage, the containment certificate, is
+    the largest p' M p over all input points, from the solver's final inverse.
     """
 
     indices: np.ndarray  # indices into the point list
     signs: np.ndarray  # orientation of the stored representative, +-1
     weights: np.ndarray
     residual: float
+    max_leverage: float
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -185,8 +187,8 @@ def mvee(
     if sign <= 0:
         raise DegenerateSpanError("ellipsoid shape matrix is not positive definite")
     ell = Ellipsoid(n, shape, float(log_det))
-    g = _quadratic_forms(p, inv_u)
-    members = np.flatnonzero(g / n >= 1.0 - 2.0 * tol)
+    leverages = _quadratic_forms(p, inv_u) / n
+    members = np.flatnonzero(leverages >= 1.0 - 2.0 * tol)
     weights = n * u[members]
     residual = _john_residual(p[members], weights, ell)
     contacts = ContactSet(
@@ -194,6 +196,7 @@ def mvee(
         signs=np.ones(members.size, dtype=np.int64),
         weights=weights,
         residual=residual,
+        max_leverage=float(leverages.max()),
     )
     return ell, contacts
 
@@ -448,11 +451,11 @@ def select_contact_subset(
     remainder, until min(target_k, independent count) vectors are left.
     Each round factors the D-Gram G of the current set once, and every
     candidate's inverse Gram is H = G^(-1) downdated at its position,
-    applied without forming it (``_drop_one_values``; refactored per
-    candidate when G has no inverse).  Candidates are scored in closed
-    form, (max_s s' H s)^(-1/2) over the round's one deduplicated pattern
-    set and its single-flip ascent; the first candidate wins unless a later
-    one scores more than 1e-15 above the best so far.
+    applied without forming it (``_drop_one_values``; ``l1_lower_constant``
+    of each candidate when G has no inverse).  Candidates are scored in
+    closed form, (max_s s' H s)^(-1/2) over the round's one deduplicated
+    pattern set and its single-flip ascent; the first candidate wins unless
+    a later one scores more than 1e-15 above the best so far.
     """
     x = np.atleast_2d(np.asarray(contacts, dtype=np.float64))
     if target_k < 1:
@@ -460,14 +463,11 @@ def select_contact_subset(
     current = _independent_prefix(x, ell)
     while len(current) > target_k:
         inv = _contact_gram(x[current], ell)
-        patterns = _sample_patterns(len(current) - 1, selection_samples, seed)
         if inv is None:
-            mus = []
-            for pos in range(len(current)):
-                cand_inv = _contact_gram(x[current[:pos] + current[pos + 1 :]], ell)
-                value = math.inf if cand_inv is None else _flip_ascent(cand_inv, patterns)[1]
-                mus.append(1.0 / math.sqrt(value))
+            mus = [l1_lower_constant(x[current[:pos] + current[pos + 1 :]], ell, "sampled",
+                                     selection_samples, seed).value for pos in range(len(current))]
         else:
+            patterns = _sample_patterns(len(current) - 1, selection_samples, seed)
             mus = [1.0 / math.sqrt(v) for v in _drop_one_values(inv, patterns).tolist()]
         best_mu = -math.inf
         best_pos = 0
@@ -525,10 +525,13 @@ _MAX_SWAPS = 10_000
 
 
 class AuerbachBasis(NamedTuple):
+    """coefficients (n x m) solves every point on the final basis once."""
+
     indices: np.ndarray
     signs: np.ndarray
     coefficient_bound: float
     swaps: int
+    coefficients: np.ndarray
 
 
 def _pivot(tab: np.ndarray, r: int, c: int) -> None:
@@ -577,8 +580,9 @@ def auerbach_basis(points: np.ndarray, delta: float = 0.01) -> AuerbachBasis:
 
     Greedy complete-pivoting initialization, then swap ascent on the same
     tableau: the largest coefficient above 1 + delta swaps its point into its
-    slot (|det| grows by that factor) with one Gauss-Jordan pivot.  The bound
-    returned is the largest coefficient of one solve on the final basis.
+    slot (|det| grows by that factor) with one Gauss-Jordan pivot.  The
+    coefficients returned are one solve on the final basis, and the bound
+    is their largest magnitude.
     """
     if not 0 < delta <= 0.5:
         raise ParameterError(f"delta must be in (0, 0.5], got {delta}")
@@ -590,12 +594,9 @@ def auerbach_basis(points: np.ndarray, delta: float = 0.01) -> AuerbachBasis:
     for swaps in range(_MAX_SWAPS):
         i, j = np.unravel_index(int(np.argmax(np.abs(coeff))), coeff.shape)
         if abs(coeff[i, j]) <= 1.0 + delta:
-            return AuerbachBasis(
-                indices=np.array(selected, dtype=np.intp),
-                signs=np.ones(n, dtype=np.int64),
-                coefficient_bound=float(np.max(np.abs(np.linalg.solve(p[selected].T, p.T)))),
-                swaps=swaps,
-            )
+            coeff = np.linalg.solve(p[selected].T, p.T)
+            return AuerbachBasis(np.array(selected, dtype=np.intp), np.ones(n, dtype=np.int64),
+                                 float(np.max(np.abs(coeff))), swaps, coeff)
         _pivot(coeff.T, int(j), int(i))
         selected[j] = int(i)
     raise NonconvergenceError(f"maxvol swap ascent hit {_MAX_SWAPS} swaps")

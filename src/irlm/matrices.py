@@ -168,16 +168,19 @@ _BAND_COLS = 512
 # every partial sum of the Gram is exact in any summation order.
 _LATTICE_BOUND = 2.0**24
 
+# Largest row scale of a lattice: float64 holds every integer up to 2^53.
+_MAX_SCALE = 2**53  # an int, so a comparison with u64 words stays exact
+
 
 def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     """Row scales w when the factors lie on the sign lattice, else None.
 
     The lattice: L = S / w[:, None] and R = S' for a sign matrix S with
-    entries in {-1, 0, 1}, integer row scales w_i >= 1 and rank <= 2^24.
-    Then A = (S S') / w[:, None], where S S' is a symmetric integer Gram,
-    exact in float32 in any summation order, and every entry is one
-    correctly rounded float64 division.  S = sign(L), so the test is one
-    comparison R == sign(L)' and one test of the row scales.
+    entries in {-1, 0, 1}, integer row scales 1 <= w_i <= 2^53 and rank
+    <= 2^24.  Then A = (S S') / w[:, None], where S S' is a symmetric
+    integer Gram, exact in float32 in any summation order, and every entry
+    is one correctly rounded float64 division.  S = sign(L), so the test is
+    one comparison R == sign(L)' and one test of the row magnitudes.
     """
     # the sign test first, so that its temporaries are freed before |L| is
     # allocated
@@ -185,12 +188,18 @@ def _lattice_scale(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
         return None
     mags = np.abs(left)
     peak = mags.max(axis=1)
-    with np.errstate(divide="ignore"):
-        scale = np.where(peak > 0, np.rint(1.0 / peak), 1.0)
     # fl(1/w) > 0 and -1/w rounds to -fl(1/w), so a row is sign(L[i]) / w_i
-    # exactly when each of its nonzero magnitudes equals fl(1/w_i)
+    # exactly when each of its nonzero magnitudes equals x = fl(1/w_i).  Any
+    # w in 1..2^53 with fl(1/w) = x lies within 1 of rint(1/x), and above
+    # 2^52 neighbours can share x: w must be the only such integer
+    steps = np.array([-1.0, 0.0, 1.0])
+    with np.errstate(divide="ignore", over="ignore"):
+        near = np.rint(1.0 / peak)[:, None]  # inf on zero or subnormal rows: no hit
+        hits = ((near >= 1.0 - steps) & (near <= _MAX_SCALE - steps)
+                & (1.0 / (near + steps) == peak[:, None]))
+    scale = np.where(peak > 0, np.where(hits, near + steps, 0.0).sum(axis=1), 1.0)
     exact = (
-        bool(np.all(np.isfinite(scale) & (scale >= 1.0)))
+        np.array_equal(hits.sum(axis=1), peak > 0)
         and np.count_nonzero(mags == (1.0 / scale)[:, None]) == np.count_nonzero(mags)
     )
     return scale if exact else None

@@ -357,21 +357,26 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
 
     if cfg.basis_mode == "lemmaA":
         contacts_cols, frame, max_lev = _lemma_a_frame(points, dim, eps, cfg, steps)
+        contacts, complement = frame.contacts, frame.complement
+        # expansion of every kept column over the frame
+        t_coef, s_coef = geometry.expand_coefficients(space.coords, frame)
     else:
-        contacts_cols, frame = _lemma_b_frame(points, dim, steps)
+        # the maxvol basis is the frame, with an empty complement, and its
+        # solver already expanded every kept column over it
+        basis = _lemma_b_frame(points, steps)
+        contacts_cols, t_coef, s_coef = basis.indices, basis.coefficients, np.zeros((0, n_kept))
+        contacts, complement = points[contacts_cols], np.zeros((0, dim))
 
-    k_sel = frame.contacts.shape[0]
+    k_sel = contacts.shape[0]
 
-    # expansion of every kept column over the frame
-    t_coef, s_coef = geometry.expand_coefficients(space.coords, frame)
-    recon = frame.contacts.T @ t_coef + frame.complement.T @ s_coef
+    recon = contacts.T @ t_coef + complement.T @ s_coef
     col_norms = np.linalg.norm(space.coords, axis=0)
     col_norms[col_norms == 0] = 1.0
     recon_err = float(np.max(np.linalg.norm(recon - space.coords, axis=0) / col_norms))
     steps.append(
         TraceStep(
             name="expansion",
-            inputs={"k": k_sel, "complement": int(frame.complement.shape[0])},
+            inputs={"k": k_sel, "complement": int(complement.shape[0])},
             outputs={"max_relative_residual": recon_err},
             check=TraceCheck(recon_err, 1e-8, recon_err <= 1e-8),
         )
@@ -414,26 +419,22 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
                 notes="sampled facet minimum over the all-plus and seeded patterns",
             )
         )
-        l1_budget = 1.0 / mu if mu > 0 else math.inf
         gate_lhs = gamma / eps
-        gate_rhs = c0_hat / (15.0 * math.sqrt(dim)) if math.isfinite(c0_hat) else 0.0
+        gate_rhs = c0_hat / (15.0 * math.sqrt(dim))
         gate_note = "equivalent to gamma <= mu / 15 with the measured constant"
     else:
-        mu = None
-        c0_hat = None
-        coeff_bound = float(np.abs(t_coef).max()) if t_coef.size else 0.0
+        mu = c0_hat = None
         l1_cap = dim * (1.0 + AUERBACH_DELTA)
         steps.append(
             TraceStep(
                 name="l1_bound",
-                inputs={"coefficient_bound": coeff_bound},
+                inputs={"coefficient_bound": basis.coefficient_bound},
                 outputs={"max_t_l1": max_l1, "l1_cap": l1_cap},
                 check=TraceCheck(max_l1, l1_cap + 1e-9, max_l1 <= l1_cap + 1e-9),
                 notes="reconstructed branch: coefficientwise bound times dimension",
             )
         )
-        l1_budget = l1_cap
-        gate_lhs = l1_budget * gamma
+        gate_lhs = l1_cap * gamma
         gate_rhs = 1.0 / 15.0
         gate_note = "reconstructed branch: direct l1-budget gate"
 
@@ -481,7 +482,7 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
     # matrix B on the selected rows, against the identity: B = P @ Q with
     # P = [w_rows | y_rows] and Q = [t; s] on the same rows, kept factored
     # and read in row tiles
-    y_rows = space.basis[row_set] @ frame.complement.T
+    y_rows = space.basis[row_set] @ complement.T
     b_sub = from_factors(
         np.hstack((w_rows, y_rows)), np.vstack((t_coef[:, row_set], s_coef[:, row_set]))
     )
@@ -569,12 +570,12 @@ def trace(a: FactoredMatrix, cfg: TraceConfig) -> TraceReport:
 def _lemma_a_frame(points, dim, eps, cfg, steps):
     """Ellipsoid contacts, greedy subset, and completed frame; appends the
     mvee / contact_selection / frame_completion steps.  Returns the selected
-    column indices, the frame, and the largest leverage of the points."""
+    column indices, the frame, and the solver's largest leverage of the points."""
     try:
         ell, contacts = geometry.mvee(points, tol=cfg.mvee_tol)
     except (DegenerateSpanError, NonconvergenceError) as exc:
         raise TraceAborted("mvee", exc)
-    max_lev = float(geometry._quadratic_forms(points, ell.shape).max())
+    max_lev = contacts.max_leverage
     steps.append(
         TraceStep(
             name="mvee",
@@ -623,8 +624,9 @@ def _lemma_a_frame(points, dim, eps, cfg, steps):
     return selected_cols, frame, max_lev
 
 
-def _lemma_b_frame(points, dim, steps):
-    """Maxvol basis as the frame with empty complement (reconstructed branch)."""
+def _lemma_b_frame(points, steps):
+    """Maxvol basis of the points, with the coefficients that expand every
+    point over it (reconstructed branch); appends the auerbach_basis step."""
     try:
         basis = geometry.auerbach_basis(points, AUERBACH_DELTA)
     except (RankDeficiencyError, NonconvergenceError) as exc:
@@ -642,10 +644,5 @@ def _lemma_b_frame(points, dim, steps):
             notes="reconstructed branch: volume-maximizing basis",
         )
     )
-    # identity shape: the coefficient bound replaces ellipsoid geometry here
-    ell = geometry.Ellipsoid(dim, np.eye(dim), 0.0)
-    frame = geometry.Frame(
-        contacts=points[basis.indices], complement=np.zeros((0, dim)), ellipsoid=ell
-    )
-    return basis.indices, frame
+    return basis
 

@@ -44,6 +44,7 @@ import numpy as np
 from .errors import FormatError, ParameterError
 from .matrices import (
     _LATTICE_BOUND,
+    _MAX_SCALE,
     KIND_CODES,
     KIND_NAMES,
     FactoredMatrix,
@@ -55,9 +56,6 @@ MAGIC = b"IRLM0002"
 MAGIC_V1 = b"IRLM0001"
 HEADER = struct.Struct("<8sQQQQ")
 
-# Largest row scale a file holds: every integer up to 2^53 is a float64.
-_MAX_SCALE = 2**53
-
 
 def write_matrix(a: FactoredMatrix, path: str | Path) -> None:
     """Write `a` as an IRLM0002 file: its row scales, then S' as it is held
@@ -65,7 +63,7 @@ def write_matrix(a: FactoredMatrix, path: str | Path) -> None:
     no file representation."""
     code = file_kind_code(a)
     scale = a._row_scale
-    if scale is None or scale.max() > _MAX_SCALE:
+    if scale is None:
         raise FormatError(f"kind '{a.provenance.kind}' factors off the sign lattice "
                           "have no file representation")
     # checked before the file is opened, so a refusal leaves no file behind

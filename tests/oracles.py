@@ -7,7 +7,8 @@ scans, a fresh KKT solve per facet, a linear solve per sign pattern and
 per drop-one candidate, column-at-a-time elimination, a fresh solve per
 maxvol swap, whole-matrix scans of the dense form, a per-block integer
 Gram, an SVD of the dense form, a redraw of block_sparse's blocks one
-attempt at a time, and a writer of the first (IRLM0001) file format.
+attempt at a time, an exact rational search for row scales, and a writer
+of the first (IRLM0001) file format.
 """
 
 from __future__ import annotations
@@ -430,6 +431,28 @@ def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
         draws.append(chosen)
     return draws
 
+
+
+def unique_row_scales(left: np.ndarray) -> np.ndarray | None:
+    """Row scales w of L = S / w[:, None] by an exact rational search: each
+    nonzero row's magnitudes must be one float x with exactly one integer c
+    in 1..2^53 such that fl(1/c) = x (all-zero rows get 1); None otherwise.
+    Any such c lies within 1 of the exact 1/x."""
+    scales = []
+    for row in np.abs(left):
+        mags = set(row[row != 0].tolist())
+        if len(mags) > 1:
+            return None
+        if not mags:
+            scales.append(1.0)
+            continue
+        (x,) = mags
+        floor = math.floor(Fraction(1) / Fraction(x))
+        found = [c for c in range(max(1, floor - 2), floor + 3) if c <= 2**53 and 1.0 / c == x]
+        if len(found) != 1:
+            return None
+        scales.append(float(found[0]))
+    return np.array(scales)
 
 
 def write_matrix_v1(a, path) -> None:

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irlm import from_factors, make_identity, make_random_sign
+from irlm import bounds, from_factors, make_identity, make_random_sign, matrices
 from irlm.bounds import (
     GammaGraph,
     bound_summary,
@@ -345,6 +346,37 @@ def test_clique_identity_check_examples():
     assert not report.ok
     assert report.offdiagonal_witness == (1, 2)
     assert report.max_offdiagonal == pytest.approx(0.26)
+
+
+def test_clique_identity_check_reads_only_the_cliques_block(monkeypatch):
+    # sign 4096/128 at gamma 0.25: the greedy clique has k = 924 vertices.
+    # The check builds the k x k block (6.8 MB), not the N x k columns
+    # (30.3 MB), needs no approximation error, and finds the witness a scan
+    # of the columns finds
+    a = make_random_sign(4096, 128, 1)
+    clique = greedy_clique(gamma_graph(a, 0.25))
+    assert len(clique) == 924
+    idx = np.array(clique)
+    off = np.abs(a.dense(idx)[idx])
+    np.fill_diagonal(off, -1.0)
+    i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+    witness, max_off = (clique[i], clique[j]), float(off[i, j])
+    del off
+    built = []
+    materialize = matrices._materialize
+    monkeypatch.setattr(matrices, "_materialize",
+                        lambda m, cols=None: built.append((m.n_dim, cols)) or materialize(m, cols))
+    monkeypatch.setattr(bounds, "approx_error", lambda m: pytest.fail("approx_error called"))
+    tracemalloc.start()
+    try:
+        report = clique_identity_check(a, clique, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert (report.offdiagonal_witness, report.max_offdiagonal) == (witness, max_off)
+    assert built == [(924, None)]
+    assert peak < 16 * 2**20
 
 
 def test_gamma_graph_cliques_always_pass_identity_check():

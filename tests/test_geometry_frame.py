@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -140,6 +142,29 @@ def test_drop_one_select_gives_dependent_candidates_zero(monkeypatch):
     monkeypatch.setattr(geometry, "_independent_prefix", lambda vectors, ell: [0, 1, 2])
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert list(select_contact_subset(x, unit_ball(2), 2, 4, 0)) == [1, 2]
+
+
+def test_drop_one_select_scores_dependent_sets_by_the_sampled_l1_constant(monkeypatch):
+    # without an inverse to downdate, each candidate's score is the sampled
+    # L1 lower constant of its rows with the selection's patterns and seed
+    monkeypatch.setattr(geometry, "_independent_prefix", lambda vectors, ell: [0, 1, 2])
+    calls = []
+    real = geometry.l1_lower_constant
+
+    def spy(x, ell, method, n_samples, seed):
+        bound = real(x, ell, method, n_samples, seed)
+        calls.append((x.tolist(), method, n_samples, seed, bound.value))
+        return bound
+
+    monkeypatch.setattr(geometry, "l1_lower_constant", spy)
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert list(select_contact_subset(x, unit_ball(2), 2, 4, 7)) == [1, 2]
+    assert [c[:4] for c in calls] == [
+        ([[0.0, 1.0], [1.0, 0.0]], "sampled", 4, 7),
+        ([[1.0, 0.0], [1.0, 0.0]], "sampled", 4, 7),
+        ([[1.0, 0.0], [0.0, 1.0]], "sampled", 4, 7),
+    ]
+    assert calls[1][4] == 0.0 and calls[0][4] == calls[2][4] == 1.0 / math.sqrt(2.0)
 
 
 def test_independent_prefix_keeps_independent_prefix_in_order(rng):
@@ -354,6 +379,21 @@ def test_auerbach_basis_matches_per_swap_resolve_on_trace_points(monkeypatch, se
     assert (basis.indices.tolist(), basis.swaps, basis.coefficient_bound) == (indices, swaps, bound)
     # one solve for the start and one for the bound, however many swaps
     assert swaps > 1 and len(solves) == 2
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 24), st.booleans())
+def test_auerbach_basis_returns_the_one_solve_on_its_basis(seed, dim, extra, signs):
+    # the coefficients are the solve on the final basis, bit for bit, and
+    # the bound is their largest magnitude
+    points = np.random.default_rng(seed).normal(size=(dim + extra, dim))
+    if signs:
+        points = np.sign(points)
+    assume(np.linalg.matrix_rank(points) == dim)
+    basis = auerbach_basis(points, 0.01)
+    want = np.linalg.solve(points[basis.indices].T, points.T)
+    assert basis.coefficients.shape == (dim, dim + extra)
+    assert basis.coefficients.tobytes() == want.tobytes()
+    assert basis.coefficient_bound == float(np.max(np.abs(basis.coefficients)))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 24))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,7 @@ from oracles import (
     dense_scan_error,
     diagonal_block_split,
     float_factors_as_built,
+    unique_row_scales,
     write_matrix_v1,
 )
 
@@ -942,7 +944,7 @@ def test_off_lattice_parent_slices_still_take_the_lattice_route(spoil):
     n_dim=st.integers(min_value=1, max_value=24),
     rank=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**32),
-    max_scale=st.sampled_from([1, 3, 16, 2**40]),
+    max_scale=st.sampled_from([1, 3, 16, 2**40, 2**53]),
     negative_zeros=st.booleans(),
     spoiler=st.sampled_from([None, "one_ulp_off", "mixed_scales"]),
 )
@@ -955,7 +957,10 @@ def test_lattice_decision_holds_the_given_factors_as_signs_and_scales(n_dim, ran
     # zeros as -0.0 or +0.0) holds what the constructors' route holds for
     # the same S' and w, gives L and R back equal to the ones given (+0.0
     # zeros), and the same dense form, profiles and rank; a spoiled row
-    # keeps the given floats, bit for bit, off the lattice
+    # keeps the given floats, bit for bit, off the lattice.  Up to 2^53 the
+    # row scales are the ones an exact search finds: above 2^52 neighbouring
+    # integers can share fl(1/w), which leaves the row off the lattice, and
+    # a one-ulp step can land on another integer's reciprocal
     gen = np.random.default_rng(seed)
     signs = gen.integers(-1, 2, size=(n_dim, rank)).astype(np.int8)
     signs[gen.random(n_dim) < 0.25] = 0
@@ -972,10 +977,16 @@ def test_lattice_decision_holds_the_given_factors_as_signs_and_scales(n_dim, ran
                           else 1.0 / (scale[row] + 1.0))
     given_left, given_right = left.tobytes(), right.tobytes()
     a = from_factors(left, right)
-    if spoiler is not None:
+    found = unique_row_scales(left)
+    if max_scale < 2**53:
+        assert (found is None) == (spoiler is not None)
+    if spoiler is None and found is not None:
+        assert np.array_equal(found, scale)
+    if found is None:
         assert a._signs is None and a._row_scale is None
         assert a.left.tobytes() == given_left and a.right.tobytes() == given_right
         return
+    signs, scale = np.sign(left).astype(np.int8), found
     b = matrices._lattice_matrix(signs.T, scale, matrices.Provenance("custom"))
     _assert_same_facts(a, b)
     assert np.array_equal(a.left, left) and np.array_equal(a.right, right)
@@ -985,6 +996,16 @@ def test_lattice_decision_holds_the_given_factors_as_signs_and_scales(n_dim, ran
     for gamma in (0.0, 1.0 / 3.0, 0.5):
         _assert_same_profile(distribution_function(a, gamma), distribution_function(b, gamma))
     assert numerical_rank(a, 1e-10) == numerical_rank(b, 1e-10)
+
+
+def test_lattice_decision_takes_subnormal_magnitudes_off_the_lattice():
+    # 1 / 5e-324 overflows to inf, the reciprocal of no row scale, and the
+    # decision warns of nothing
+    left = np.array([[5e-324, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        a = from_factors(left, np.eye(2))
+    assert a._signs is None and a.left.tobytes() == left.tobytes()
 
 
 def _zero_rows_lattice(n_dim, rank, seed):

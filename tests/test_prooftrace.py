@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -517,6 +518,56 @@ def test_lemma_a_trace_factors_the_ellipsoid_shape_once(monkeypatch, n_dim, rank
     trace(make_random_sign(n_dim, rank, 1), TraceConfig(gamma=gamma))
     (shape,) = shapes
     assert sum(np.array_equal(a, shape) for a in factored) == 1
+
+
+@pytest.mark.parametrize("n_dim, rank, seed", [(96, 96, 1), (256, 32, 1), (256, 32, 2)])
+def test_lemma_a_trace_reads_the_leverages_mvee_measured(monkeypatch, n_dim, rank, seed):
+    # only mvee evaluates leverages; the mvee and norm_chain steps read its
+    # max_leverage, which is the largest p' M p under the final shape
+    callers, results = [], []
+    forms, mvee = geometry._quadratic_forms, geometry.mvee
+
+    def forms_spy(x, m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return forms(x, m)
+
+    def mvee_spy(points, tol):
+        ell, contacts = mvee(points, tol)
+        results.append((points, ell, contacts))
+        return ell, contacts
+
+    monkeypatch.setattr(geometry, "_quadratic_forms", forms_spy)
+    monkeypatch.setattr(geometry, "mvee", mvee_spy)
+    gamma = gamma_threshold(n_dim, rank, 0.25)
+    report = trace(make_random_sign(n_dim, rank, seed), TraceConfig(gamma=gamma))
+    monkeypatch.undo()
+    assert callers and set(callers) == {"mvee"}
+    ((points, ell, contacts),) = results
+    lev = contacts.max_leverage
+    assert report.step("mvee").check.lhs == lev
+    assert report.step("norm_chain").check.lhs == math.sqrt(lev)
+    shape_max = float(geometry._quadratic_forms(points, ell.shape).max())
+    assert abs(lev - shape_max) <= 1e-14 * shape_max
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lemma_b_trace_takes_the_maxvol_coefficients(monkeypatch, seed):
+    # the maxvol solve is the expansion: no second solve through a frame,
+    # and the l1_bound step records the auerbach_basis step's bound
+    expansions, bases = [], []
+    auerbach = geometry.auerbach_basis
+    monkeypatch.setattr(geometry, "expand_coefficients", lambda *args: expansions.append(args))
+    monkeypatch.setattr(geometry, "auerbach_basis",
+                        lambda points, delta: bases.append(auerbach(points, delta)) or bases[-1])
+    gamma = gamma_threshold(384, 64, 0.25)
+    report = trace(make_random_sign(384, 64, seed), TraceConfig(gamma=gamma, basis_mode="lemmaB"))
+    assert expansions == []
+    (basis,) = bases
+    bound = report.step("l1_bound").inputs["coefficient_bound"]
+    assert bound == report.step("auerbach_basis").check.lhs == basis.coefficient_bound
+    assert report.step("l1_bound").outputs["max_t_l1"] == float(
+        np.abs(basis.coefficients).sum(axis=0).max())
+    assert report.holds("expansion")
 
 
 # -- canonical serialization -------------------------------------------------------

@@ -174,6 +174,33 @@ def test_off_lattice_factors_of_a_library_kind_are_refused(tmp_path):
     assert not path.exists()
 
 
+def test_row_scale_2_53_is_on_the_lattice_and_round_trips(tmp_path):
+    # the largest row scale a lattice holds, decided from float factors
+    signs = make_random_sign(16, 8, 1).right.T
+    a = from_factors(signs / 2**53, signs.T, kind="random_sign", seed=1)
+    assert a._signs is not None and np.all(a._row_scale == 2.0**53)
+    path = tmp_path / "x.irlm"
+    write_matrix(a, path)
+    loaded = read_matrix(path)
+    assert np.array_equal(loaded._row_scale, a._row_scale)
+    assert loaded.left.tobytes() == a.left.tobytes()
+    assert loaded.dense().tobytes() == a.dense().tobytes()
+
+
+@pytest.mark.parametrize("power", [54, 60])
+def test_row_scale_above_2_53_is_held_as_float_factors(tmp_path, power):
+    # off the lattice, so the writer refuses it, and its dense form is the
+    # exact Gram over the power of two either way
+    signs = make_random_sign(16, 8, 1).right.T
+    a = from_factors(signs / 2**power, signs.T, kind="random_sign", seed=1)
+    assert a._signs is None and a._row_scale is None
+    assert a.dense().tobytes() == ((signs @ signs.T) / 2**power).tobytes()
+    path = tmp_path / "x.irlm"
+    with pytest.raises(FormatError, match="off the sign lattice"):
+        write_matrix(a, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_a_seed_the_header_cannot_hold_is_refused_before_the_file_is_created(tmp_path, seed):
     # every constructor accepts such a seed (the draw masks it to 64 bits)
