@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, SizeCapError
+from .errors import NonconvergenceError, ParameterError, SizeCapError
 from .matrices import FactoredMatrix, approx_error, min_pairwise_linf, submatrix
 
 
@@ -204,6 +204,10 @@ def greedy_clique(graph: GammaGraph) -> list[int]:
     return sorted(clique)
 
 
+# Expansions of the exact clique search before it gives up (about 2 minutes)
+_MAX_EXPANSIONS = 1 << 22
+
+
 def max_clique(graph: GammaGraph, vertex_cap: int = 200) -> list[int]:
     """Exact maximum clique by branch and bound with greedy-coloring bounds.
 
@@ -211,6 +215,8 @@ def max_clique(graph: GammaGraph, vertex_cap: int = 200) -> list[int]:
     and each expansion sorts candidates by a greedy coloring whose color
     count bounds the clique size in that subtree.  Deterministic: the same
     graph always returns the same clique, listed in ascending vertex order.
+    The vertex cap does not bound the search on a dense graph: more than
+    ``_MAX_EXPANSIONS`` expansions raise NonconvergenceError.
     """
     n = graph.n_vertices
     if n > vertex_cap:
@@ -223,6 +229,7 @@ def max_clique(graph: GammaGraph, vertex_cap: int = 200) -> list[int]:
            for row in graph.adjacency[np.ix_(order, order)]]
 
     best: list[int] = []
+    budget = iter(range(_MAX_EXPANSIONS))  # one item per expansion
 
     def color_sort(mask: int) -> tuple[list[int], list[int]]:
         ordered: list[int] = []
@@ -243,6 +250,9 @@ def max_clique(graph: GammaGraph, vertex_cap: int = 200) -> list[int]:
 
     def expand(mask: int, clique: list[int]) -> None:
         nonlocal best
+        if next(budget, None) is None:
+            raise NonconvergenceError(f"exact clique search hit {_MAX_EXPANSIONS} expansions; "
+                                      f"largest clique found has {len(best)} vertices")
         ordered, bounds = color_sort(mask)
         for pos in range(len(ordered) - 1, -1, -1):
             if len(clique) + bounds[pos] <= len(best):
@@ -279,8 +289,6 @@ def clique_identity_check(
     deviation is reported, not folded into gamma.  Only the clique's k x k
     block is built (``submatrix``), never the N x k columns."""
     idx = np.asarray(sorted(int(v) for v in clique), dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.n_dim):
-        raise ParameterError("clique contains out-of-range vertices")
     sub = submatrix(a, idx).dense() if idx.size else np.zeros((0, 0))
     diag_dev = np.abs(np.diagonal(sub) - 1.0)
     max_diag = float(diag_dev.max()) if idx.size else 0.0

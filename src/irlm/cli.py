@@ -43,9 +43,8 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _print_json(doc, out=None) -> None:
-    text = json.dumps(doc, indent=2)
-    (out or sys.stdout).write(text + "\n")
+def _print_json(doc) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _fmt17(x: float) -> str:
@@ -208,11 +207,18 @@ def _cmd_turan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mvee(args) -> int:
+def _column_space(args) -> tuple[FactoredMatrix, geometry.Subspace]:
+    """The matrix file and its column span at --rank-tol, as `mvee` and
+    `auerbach` read them; a matrix of zero numerical rank is refused."""
     mat = read_matrix(args.matrix)
     space = geometry.rank_factorize(mat, args.rank_tol)
     if space.dim == 0:
         raise DegenerateSpanError("matrix has zero numerical rank")
+    return mat, space
+
+
+def _cmd_mvee(args) -> int:
+    mat, space = _column_space(args)
     ell, contacts = geometry.mvee(space.coords.T, tol=args.tol)
     _print_json(
         {
@@ -231,10 +237,7 @@ def _cmd_mvee(args) -> int:
 
 
 def _cmd_auerbach(args) -> int:
-    mat = read_matrix(args.matrix)
-    space = geometry.rank_factorize(mat, args.rank_tol)
-    if space.dim == 0:
-        raise DegenerateSpanError("matrix has zero numerical rank")
+    mat, space = _column_space(args)
     basis = geometry.auerbach_basis(space.coords.T, delta=args.delta)
     _print_json(
         {

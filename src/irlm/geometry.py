@@ -263,12 +263,12 @@ def _sample_patterns(k: int, n_samples: int, seed: int) -> np.ndarray:
     """The all-plus facet, then seeded random patterns up to n_samples in
     all; each is turned to start with +1 (antipodal facets are equivalent)
     and repeats are dropped, keeping first occurrences in order."""
-    stream = rng.SplitMix64(rng.derive_key(seed, k))
+    stream = rng.SplitMix64(int(rng.derive_keys(seed, k)))
     drawn = stream.next_signs(k * max(0, n_samples - 1)).reshape(-1, k)
     signs = np.vstack([np.ones(k), drawn])
     signs *= np.where(signs[:, :1] < 0, -1.0, 1.0)
-    _, first = np.unique(signs, axis=0, return_index=True)
-    return signs[np.sort(first)]
+    first = dict.fromkeys(map(bytes, signs))  # +-1.0 entries: equal bytes, equal rows
+    return np.frombuffer(b"".join(first), dtype=np.float64).reshape(-1, k)
 
 
 def _ascend(

@@ -325,10 +325,10 @@ _BLOCK_ATTEMPTS = 16
 
 def _block_seeds(master: int, n_blocks: int) -> np.ndarray:
     """The seed of every attempt of every block (n_blocks x _BLOCK_ATTEMPTS
-    uint64), derive_key(master, KIND_BLOCK_SPARSE, block, attempt) folded in
-    one vector pass.  Block 0, attempt 0 uses the master seed unchanged so
-    that a single block construction coincides bit for bit with
-    make_random_sign."""
+    uint64), the keys of (master, KIND_BLOCK_SPARSE, block, attempt) from
+    one rng.derive_keys pass.  Block 0, attempt 0 uses the master seed
+    unchanged so that a single block construction coincides bit for bit
+    with make_random_sign."""
     seeds = rng.derive_keys(master, KIND_BLOCK_SPARSE, np.arange(n_blocks)[:, None],
                             np.arange(_BLOCK_ATTEMPTS))
     seeds[0, 0] = int(master) & rng.MASK64

@@ -18,28 +18,12 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 output scrambler on a 64-bit word."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
-def derive_key(*words: int) -> int:
-    """Fold integer words into one 64-bit stream key."""
-    key = 0
-    for w in words:
-        key = mix64((key + GOLDEN + (int(w) & MASK64)) & MASK64)
-    return key
-
-
 def derive_keys(*words) -> np.ndarray:
-    """derive_key over integer arrays of words, broadcast together, in one
-    vector pass per word: each entry of the uint64 result is derive_key of
-    the words' entries at its index.  Every word is reduced mod 2^64 as
-    derive_key reduces it."""
-    words = [_as_u64(w) for w in words]
+    """Stream keys of integer words broadcast together: each uint64 entry folds
+    the words at its index in order, key <- mix64(key + GOLDEN + (w mod 2^64))
+    from key 0, in one vector pass per word.  The words are integers or
+    arrays of them, reduced mod 2^64 as Python ints."""
+    words = [np.asarray(np.asarray(w, dtype=object) & MASK64, dtype=np.uint64) for w in words]
     key = np.zeros(np.broadcast_shapes(*(w.shape for w in words)), dtype=np.uint64)
     scratch = np.empty_like(key)
     for w in words:
@@ -49,30 +33,14 @@ def derive_keys(*words) -> np.ndarray:
     return key
 
 
-def _as_u64(w) -> np.ndarray:
-    """Integer words as uint64, each reduced mod 2^64: an integer array by
-    its cast, which wraps the same way, anything else through Python ints."""
-    if isinstance(w, np.ndarray) and w.dtype.kind in "iu":
-        return w.astype(np.uint64, copy=False)
-    return np.asarray(np.asarray(w, dtype=object) & MASK64, dtype=np.uint64)
-
-
 class SplitMix64:
-    """Minimal sequential stream over the mixing function."""
+    """Sequential stream: each output is mix64 of the state advanced by GOLDEN."""
 
     def __init__(self, key: int):
         self._state = int(key) & MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
-
-    def next_sign(self) -> int:
-        """+1 or -1 from the high bit of the next word (-1 when set)."""
-        return -1 if self.next_u64() >> 63 else 1
-
     def next_signs(self, count: int) -> np.ndarray:
-        """The next `count` signs of next_sign, computed in one vector pass."""
+        """Signs of the next `count` outputs (-1.0 where the top bit is set, else +1.0)."""
         steps = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             steps *= np.uint64(GOLDEN)
@@ -82,11 +50,11 @@ class SplitMix64:
 
 
 def _mix64_np(z: np.ndarray, scratch: np.ndarray, final: bool = True) -> None:
-    """mix64 on every word of `z` in place, with `scratch` (same shape) as
-    the one temporary.  Without `final` the last xor-shift is skipped: it
-    leaves the top bit as it is, so a caller that reads only that bit may
-    skip it.  Array arithmetic wraps mod 2^64 without an overflow check,
-    which numpy makes only on scalars."""
+    """mix64 (the SplitMix64 output scrambler) on every word of `z` in place,
+    with `scratch` (same shape) as the one temporary.  Without `final` the
+    last xor-shift is skipped: it leaves the top bit as it is, so a caller
+    that reads only that bit may skip it.  Array arithmetic wraps mod 2^64
+    without an overflow check, which numpy makes only on scalars."""
     for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
         np.right_shift(z, np.uint64(shift), out=scratch)
         z ^= scratch
@@ -164,11 +132,3 @@ def _signs_of_keys(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     _mix64_np(z, scratch)
     z += np.uint64(GOLDEN)
     return _top_bit_signs(z, scratch)
-
-
-def entry_sign(seed: int, kind_code: int, flat_index: int) -> int:
-    """Scalar reference path for one entry; must agree with sign_matrix."""
-    base = derive_key(seed, kind_code)
-    key = mix64((base + GOLDEN + (flat_index & MASK64)) & MASK64)
-    out = mix64((key + GOLDEN) & MASK64)
-    return -1 if out >> 63 else 1

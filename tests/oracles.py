@@ -7,8 +7,11 @@ scans, a fresh KKT solve per facet, a linear solve per sign pattern and
 per drop-one candidate, column-at-a-time elimination, a fresh solve per
 maxvol swap, whole-matrix scans of the dense form, a per-block integer
 Gram, an SVD of the dense form, a redraw of block_sparse's blocks one
-attempt at a time, an exact rational search for row scales, and a writer
-of the first (IRLM0001) file format.
+attempt at a time, an exact rational search for row scales, a writer
+of the first (IRLM0001) file format, and the scalar reference of the
+SplitMix64 sign contract (mix64, the key fold derive_key, a stream of
+single words, entry_sign) in Python ints, one word at a time, against
+which the library's vector kernels in irlm.rng are checked.
 """
 
 from __future__ import annotations
@@ -22,6 +25,49 @@ import numpy as np
 from scipy.optimize import minimize
 
 from irlm import matrices, rng
+
+# The contract's constants, written out here so that the reference does
+# not take them from the code under test.
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """SplitMix64 output scrambler on a 64-bit word."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return (z ^ (z >> 31)) & MASK64
+
+
+def derive_key(*words: int) -> int:
+    """Fold integer words into one 64-bit stream key, each reduced mod 2^64."""
+    key = 0
+    for w in words:
+        key = mix64((key + GOLDEN + (int(w) & MASK64)) & MASK64)
+    return key
+
+
+class ScalarSplitMix64:
+    """The sequential stream one word at a time: each output advances the
+    state by GOLDEN and is mix64 of the new state."""
+
+    def __init__(self, key: int):
+        self.state = int(key) & MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GOLDEN) & MASK64
+        return mix64(self.state)
+
+    def next_sign(self) -> int:
+        """+1 or -1 from the high bit of the next word (-1 when set)."""
+        return -1 if self.next_u64() >> 63 else 1
+
+
+def entry_sign(seed: int, kind_code: int, flat_index: int) -> int:
+    """Sign of one entry of rng.sign_matrix's S: the first output of the
+    stream keyed by derive_key(seed, kind_code, flat_index)."""
+    return ScalarSplitMix64(derive_key(seed, kind_code, flat_index)).next_sign()
 
 
 def binomial_two_sided_tail(n: int, k: int) -> float:
@@ -281,14 +327,12 @@ def brute_flip_l1(gram: np.ndarray, n_samples: int, seed: int) -> float:
     the same way; the best improving flip is taken until none improves.
     The patterns of one step are solved together, as columns of one
     right-hand side."""
-    from irlm import rng
-
     k = gram.shape[0]
 
     def values(patterns):
         return np.einsum("ij,ji->i", patterns, np.linalg.solve(gram, patterns.T))
 
-    stream = rng.SplitMix64(rng.derive_key(seed, k))
+    stream = rng.SplitMix64(derive_key(seed, k))
     patterns = np.array([np.ones(k)] + [stream.next_signs(k) for _ in range(max(0, n_samples - 1))])
     scores = values(patterns)
     s = patterns[int(np.argmax(scores))].copy()
@@ -418,7 +462,7 @@ def block_draws_one_at_a_time(a) -> list[tuple[np.ndarray | None, float, int]]:
         chosen = None
         for attempt in range(matrices._BLOCK_ATTEMPTS):
             seed = (a.provenance.seed if b == 0 and attempt == 0 else
-                    rng.derive_key(a.provenance.seed, matrices.KIND_BLOCK_SPARSE, b, attempt))
+                    derive_key(a.provenance.seed, matrices.KIND_BLOCK_SPARSE, b, attempt))
             x = rng.sign_matrix(size, rank, seed, matrices.KIND_RANDOM_SIGN)
             gram = x.T.astype(np.int64) @ x.astype(np.int64)
             np.fill_diagonal(gram, 0)

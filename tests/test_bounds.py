@@ -22,7 +22,7 @@ from irlm.bounds import (
     volume_argument_verify,
     volume_rank_lower_bound,
 )
-from irlm.errors import ParameterError, SizeCapError
+from irlm.errors import NonconvergenceError, ParameterError, SizeCapError
 
 from oracles import (
     blocked_min_pairwise_linf,
@@ -254,6 +254,15 @@ def test_max_clique_vertex_cap():
         max_clique(graph_from_adjacency(adj), vertex_cap=10)
 
 
+def test_max_clique_gives_up_at_its_expansion_budget(monkeypatch):
+    # sign 200/32 seed 1 at gamma 0.25 is within the default vertex cap, but
+    # its exact search takes about 2.8 million expansions
+    graph = gamma_graph(make_random_sign(200, 32, 1), 0.25)
+    monkeypatch.setattr(bounds, "_MAX_EXPANSIONS", 1000)
+    with pytest.raises(NonconvergenceError, match="1000 expansions"):
+        max_clique(graph)
+
+
 def test_greedy_clique_is_clique_and_lower_bound(rng):
     for trial in range(5):
         n = int(rng.integers(4, 14))
@@ -346,6 +355,12 @@ def test_clique_identity_check_examples():
     assert not report.ok
     assert report.offdiagonal_witness == (1, 2)
     assert report.max_offdiagonal == pytest.approx(0.26)
+
+
+@pytest.mark.parametrize("clique", [[-1], [0, -1], [6], [2, 6]])
+def test_clique_identity_check_refuses_out_of_range_vertices(clique):
+    with pytest.raises(ParameterError):
+        clique_identity_check(make_identity(6), clique, 0.5)
 
 
 def test_clique_identity_check_reads_only_the_cliques_block(monkeypatch):

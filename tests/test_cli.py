@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from irlm import cli
+from irlm import bounds, cli
 from irlm.bounds import gamma_threshold
 from irlm.cli import main, parse_gamma_rule, resolve_gamma
 from irlm.errors import ParameterError
@@ -277,6 +277,17 @@ def test_turan_above_cap_falls_back_to_labeled_greedy(capsys, tmp_path):
     assert doc["clique_size"] == 30  # greedy is exact on a complete graph
     rc, stdout, _ = run(capsys, "turan", "--matrix", str(mat), "--gamma", "0.5", "--cap", "200")
     assert json.loads(stdout)["clique_method"] == "exact"
+
+
+def test_turan_exits_4_when_the_exact_search_exhausts_its_budget(capsys, tmp_path, monkeypatch):
+    mat = tmp_path / "rs.irlm"
+    run(capsys, "generate", "--kind", "random_sign", "--N", "200", "--n", "32",
+        "--seed", "1", "--out", str(mat))
+    monkeypatch.setattr(bounds, "_MAX_EXPANSIONS", 1000)
+    rc, stdout, err = run(capsys, "turan", "--matrix", str(mat), "--gamma", "0.25")
+    assert rc == 4
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_mvee_and_auerbach_commands(capsys, tmp_path):

@@ -18,7 +18,7 @@ from irlm.geometry import (
     mvee,
 )
 
-from oracles import grid_l1_min, kkt_solve_facet_qp
+from oracles import derive_key, grid_l1_min, kkt_solve_facet_qp
 
 
 def unit_ball(dim):
@@ -255,15 +255,16 @@ def test_facet_qp_matches_kkt_oracle_with_many_zero_coordinates(rng):
     assert many_zeros >= 5
 
 
-@pytest.mark.parametrize("k", [1, 5, 95])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 95])
 @pytest.mark.parametrize("n_samples", [1, 4, 64])
 def test_sample_patterns_match_row_by_row_draws(k, n_samples):
     # one draw of k * (n_samples - 1) signs reshaped to rows is the same
-    # sequential stream as n_samples - 1 draws of k signs
+    # sequential stream as n_samples - 1 draws of k signs, keyed by the
+    # scalar key fold; repeats are dropped as np.unique finds them
     from irlm import rng
 
-    for seed in range(4):
-        stream = rng.SplitMix64(rng.derive_key(seed, k))
+    for seed in (0, 1, 2, 3, 7, 2**64 - 1):
+        stream = rng.SplitMix64(derive_key(seed, k))
         rows = np.array([np.ones(k)] + [stream.next_signs(k) for _ in range(n_samples - 1)])
         rows *= np.where(rows[:, :1] < 0, -1.0, 1.0)
         _, first = np.unique(rows, axis=0, return_index=True)
